@@ -151,6 +151,34 @@ TEST(Differential, KnownAnswerAnchorReplication) {
   EXPECT_EQ(r.fingerprint, 124965714u);
 }
 
+// The cooked-device schedules: page-mapping FTL under cost-benefit GC, and
+// the stream-aware flavor (per-stream frontiers, warm/cold GC). Their
+// fingerprints cover the FTL's host writes, GC migrations and quarantined
+// pages, so any change to placement or victim choice moves them.
+TEST(Differential, KnownAnswerAnchorPageFtl) {
+  FuzzConfig cfg;
+  cfg.schedule = Schedule::kPageFtl;
+  cfg.seed = 7;
+  cfg.ops = 200;
+  FuzzResult r = RunFuzz(cfg);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.commits, 21u);
+  EXPECT_EQ(r.crashes, 4u);
+  EXPECT_EQ(r.fingerprint, 1407263227u);
+}
+
+TEST(Differential, KnownAnswerAnchorStreamFtl) {
+  FuzzConfig cfg;
+  cfg.schedule = Schedule::kStreamFtl;
+  cfg.seed = 7;
+  cfg.ops = 200;
+  FuzzResult r = RunFuzz(cfg);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.commits, 16u);
+  EXPECT_EQ(r.crashes, 4u);
+  EXPECT_EQ(r.fingerprint, 3090587027u);
+}
+
 // ---------------------------------------------------------------------------
 // The checker catches real bugs: with the torn-append safety checks disabled
 // through the fault-injection points, a seeded run must fail, the shrinker
