@@ -32,8 +32,7 @@ using Reference = std::map<uint64_t, std::vector<uint8_t>>;
 struct Testbed {
   flash::FlashArray dev;
   ftl::NoFtl noftl;                       // kNoFtl stacks only
-  std::unique_ptr<ftl::PageFtl> pageftl;  // page-FTL stacks only
-  std::unique_ptr<ftl::StreamFtl> streamftl;  // kStreamFtl stacks only
+  std::unique_ptr<ftl::PageFtl> pageftl;  // page-mapping stacks only
   /// The tablespace's backend, whichever stack is active.
   ftl::FtlBackend* backend = nullptr;
   std::unique_ptr<engine::Database> db;
@@ -79,26 +78,14 @@ struct Testbed {
       IPA_RETURN_NOT_OK(t.status());
       ts = t.value();
     } else {
-      if (kind == workload::Backend::kStreamFtl) {
-        ftl::StreamFtlConfig sc;
-        sc.name = "sweep";
-        sc.logical_pages = 256;
-        auto sf = ftl::StreamFtl::Create(&dev, sc);
-        IPA_RETURN_NOT_OK(sf.status());
-        streamftl = std::move(sf).value();
-        backend = streamftl.get();
-      } else {
-        ftl::PageFtlConfig pc;
-        pc.name = "sweep";
-        pc.logical_pages = 256;
-        pc.gc_policy = kind == workload::Backend::kPageFtlGreedy
-                           ? ftl::GcPolicy::kGreedy
-                           : ftl::GcPolicy::kCostBenefit;
-        auto pf = ftl::PageFtl::Create(&dev, pc);
-        IPA_RETURN_NOT_OK(pf.status());
-        pageftl = std::move(pf).value();
-        backend = pageftl.get();
-      }
+      ftl::PageFtlConfig pc;
+      pc.name = "sweep";
+      pc.logical_pages = 256;
+      pc.gc_policy = workload::PageFtlPolicy(kind);
+      auto pf = ftl::PageFtl::Create(&dev, pc);
+      IPA_RETURN_NOT_OK(pf.status());
+      pageftl = std::move(pf).value();
+      backend = pageftl.get();
       db = std::make_unique<engine::Database>(nullptr, ec, &dev.clock());
       auto t = db->CreateTablespaceOn("sweep", backend, {});
       IPA_RETURN_NOT_OK(t.status());

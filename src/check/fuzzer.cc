@@ -19,7 +19,6 @@
 #include "flash/timing.h"
 #include "ftl/noftl.h"
 #include "ftl/page_ftl.h"
-#include "ftl/stream_ftl.h"
 #include "repl/node.h"
 #include "storage/page_format.h"
 
@@ -49,8 +48,7 @@ std::vector<uint8_t> Payload(uint64_t seed, size_t n) {
 struct Testbed {
   flash::FlashArray dev;
   ftl::NoFtl noftl;                       // cooked-FTL schedules leave it idle
-  std::unique_ptr<ftl::PageFtl> pageftl;  // kPageFtl schedules only
-  std::unique_ptr<ftl::StreamFtl> streamftl;  // kStreamFtl schedules only
+  std::unique_ptr<ftl::PageFtl> pageftl;  // cooked-FTL schedules only
   /// The stack's FTL backend, whichever flavor is active.
   ftl::FtlBackend* backend = nullptr;
   std::unique_ptr<engine::Database> db;
@@ -111,21 +109,13 @@ Result<std::unique_ptr<Testbed>> MakeTestbed(Schedule s, uint64_t seed = 0) {
     // stream-aware flavor takes the same stack; the Database's buffer pool
     // tags its writebacks (heap vs index) and GC relocations segregate
     // below the block interface.
-    if (s == Schedule::kStreamFtl) {
-      ftl::StreamFtlConfig sc;
-      sc.name = ScheduleName(s);
-      sc.logical_pages = 256;
-      IPA_ASSIGN_OR_RETURN(tb->streamftl,
-                           ftl::StreamFtl::Create(&tb->dev, sc));
-      tb->backend = tb->streamftl.get();
-    } else {
-      ftl::PageFtlConfig pc;
-      pc.name = ScheduleName(s);
-      pc.logical_pages = 256;
-      pc.gc_policy = ftl::GcPolicy::kCostBenefit;
-      IPA_ASSIGN_OR_RETURN(tb->pageftl, ftl::PageFtl::Create(&tb->dev, pc));
-      tb->backend = tb->pageftl.get();
-    }
+    ftl::PageFtlConfig pc;
+    pc.name = ScheduleName(s);
+    pc.logical_pages = 256;
+    pc.gc_policy = s == Schedule::kStreamFtl ? ftl::GcPolicy::kStreamWarmCold
+                                             : ftl::GcPolicy::kCostBenefit;
+    IPA_ASSIGN_OR_RETURN(tb->pageftl, ftl::PageFtl::Create(&tb->dev, pc));
+    tb->backend = tb->pageftl.get();
     pec.page_size = g.page_size;
     pec.buffer_pages = 12;
     pec.log_capacity_bytes = 1 << 20;
@@ -387,6 +377,11 @@ class Runner {
   bool Sharded() const { return cfg_.schedule == Schedule::kSharded; }
   bool Repl() const { return cfg_.schedule == Schedule::kRepl; }
   bool MixedCodec() const { return cfg_.schedule == Schedule::kDeltaCodec; }
+  /// A page-mapping FTL backs the tablespace (tb_->pageftl).
+  bool Cooked() const {
+    return cfg_.schedule == Schedule::kPageFtl ||
+           cfg_.schedule == Schedule::kStreamFtl;
+  }
 
   static void AccumulateRegionStats(ftl::RegionStats* sum,
                                     const ftl::RegionStats& rs) {
@@ -473,11 +468,10 @@ class Runner {
     if (!tb_->dev.powered_on()) {
       return Status::Internal("device left powered off after op handling");
     }
-    if (cfg_.schedule == Schedule::kPageFtl ||
-        cfg_.schedule == Schedule::kStreamFtl) {
-      // Both cooked FTLs honor the same conservation contract: every device
-      // program is a host write or a GC migration, every erase is a GC
-      // erase, and no deltas exist below the block interface.
+    if (Cooked()) {
+      // Every cooked-FTL policy honors the same conservation contract: every
+      // device program is a host write or a GC migration, every erase is a
+      // GC erase, and no deltas exist below the block interface.
       return CheckPageFtlCounterConservation(tb_->dev.stats(),
                                              tb_->backend->stats(),
                                              tb_->db->buffer_pool().stats());
@@ -536,8 +530,7 @@ class Runner {
       return shadow_.ObserveAndCheck(tb_->dev);
     }
     IPA_RETURN_NOT_OK(tb_->backend->Audit());
-    if (cfg_.schedule != Schedule::kPageFtl &&
-        cfg_.schedule != Schedule::kStreamFtl) {
+    if (!Cooked()) {
       // Delta areas only exist on NoFTL regions; behind a page-mapping FTL
       // every page body is an opaque host image.
       IPA_RETURN_NOT_OK(AuditMappedDeltaAreas(tb_->dev, tb_->noftl, tb_->region));
@@ -943,17 +936,14 @@ class Runner {
       case Op::Kind::kScrub: {
         // A black-box FTL exposes no scrub hook; the closest background
         // maintenance it runs on its own is a GC pass.
-        Status s = cfg_.schedule == Schedule::kPageFtl
-                       ? tb_->pageftl->CollectOnce()
-                   : cfg_.schedule == Schedule::kStreamFtl
-                       ? tb_->streamftl->CollectOnce()
-                       : tb_->noftl.ScrubRegion(MaintRegion(op.b), op.a % 4 == 0);
+        Status s = Cooked() ? tb_->pageftl->CollectOnce()
+                            : tb_->noftl.ScrubRegion(MaintRegion(op.b),
+                                                     op.a % 4 == 0);
         if (s.IsOutOfSpace()) return Status::OK();
         return s;
       }
       case Op::Kind::kWearLevel: {
-        if (cfg_.schedule == Schedule::kPageFtl ||
-            cfg_.schedule == Schedule::kStreamFtl) {
+        if (Cooked()) {
           return Status::OK();  // cooked FTLs wear-level internally via GC
         }
         uint32_t spread = 2 + static_cast<uint32_t>(op.a % 6);

@@ -47,11 +47,11 @@ struct BufferConfig {
   /// When set, fetch/evict events are appended here (see engine::IoEvent).
   std::vector<IoEvent>* io_trace = nullptr;
   /// Classifies a page into its write stream (heap vs index) for
-  /// stream-aware devices (ftl::StreamFtl). Full-page writebacks carry the
-  /// classifier's tag; the write_delta-rejected fallback always carries
-  /// kDeltaWriteback (a hot small-update page folded back). When unset every
-  /// write is kUntagged — byte-identical to the pre-stream write path on
-  /// every backend, since WriteTagged defaults to WritePage.
+  /// stream-aware devices (ftl::GcPolicy::kStreamWarmCold). Full-page
+  /// writebacks carry the classifier's tag; the write_delta-rejected
+  /// fallback always carries kDeltaWriteback (a hot small-update page folded
+  /// back). When unset every write is kUntagged — byte-identical to the
+  /// pre-stream write path on every backend.
   std::function<ftl::StreamTag(PageId)> stream_of;
 };
 

@@ -67,10 +67,11 @@ Database::Database(ftl::NoFtl* ftl, EngineConfig config, SimClock* clock)
   bc.cleaner_async = config_.cleaner_async;
   bc.record_update_sizes = config_.record_update_sizes;
   if (config_.record_io_trace) bc.io_trace = &io_trace_;
-  // Stream classifier for stream-aware devices (ftl::StreamFtl): pages
-  // handed out by AllocateIndexPage carry kIndex, everything else kHeap.
-  // Tag-oblivious devices drop the tag (WriteTagged's default), so this is
-  // behavior-neutral for NoFTL regions, PageFtl and BlackboxSsd.
+  // Stream classifier for stream-aware devices (ftl::PageFtl under
+  // GcPolicy::kStreamWarmCold): pages handed out by AllocateIndexPage carry
+  // kIndex, everything else kHeap. Tag-oblivious devices drop the tag, so
+  // this is behavior-neutral for NoFTL regions, BlackboxSsd and the
+  // single-stream PageFtl policies.
   bc.stream_of = [this](PageId id) {
     return index_pages_.count(id.raw) ? ftl::StreamTag::kIndex
                                       : ftl::StreamTag::kHeap;

@@ -20,7 +20,7 @@
 //    carries no StreamTag, so WAL/heap/index writes all land on the
 //    device's internal frontiers interleaved. Stream segregation requires
 //    either NoFTL regions or the host-visible stream-aware FTL
-//    (ftl::StreamFtl, docs/FTL_BACKENDS.md).
+//    (ftl::PageFtl under GcPolicy::kStreamWarmCold, docs/FTL_BACKENDS.md).
 //
 // Internally the FTL is the same page-mapping machinery as a one-region
 // NoFtl (an SSD *is* an FTL in a box); what differs is the interface.
@@ -57,9 +57,9 @@ class BlackboxSsd : public FtlBackend {
   /// each appended delta separately. Must precede any WriteDelta; applies
   /// device-wide (no per-object regions on a black-box SSD, and likewise no
   /// per-object streams — WriteTagged's StreamTag is dropped at this
-  /// interface; see ftl::StreamFtl for the stream-aware deployment). May
-  /// only be issued while the device is empty (ECC layout is fixed at
-  /// format time).
+  /// interface; see ftl::GcPolicy::kStreamWarmCold for the stream-aware
+  /// deployment). May only be issued while the device is empty (ECC layout
+  /// is fixed at format time).
   Status SetSchemeHint(uint32_t delta_area_offset);
 
   // -- PageDevice -------------------------------------------------------------

@@ -4,16 +4,14 @@
 // FtlBackend extends it with the management plane every backend shares:
 // trim, the mount-time scan recovery runs before ARIES redo, a structural
 // audit for the differential checker, and the statistics the evaluation
-// tables are built from. Four backends implement it:
+// tables are built from. Three backends implement it:
 //
 //  * NoFtl regions (noftl.h)     — DBMS-managed raw flash (Section 5); the
 //    region device returned by NoFtl::region_device() is an FtlBackend;
-//  * PageFtl (page_ftl.h)        — a conventional page-mapping FTL with a
-//    log-structured frontier and greedy / cost-benefit GC, the paper's
-//    implicit "cooked device" baseline;
-//  * StreamFtl (stream_ftl.h)    — the page-mapping FTL extended with
-//    multi-stream write segregation (one frontier per StreamTag per chip)
-//    and warm/cold temperature-driven GC victim selection;
+//  * PageFtl (page_ftl.h)        — the paper's implicit "cooked device"
+//    baseline, a page-mapping FTL whose GcPolicy selects greedy or
+//    cost-benefit GC over one frontier per chip ("pageftl"), or one frontier
+//    per StreamTag per chip with warm/cold GC ("streamftl");
 //  * BlackboxSsd (blackbox_ssd.h) — a conventional SSD with the write_delta
 //    interface extension (Section 7 / conclusions).
 //

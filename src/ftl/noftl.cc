@@ -7,6 +7,7 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "flash/ecc.h"
+#include "ftl/wear_aware.h"
 
 namespace ipa::ftl {
 
@@ -209,27 +210,11 @@ Status NoFtl::AllocatePage(Region& reg, flash::Ppn* ppn, uint32_t* block_idx,
     int32_t active = reg.active_by_chip[pos];
     if (active < 0 || reg.blocks[active].next_page >= usable) {
       if (active >= 0) reg.blocks[active].is_active = false;
-      // Promote the least-worn free block on this chip to active. Host
-      // allocations must leave at least one free block for GC migrations.
-      if (!for_gc && reg.free_blocks.size() <= 1) {
-        reg.active_by_chip[pos] = -1;
-        continue;
-      }
-      uint32_t chip = reg.chips[pos];
-      int best = -1;
-      uint32_t best_wear = UINT32_MAX;
-      for (size_t i = 0; i < reg.free_blocks.size(); i++) {
-        uint32_t bi = reg.free_blocks[i];
-        if (reg.blocks[bi].pbn / g.blocks_per_chip != chip) continue;
-        uint32_t wear = device_->EraseCount(reg.blocks[bi].pbn);
-        if (wear < best_wear) {
-          best_wear = wear;
-          best = static_cast<int>(i);
-        }
-      }
+      int best = PromotableFreeBlock(*device_, reg.blocks, reg.free_blocks,
+                                     reg.chips[pos], for_gc);
       if (best < 0) {
         reg.active_by_chip[pos] = -1;
-        continue;  // no free block on this chip; try the next chip
+        continue;  // no eligible free block on this chip; try the next chip
       }
       uint32_t bi = reg.free_blocks[best];
       reg.free_blocks.erase(reg.free_blocks.begin() + best);

@@ -7,9 +7,8 @@
 //    block-device interface is extended with the write_delta command and a
 //    scheme-hint control command for on-controller ECC, "at the cost of
 //    lower performance compared to IPA under NoFTL";
-//  * PageFtl / StreamFtl (src/ftl/page_ftl.h, src/ftl/stream_ftl.h) — the
-//    cooked-device baselines bench_table12_backend_compare measures the
-//    paper's system against.
+//  * PageFtl (src/ftl/page_ftl.h) — the cooked-device baselines
+//    bench_table12_backend_compare measures the paper's system against.
 
 #pragma once
 
@@ -61,10 +60,10 @@ class PageDevice {
   virtual Status WritePage(Lba lba, const uint8_t* data, bool sync) = 0;
 
   /// WritePage with a stream hint. The default implementation drops the tag
-  /// and delegates to WritePage, so devices without per-stream placement
-  /// (NoFtl regions, PageFtl, BlackboxSsd) stay bit-identical to the
-  /// untagged path. StreamFtl overrides this to route the write to the
-  /// tag's log-structured frontier.
+  /// and delegates to WritePage, so NoFtl regions and BlackboxSsd stay
+  /// bit-identical to the untagged path. PageFtl routes the write to the
+  /// tag's log-structured frontier under GcPolicy::kStreamWarmCold and drops
+  /// the tag under its single-stream policies.
   virtual Status WriteTagged(Lba lba, const uint8_t* data, bool sync,
                              StreamTag tag) {
     (void)tag;

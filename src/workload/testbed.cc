@@ -15,6 +15,14 @@ const char* BackendName(Backend b) {
   return "?";
 }
 
+ftl::GcPolicy PageFtlPolicy(Backend b) {
+  switch (b) {
+    case Backend::kPageFtlGreedy: return ftl::GcPolicy::kGreedy;
+    case Backend::kStreamFtl: return ftl::GcPolicy::kStreamWarmCold;
+    default: return ftl::GcPolicy::kCostBenefit;
+  }
+}
+
 Result<std::unique_ptr<Testbed>> MakeTestbed(const TestbedConfig& config) {
   if (config.db_pages == 0) {
     return Status::InvalidArgument("TestbedConfig.db_pages must be set");
@@ -76,26 +84,13 @@ Result<std::unique_ptr<Testbed>> MakeTestbed(const TestbedConfig& config) {
     // Cooked-device stack: the engine sees a plain logical block space with
     // no write_delta, so the [NxM] scheme is forced off — that asymmetry is
     // exactly what bench_table12_backend_compare measures.
-    if (config.backend == Backend::kStreamFtl) {
-      ftl::StreamFtlConfig sc;
-      sc.name = "db";
-      sc.logical_pages = logical_pages;
-      sc.over_provisioning = config.over_provisioning;
-      IPA_ASSIGN_OR_RETURN(bed->streamftl,
-                           ftl::StreamFtl::Create(bed->dev.get(), sc));
-      bed->backend = bed->streamftl.get();
-    } else {
-      ftl::PageFtlConfig pc;
-      pc.name = "db";
-      pc.logical_pages = logical_pages;
-      pc.over_provisioning = config.over_provisioning;
-      pc.gc_policy = config.backend == Backend::kPageFtlGreedy
-                         ? ftl::GcPolicy::kGreedy
-                         : ftl::GcPolicy::kCostBenefit;
-      IPA_ASSIGN_OR_RETURN(bed->pageftl,
-                           ftl::PageFtl::Create(bed->dev.get(), pc));
-      bed->backend = bed->pageftl.get();
-    }
+    ftl::PageFtlConfig pc;
+    pc.name = "db";
+    pc.logical_pages = logical_pages;
+    pc.over_provisioning = config.over_provisioning;
+    pc.gc_policy = PageFtlPolicy(config.backend);
+    IPA_ASSIGN_OR_RETURN(bed->pageftl, ftl::PageFtl::Create(bed->dev.get(), pc));
+    bed->backend = bed->pageftl.get();
     bed->db = std::make_unique<engine::Database>(nullptr, ec,
                                                  &bed->dev->clock());
     auto ts = bed->db->CreateTablespaceOn("db", bed->backend, {});

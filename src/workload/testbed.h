@@ -16,7 +16,6 @@
 #include "engine/sharded_database.h"
 #include "flash/submit_queue.h"
 #include "ftl/page_ftl.h"
-#include "ftl/stream_ftl.h"
 #include "workload/workload.h"
 
 namespace ipa::workload {
@@ -37,6 +36,9 @@ enum class Backend {
 };
 
 const char* BackendName(Backend b);
+
+/// GC policy of a page-mapping backend (any Backend but kNoFtl).
+ftl::GcPolicy PageFtlPolicy(Backend b);
 
 struct TestbedConfig {
   Profile profile = Profile::kEmulatorSlc;
@@ -66,8 +68,7 @@ struct TestbedConfig {
 struct Testbed {
   std::unique_ptr<flash::FlashArray> dev;
   std::unique_ptr<ftl::NoFtl> noftl;      ///< Backend::kNoFtl stacks only.
-  std::unique_ptr<ftl::PageFtl> pageftl;  ///< Page-FTL stacks only.
-  std::unique_ptr<ftl::StreamFtl> streamftl;  ///< Backend::kStreamFtl only.
+  std::unique_ptr<ftl::PageFtl> pageftl;  ///< Page-mapping stacks only.
   /// The tablespace's backend, whichever stack is active.
   ftl::FtlBackend* backend = nullptr;
   std::unique_ptr<engine::Database> db;

@@ -1,5 +1,5 @@
 // FtlBackend conformance suite: every backend (NoFTL region device, PageFtl
-// under either GC policy, StreamFtl) must honor the same host-visible
+// under each of its three GC policies) must honor the same host-visible
 // contract — fresh pages read erased, writes round-trip, trim drops the
 // mapping, out-of-range LBAs are rejected, data survives GC pressure and
 // power cycles, Mount() is idempotent, a torn write resolves to old-or-new,
@@ -19,7 +19,6 @@
 #include "ftl/ftl_backend.h"
 #include "ftl/noftl.h"
 #include "ftl/page_ftl.h"
-#include "ftl/stream_ftl.h"
 #include "storage/page_format.h"
 
 namespace ipa {
@@ -34,7 +33,6 @@ struct Stack {
   std::unique_ptr<flash::FlashArray> dev;
   std::unique_ptr<ftl::NoFtl> noftl;
   std::unique_ptr<ftl::PageFtl> pageftl;
-  std::unique_ptr<ftl::StreamFtl> streamftl;
   ftl::FtlBackend* backend = nullptr;
   // Host-writable prefix of a page image. An IPA region reserves the page
   // tail for the delta area, which must leave the host as erased 0xFF bytes;
@@ -69,20 +67,12 @@ Stack MakeStack(Kind kind) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     s.backend = s.noftl->region_device(r.value());
     s.data_bytes = rc.delta_area_offset;
-  } else if (kind == Kind::kStreamFtl) {
-    ftl::StreamFtlConfig sc;
-    sc.name = "conformance";
-    sc.logical_pages = kLogicalPages;
-    auto r = ftl::StreamFtl::Create(s.dev.get(), sc);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    s.streamftl = std::move(r).value();
-    s.backend = s.streamftl.get();
-    s.data_bytes = Geo().page_size;
   } else {
     ftl::PageFtlConfig pc;
     pc.name = "conformance";
     pc.logical_pages = kLogicalPages;
     pc.gc_policy = kind == Kind::kPageFtlGreedy ? ftl::GcPolicy::kGreedy
+                   : kind == Kind::kStreamFtl   ? ftl::GcPolicy::kStreamWarmCold
                                                 : ftl::GcPolicy::kCostBenefit;
     auto r = ftl::PageFtl::Create(s.dev.get(), pc);
     EXPECT_TRUE(r.ok()) << r.status().ToString();

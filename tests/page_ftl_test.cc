@@ -1,7 +1,9 @@
 // PageFtl-specific behavior beyond the FtlBackend conformance suite
 // (tests/ftl_conformance_test.cc): log-structured relocation, GC policy
 // bookkeeping, trim's advisory semantics across power loss, driver-instance
-// replacement via Mount(), and per-device counter conservation.
+// replacement via Mount(), fail-closed decoding of invalid OOB entries, and
+// per-device counter conservation. The per-stream policy has its own suite
+// (tests/stream_ftl_test.cc).
 
 #include <algorithm>
 #include <memory>
@@ -9,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/crc32.h"
 #include "flash/flash_array.h"
 #include "flash/timing.h"
 #include "ftl/page_ftl.h"
@@ -187,6 +191,53 @@ TEST(PageFtl, FreshDriverInstanceMountsExistingMedia) {
   EXPECT_TRUE(reborn->Audit().ok());
 }
 
+// OOB entries whose entry CRC verifies but whose content is invalid — a
+// stream byte naming no StreamTag, or an lba beyond the logical space — must
+// never become mappings. Under every policy, Mount() leaves those lbas
+// unmapped, closes each block as content-bearing (no reuse before GC erases
+// it) and passes Audit().
+TEST(PageFtl, MountFailsClosedOnInvalidOobEntries) {
+  const flash::Geometry g = Geo();
+  const uint64_t logical = 64;
+  std::vector<uint8_t> img = Pattern(9, g.page_size);
+  for (GcPolicy policy :
+       {GcPolicy::kGreedy, GcPolicy::kCostBenefit, GcPolicy::kStreamWarmCold}) {
+    flash::FlashArray dev(g, flash::SlcTiming());
+    auto ftl = Make(&dev, policy, logical);
+    const size_t free_before = ftl->free_block_count();
+    auto program = [&](flash::Ppn ppn, Lba lba, uint8_t stream) {
+      uint8_t entry[PageFtl::kOobEntryBytes];
+      EncodeU16(entry, PageFtl::kOobMagic);
+      EncodeU64(entry + 2, lba);
+      EncodeU64(entry + 10, /*seq=*/1);
+      EncodeU32(entry + 18, Crc32c(img.data(), g.page_size));
+      entry[22] = stream;
+      EncodeU32(entry + 23, Crc32c(entry, 23));
+      ASSERT_TRUE(
+          dev.ProgramPage(ppn, img.data(), entry, sizeof(entry), nullptr, true)
+              .ok());
+    };
+    // Blocks 0 and 1 (chip 0) belong to the FTL: it claims each chip's front.
+    program(0, /*lba=*/5, /*stream=*/kNumStreams);
+    program(g.pages_per_block, /*lba=*/logical, /*stream=*/0);
+
+    ASSERT_TRUE(ftl->Mount().ok()) << GcPolicyName(policy);
+    for (Lba lba = 0; lba < logical; lba++) {
+      EXPECT_FALSE(ftl->IsMapped(lba)) << GcPolicyName(policy) << " lba " << lba;
+    }
+    EXPECT_EQ(ftl->free_block_count(), free_before - 2) << GcPolicyName(policy);
+    EXPECT_TRUE(ftl->Audit().ok()) << GcPolicyName(policy);
+
+    // The closed blocks never become frontiers.
+    for (Lba lba = 0; lba < 8; lba++) {
+      ASSERT_TRUE(ftl->WritePage(lba, img.data(), true).ok());
+      EXPECT_GE(flash::BlockOf(g, ftl->PhysicalOf(lba)), 2u)
+          << GcPolicyName(policy) << " lba " << lba;
+    }
+    EXPECT_TRUE(ftl->Audit().ok()) << GcPolicyName(policy);
+  }
+}
+
 TEST(PageFtl, DeviceCountersBalanceFtlCauses) {
   flash::FlashArray dev(Geo(), flash::SlcTiming());
   auto ftl = Make(&dev, GcPolicy::kGreedy);
@@ -207,6 +258,7 @@ TEST(PageFtl, DeviceCountersBalanceFtlCauses) {
 TEST(PageFtl, PolicyNames) {
   EXPECT_STREQ(GcPolicyName(GcPolicy::kGreedy), "greedy");
   EXPECT_STREQ(GcPolicyName(GcPolicy::kCostBenefit), "cost-benefit");
+  EXPECT_STREQ(GcPolicyName(GcPolicy::kStreamWarmCold), "stream-warm-cold");
 }
 
 }  // namespace

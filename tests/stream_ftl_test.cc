@@ -1,4 +1,5 @@
-// StreamFtl-specific behavior beyond the FtlBackend conformance suite
+// Behavior of PageFtl under GcPolicy::kStreamWarmCold (the "streamftl"
+// backend) beyond the FtlBackend conformance suite
 // (tests/ftl_conformance_test.cc): per-stream frontier segregation, the
 // GC-relocation restream, warm/cold victim selection, mount-time rebuild of
 // stream labels, and per-device counter conservation.
@@ -10,7 +11,7 @@
 
 #include "flash/flash_array.h"
 #include "flash/timing.h"
-#include "ftl/stream_ftl.h"
+#include "ftl/page_ftl.h"
 
 namespace ipa::ftl {
 namespace {
@@ -34,11 +35,16 @@ std::vector<uint8_t> Pattern(uint64_t tag, uint32_t n) {
   return v;
 }
 
-std::unique_ptr<StreamFtl> Make(flash::FlashArray* dev, uint64_t logical = 64) {
-  StreamFtlConfig sc;
+PageFtlConfig StreamConfig(uint64_t logical = 64) {
+  PageFtlConfig sc;
   sc.name = "test";
   sc.logical_pages = logical;
-  auto r = StreamFtl::Create(dev, sc);
+  sc.gc_policy = GcPolicy::kStreamWarmCold;
+  return sc;
+}
+
+std::unique_ptr<PageFtl> Make(flash::FlashArray* dev, uint64_t logical = 64) {
+  auto r = PageFtl::Create(dev, StreamConfig(logical));
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
 }
@@ -49,21 +55,18 @@ uint32_t BlockIndex(const flash::Geometry& g, flash::Ppn ppn) {
 
 TEST(StreamFtl, CreateRejectsBadConfigs) {
   flash::FlashArray dev(Geo(), flash::SlcTiming());
-  StreamFtlConfig sc;
-  sc.logical_pages = 0;
-  EXPECT_TRUE(StreamFtl::Create(&dev, sc).status().IsInvalidArgument());
+  PageFtlConfig sc = StreamConfig(0);
+  EXPECT_TRUE(PageFtl::Create(&dev, sc).status().IsInvalidArgument());
 
   sc.logical_pages = 64;
   sc.gc_free_block_threshold = 0;
-  EXPECT_TRUE(StreamFtl::Create(&dev, sc).status().IsInvalidArgument());
+  EXPECT_TRUE(PageFtl::Create(&dev, sc).status().IsInvalidArgument());
 
-  // Device whose OOB cannot hold the (PageFtl + stream byte) entry.
+  // Device whose OOB cannot hold the reverse-map entry with its stream byte.
   flash::Geometry small_oob = Geo();
-  small_oob.oob_size = StreamFtl::kOobEntryBytes - 1;
+  small_oob.oob_size = PageFtl::kOobEntryBytes - 1;
   flash::FlashArray dev2(small_oob, flash::SlcTiming());
-  StreamFtlConfig sc2;
-  sc2.logical_pages = 64;
-  EXPECT_TRUE(StreamFtl::Create(&dev2, sc2).status().IsInvalidArgument());
+  EXPECT_TRUE(PageFtl::Create(&dev2, StreamConfig()).status().IsInvalidArgument());
 
   // Device too small for the logical capacity + over-provisioning.
   flash::Geometry tiny = Geo();
@@ -71,9 +74,7 @@ TEST(StreamFtl, CreateRejectsBadConfigs) {
   tiny.chips_per_channel = 1;
   tiny.blocks_per_chip = 4;
   flash::FlashArray dev3(tiny, flash::SlcTiming());
-  StreamFtlConfig sc3;
-  sc3.logical_pages = 4096;
-  EXPECT_TRUE(StreamFtl::Create(&dev3, sc3).status().IsOutOfSpace());
+  EXPECT_TRUE(PageFtl::Create(&dev3, StreamConfig(4096)).status().IsOutOfSpace());
 }
 
 TEST(StreamFtl, TaggedWritesSegregateByStream) {
