@@ -29,18 +29,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/crash_sweep.h"
 #include "bench/harness.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "engine/database.h"
-#include "flash/timing.h"
-#include "repl/node.h"
 #include "storage/page_format.h"
-#include "workload/testbed.h"
 
 namespace ipa::bench {
 namespace {
@@ -111,63 +107,9 @@ void EmitPointGauges(const std::string& prefix, const CodecPoint& p) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire arm: a replicated pair per compression setting (the same mini TPC-B
-// as bench_replication's steady arm, shortened).
+// Wire arm: a replicated pair of crash-sweep stacks per compression setting,
+// running a shortened mini TPC-B whose rows are mostly zero padding.
 // ---------------------------------------------------------------------------
-
-constexpr uint32_t kAccountBytes = 100;
-constexpr uint32_t kBalanceOffset = 12;
-constexpr uint32_t kHistoryBytes = 20;
-
-struct Node {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;
-  std::unique_ptr<engine::Database> db;
-  engine::TablespaceId ts = 0;
-  engine::TableId accounts_tbl = 0;
-  engine::TableId history_tbl = 0;
-  std::unique_ptr<repl::ReplNode> repl;  // after db: hooks detach first
-
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 48;
-    g.pages_per_block = 16;
-    g.page_size = 2048;
-    return g;
-  }
-
-  Node() : dev(Geo(), flash::SlcTiming()), noftl(&dev) {}
-
-  Status Open(repl::WriterId writer, bool writable, bool compress_wire) {
-    engine::EngineConfig ec;
-    ec.page_size = Geo().page_size;
-    ec.buffer_pages = 12;
-    ec.log_capacity_bytes = 1 << 20;
-    ec.log_reclaim_threshold = 0.375;
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ftl::RegionConfig rc;
-    rc.name = "wirebench";
-    rc.logical_pages = 256;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    IPA_ASSIGN_OR_RETURN(ftl::RegionId r, noftl.CreateRegion(rc));
-    db = std::make_unique<engine::Database>(&noftl, ec);
-    IPA_ASSIGN_OR_RETURN(ts, db->CreateTablespace("wirebench", r, scheme));
-    IPA_ASSIGN_OR_RETURN(accounts_tbl, db->CreateTable("account", ts));
-    IPA_ASSIGN_OR_RETURN(history_tbl, db->CreateTable("history", ts));
-    IPA_ASSIGN_OR_RETURN(
-        repl, repl::ReplNode::Attach(db.get(), ts, {accounts_tbl, history_tbl},
-                                     repl::ReplConfig{
-                                         .writer = writer,
-                                         .writable = writable,
-                                         .compress_wire = compress_wire,
-                                     }));
-    return Status::OK();
-  }
-};
 
 struct WireOutcome {
   uint64_t commits = 0;
@@ -178,9 +120,11 @@ struct WireOutcome {
 
 Status RunWirePair(bool compress, uint64_t txns, uint32_t accounts,
                    uint64_t seed, WireOutcome* out) {
-  Node p, r;
-  IPA_RETURN_NOT_OK(p.Open(1, true, compress));
-  IPA_RETURN_NOT_OK(r.Open(2, false, compress));
+  SweepStack p, r;
+  IPA_RETURN_NOT_OK(
+      p.Open({.writer = 1, .writable = true, .compress_wire = compress}));
+  IPA_RETURN_NOT_OK(
+      r.Open({.writer = 2, .writable = false, .compress_wire = compress}));
   Rng rng(seed);
   std::vector<uint64_t> rids;
 

@@ -27,118 +27,40 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/crash_sweep.h"
 #include "bench/harness.h"
 #include "common/metrics.h"
-#include "common/random.h"
-#include "engine/database.h"
-#include "flash/timing.h"
-#include "repl/node.h"
-#include "workload/testbed.h"
 
 namespace ipa::bench {
 namespace {
 
-constexpr uint32_t kAccountBytes = 100;
-constexpr uint32_t kBalanceOffset = 12;
-constexpr uint32_t kHistoryBytes = 20;
-constexpr uint32_t kLoadBatch = 8;
-constexpr uint64_t kCheckpointEvery = 16;
-
-/// One node: private simulated flash + NoFtl + engine + ReplNode.
-struct Node {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;
-  ftl::FtlBackend* backend = nullptr;
-  std::unique_ptr<engine::Database> db;
-  engine::TablespaceId ts = 0;
-  engine::TableId accounts_tbl = 0;
-  engine::TableId history_tbl = 0;
-  std::unique_ptr<repl::ReplNode> repl;  // after db: hooks detach first
-
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 48;
-    g.pages_per_block = 16;
-    g.page_size = 2048;
-    return g;
-  }
-
-  Node() : dev(Geo(), flash::SlcTiming()), noftl(&dev) {}
-
-  Status Open(repl::WriterId writer, bool writable) {
-    engine::EngineConfig ec;
-    ec.page_size = Geo().page_size;
-    ec.buffer_pages = 12;
-    ec.log_capacity_bytes = 1 << 20;
-    ec.log_reclaim_threshold = 0.375;
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ftl::RegionConfig rc;
-    rc.name = "replbench";
-    rc.logical_pages = 256;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    auto r = noftl.CreateRegion(rc);
-    IPA_RETURN_NOT_OK(r.status());
-    backend = noftl.region_device(r.value());
-    db = std::make_unique<engine::Database>(&noftl, ec);
-    auto t = db->CreateTablespace("replbench", r.value(), scheme);
-    IPA_RETURN_NOT_OK(t.status());
-    ts = t.value();
-    auto a = db->CreateTable("account", ts);
-    IPA_RETURN_NOT_OK(a.status());
-    accounts_tbl = a.value();
-    auto h = db->CreateTable("history", ts);
-    IPA_RETURN_NOT_OK(h.status());
-    history_tbl = h.value();
-    auto n = repl::ReplNode::Attach(
-        db.get(), ts, {accounts_tbl, history_tbl},
-        repl::ReplConfig{.writer = writer, .writable = writable});
-    IPA_RETURN_NOT_OK(n.status());
-    repl = std::move(n).value();
-    return Status::OK();
-  }
-
-  uint64_t ProgrammedBytes() const {
-    return dev.stats().bytes_programmed + dev.stats().delta_bytes_programmed;
-  }
-};
-
-std::vector<uint8_t> AccountTuple(uint32_t id) {
-  std::vector<uint8_t> t(kAccountBytes);
-  for (uint32_t j = 0; j < kAccountBytes; j++) {
-    t[j] = static_cast<uint8_t>(id * 7u + j * 13u + 1u);
-  }
-  return t;
+uint64_t ProgrammedBytes(const SweepStack& s) {
+  return s.dev.stats().bytes_programmed + s.dev.stats().delta_bytes_programmed;
 }
 
 struct WorkloadStats {
-  uint64_t commits = 0;
+  uint64_t commits = 0;        ///< Transaction-phase commits.
   uint64_t logical_bytes = 0;  ///< Committed payload: inserts + patch bytes.
   uint64_t max_queue_frames = 0;
   uint64_t max_queue_bytes = 0;
 };
 
-/// Replicated TPC-B on `p`, shipping the outbound queue to `r` (when given)
-/// every `ship_every` transactions. Frames can also be captured into `sink`
-/// (the catch-up arm records the retained tail instead of a live replica).
-Status RunWorkload(Node& p, Node* r, uint64_t ship_every, uint64_t txns,
-                   uint32_t accounts, uint64_t seed, WorkloadStats* out,
+/// Replicated TPC-B (the crash sweep's driver) on `p`, shipping the outbound
+/// queue to `r` (when given) after every load batch and every `ship_every`
+/// transactions. Frames can also be captured into `sink` (the catch-up arm
+/// records the retained tail instead of a live replica).
+Status RunWorkload(SweepStack& p, SweepStack* r, uint64_t ship_every,
+                   uint64_t txns, uint32_t accounts, uint64_t seed,
+                   WorkloadStats* out,
                    std::vector<std::vector<uint8_t>>* sink) {
-  Rng rng(seed);
-  std::vector<uint64_t> rids;
-
+  uint64_t emitted_at_drain = 0;
   auto drain = [&]() -> Status {
     for (;;) {
       std::vector<uint8_t> w = p.repl->PopOutbound();
-      if (w.empty()) return Status::OK();
+      if (w.empty()) break;
       if (sink != nullptr) sink->push_back(w);
       if (r != nullptr) {
         auto a = r->repl->ApplyFrame(w);
@@ -148,64 +70,28 @@ Status RunWorkload(Node& p, Node* r, uint64_t ship_every, uint64_t txns,
         }
       }
     }
+    emitted_at_drain = p.repl->stats().bytes_emitted;
+    return Status::OK();
   };
-  uint64_t emitted_before_queue = 0;
-  auto note_lag = [&]() {
+  auto ship = [&](const TpcbStep& step) -> Status {
+    if (step.load) return drain();
+    if (step.committed) {
+      out->commits++;
+      out->logical_bytes += kHistoryBytes + 3 * 4;
+    }
     out->max_queue_frames =
         std::max(out->max_queue_frames, p.repl->outbound_frames());
     out->max_queue_bytes =
         std::max(out->max_queue_bytes,
-                 p.repl->stats().bytes_emitted - emitted_before_queue);
+                 p.repl->stats().bytes_emitted - emitted_at_drain);
+    return (step.txn + 1) % ship_every == 0 ? drain() : Status::OK();
   };
-  auto after_drain = [&]() { emitted_before_queue = p.repl->stats().bytes_emitted; };
 
-  for (uint32_t base = 0; base < accounts; base += kLoadBatch) {
-    engine::TxnId txn = p.db->Begin();
-    for (uint32_t i = base; i < std::min(accounts, base + kLoadBatch); i++) {
-      std::vector<uint8_t> t = AccountTuple(i);
-      auto rid = p.db->Insert(txn, p.accounts_tbl, t);
-      IPA_RETURN_NOT_OK(rid.status());
-      rids.push_back(rid.value().Pack());
-      out->logical_bytes += kAccountBytes;
-    }
-    IPA_RETURN_NOT_OK(p.db->Commit(txn));
-    IPA_RETURN_NOT_OK(drain());
-    after_drain();
-  }
-
-  for (uint64_t t = 0; t < txns; t++) {
-    engine::TxnId txn = p.db->Begin();
-    Status s = Status::OK();
-    for (int u = 0; u < 3 && s.ok(); u++) {
-      uint64_t key = rids[rng.Uniform(rids.size())];
-      uint8_t patch[4];
-      for (uint8_t& b : patch) b = static_cast<uint8_t>(rng.Next());
-      s = p.db->Update(txn, engine::Rid::Unpack(key), kBalanceOffset, patch);
-    }
-    IPA_RETURN_NOT_OK(s);
-    std::vector<uint8_t> h(kHistoryBytes);
-    for (uint8_t& b : h) b = static_cast<uint8_t>(rng.Next());
-    auto rid = p.db->Insert(txn, p.history_tbl, h);
-    IPA_RETURN_NOT_OK(rid.status());
-    bool abort = rng.Chance(0.1);
-    if (abort) {
-      IPA_RETURN_NOT_OK(p.db->Abort(txn));
-    } else {
-      IPA_RETURN_NOT_OK(p.db->Commit(txn));
-      out->commits++;
-      out->logical_bytes += kHistoryBytes + 3 * 4;
-    }
-    note_lag();
-    if ((t + 1) % ship_every == 0) {
-      IPA_RETURN_NOT_OK(drain());
-      after_drain();
-    }
-    if ((t + 1) % kCheckpointEvery == 0) {
-      IPA_RETURN_NOT_OK(p.db->Checkpoint());
-    }
-  }
-  IPA_RETURN_NOT_OK(drain());
-  return Status::OK();
+  out->logical_bytes = uint64_t{accounts} * kAccountBytes;
+  IPA_ASSIGN_OR_RETURN(TpcbOutcome w,
+                       RunTpcb(p, accounts, txns, seed, ship));
+  if (w.crashed) return Status::Internal("primary lost power");
+  return drain();
 }
 
 int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
@@ -214,10 +100,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
       8, static_cast<uint64_t>(static_cast<double>(txns) * scale));
 
   // -- Steady arm: per-commit shipping, live replica.
-  Node p, r;
+  SweepStack p, r;
   WorkloadStats w;
-  Status s = p.Open(1, true);
-  if (s.ok()) s = r.Open(2, false);
+  Status s = p.Open({.writer = 1, .writable = true});
+  if (s.ok()) s = r.Open({.writer = 2, .writable = false});
   if (s.ok()) s = RunWorkload(p, &r, 1, txns, accounts, seed, &w, nullptr);
   if (s.ok()) {
     repl::ReplNode::LogicalMap pm, rm;
@@ -232,8 +118,8 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   }
   const repl::ReplStats& ps = p.repl->stats();
   const repl::ReplStats& rs = r.repl->stats();
-  uint64_t p_prog = p.ProgrammedBytes();
-  uint64_t r_prog = r.ProgrammedBytes();
+  uint64_t p_prog = ProgrammedBytes(p);
+  uint64_t r_prog = ProgrammedBytes(r);
 
   TablePrinter steady({"arm", "commits", "frames", "wire B", "delta", "full",
                        "foldback", "primary WA", "replica WA", "wire amp"});
@@ -277,10 +163,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   // -- Ship-lag arm: batch shipments, report the exposure window.
   TablePrinter lag({"ship every", "max queue frames", "max queue bytes"});
   for (uint64_t every : {1ull, 4ull, 16ull, 64ull}) {
-    Node bp, br;
+    SweepStack bp, br;
     WorkloadStats bw;
-    s = bp.Open(1, true);
-    if (s.ok()) s = br.Open(2, false);
+    s = bp.Open({.writer = 1, .writable = true});
+    if (s.ok()) s = br.Open({.writer = 2, .writable = false});
     if (s.ok()) s = RunWorkload(bp, &br, every, txns, accounts, seed, &bw,
                                 nullptr);
     if (!s.ok()) {
@@ -300,10 +186,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   lag.Print();
 
   // -- Catch-up arm: retained tail replay vs one snapshot ship.
-  Node cp;
+  SweepStack cp;
   std::vector<std::vector<uint8_t>> tail;
   WorkloadStats cw;
-  s = cp.Open(1, true);
+  s = cp.Open({.writer = 1, .writable = true});
   if (s.ok()) s = RunWorkload(cp, nullptr, 1, txns, accounts, seed, &cw, &tail);
   if (!s.ok()) {
     std::fprintf(stderr, "bench_replication: catchup primary: %s\n",
@@ -313,8 +199,8 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   uint64_t tail_bytes = 0;
   for (const auto& f : tail) tail_bytes += f.size();
 
-  Node tr;  // tail-replay replica
-  s = tr.Open(2, false);
+  SweepStack tr;  // tail-replay replica
+  s = tr.Open({.writer = 2, .writable = false});
   SimTime tail_us = 0;
   if (s.ok()) {
     SimTime start = tr.dev.clock().Now();
@@ -337,8 +223,8 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
     return 2;
   }
 
-  Node sr;  // snapshot replica
-  s = sr.Open(3, false);
+  SweepStack sr;  // snapshot replica
+  s = sr.Open({.writer = 3, .writable = false});
   SimTime snap_us = 0;
   uint64_t snap_frames = 0, snap_bytes = 0;
   if (s.ok()) {

@@ -1,111 +1,80 @@
 #include "bench/crash_sweep.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
+#include <optional>
+#include <span>
 
 #include "bench/parallel_runner.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "engine/database.h"
 #include "flash/timing.h"
-#include "workload/testbed.h"
 
 namespace ipa::bench {
 
 namespace {
 
-// TPC-B-style rows: fixed-size account tuples whose balance field takes the
-// per-transaction 4-byte in-place updates (the IPA-friendly write pattern),
-// plus append-only history tuples.
-constexpr uint32_t kAccountBytes = 100;
-constexpr uint32_t kBalanceOffset = 12;
-constexpr uint32_t kHistoryBytes = 20;
 constexpr uint32_t kLoadBatch = 8;
 constexpr uint64_t kCheckpointEvery = 16;
 
-/// Committed database content: rid.Pack() -> tuple bytes (both tables share
-/// the tablespace, so packed rids are unique across them).
-using Reference = std::map<uint64_t, std::vector<uint8_t>>;
+flash::Geometry SweepGeometry() {
+  flash::Geometry g;
+  g.channels = 2;
+  g.chips_per_channel = 2;
+  g.blocks_per_chip = 48;
+  g.pages_per_block = 16;
+  g.page_size = 2048;
+  return g;
+}
 
-/// One fully private simulated stack per sweep point.
-struct Testbed {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;                       // kNoFtl stacks only
-  std::unique_ptr<ftl::PageFtl> pageftl;  // page-mapping stacks only
-  /// The tablespace's backend, whichever stack is active.
-  ftl::FtlBackend* backend = nullptr;
-  std::unique_ptr<engine::Database> db;
-  ftl::RegionId region = 0;
-  engine::TablespaceId ts = 0;
-  engine::TableId accounts_tbl = 0;
-  engine::TableId history_tbl = 0;
+}  // namespace
 
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 48;
-    g.pages_per_block = 16;
-    g.page_size = 2048;
-    return g;
+SweepStack::SweepStack()
+    : dev(SweepGeometry(), flash::SlcTiming()), noftl(&dev) {}
+
+Status SweepStack::Open(workload::Backend kind, storage::DeltaCodec codec) {
+  engine::EngineConfig ec;
+  ec.page_size = dev.geometry().page_size;
+  ec.buffer_pages = 12;
+  ec.log_capacity_bytes = 1 << 20;
+  ec.log_reclaim_threshold = 0.375;
+
+  if (kind == workload::Backend::kNoFtl) {
+    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
+    scheme.codec = static_cast<uint8_t>(codec);
+    ftl::RegionConfig rc;
+    rc.name = "sweep";
+    rc.logical_pages = 256;
+    rc.ipa_mode = ftl::IpaMode::kSlc;
+    rc.delta_area_offset = ec.page_size - scheme.AreaBytes();
+    rc.manage_ecc = true;
+    IPA_ASSIGN_OR_RETURN(ftl::RegionId region, noftl.CreateRegion(rc));
+    backend = noftl.region_device(region);
+    db = std::make_unique<engine::Database>(&noftl, ec);
+    IPA_ASSIGN_OR_RETURN(ts, db->CreateTablespace("sweep", region, scheme));
+  } else {
+    ftl::PageFtlConfig pc;
+    pc.name = "sweep";
+    pc.logical_pages = 256;
+    pc.gc_policy = workload::PageFtlPolicy(kind);
+    IPA_ASSIGN_OR_RETURN(pageftl, ftl::PageFtl::Create(&dev, pc));
+    backend = pageftl.get();
+    db = std::make_unique<engine::Database>(nullptr, ec, &dev.clock());
+    IPA_ASSIGN_OR_RETURN(ts, db->CreateTablespaceOn("sweep", backend, {}));
   }
+  IPA_ASSIGN_OR_RETURN(accounts_tbl, db->CreateTable("account", ts));
+  IPA_ASSIGN_OR_RETURN(history_tbl, db->CreateTable("history", ts));
+  return Status::OK();
+}
 
-  Testbed() : dev(Geo(), flash::SlcTiming()), noftl(&dev) {}
-
-  Status Open(workload::Backend kind, storage::DeltaCodec codec) {
-    engine::EngineConfig ec;
-    ec.page_size = Geo().page_size;
-    ec.buffer_pages = 12;  // tiny pool: constant steal under the workload
-    ec.log_capacity_bytes = 1 << 20;
-    ec.log_reclaim_threshold = 0.375;
-
-    if (kind == workload::Backend::kNoFtl) {
-      storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-      scheme.codec = static_cast<uint8_t>(codec);
-      ftl::RegionConfig rc;
-      rc.name = "sweep";
-      rc.logical_pages = 256;
-      rc.ipa_mode = ftl::IpaMode::kSlc;
-      rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
-      rc.manage_ecc = true;
-      auto r = noftl.CreateRegion(rc);
-      IPA_RETURN_NOT_OK(r.status());
-      region = r.value();
-      backend = noftl.region_device(region);
-      db = std::make_unique<engine::Database>(&noftl, ec);
-      auto t = db->CreateTablespace("sweep", region, scheme);
-      IPA_RETURN_NOT_OK(t.status());
-      ts = t.value();
-    } else {
-      ftl::PageFtlConfig pc;
-      pc.name = "sweep";
-      pc.logical_pages = 256;
-      pc.gc_policy = workload::PageFtlPolicy(kind);
-      auto pf = ftl::PageFtl::Create(&dev, pc);
-      IPA_RETURN_NOT_OK(pf.status());
-      pageftl = std::move(pf).value();
-      backend = pageftl.get();
-      db = std::make_unique<engine::Database>(nullptr, ec, &dev.clock());
-      auto t = db->CreateTablespaceOn("sweep", backend, {});
-      IPA_RETURN_NOT_OK(t.status());
-      ts = t.value();
-    }
-    auto a = db->CreateTable("account", ts);
-    IPA_RETURN_NOT_OK(a.status());
-    accounts_tbl = a.value();
-    auto h = db->CreateTable("history", ts);
-    IPA_RETURN_NOT_OK(h.status());
-    history_tbl = h.value();
-    return Status::OK();
-  }
-};
-
-struct WorkloadOutcome {
-  Reference committed;
-  uint64_t commits = 0;
-  bool crashed = false;  ///< Workload ended in a power loss.
-};
+Status SweepStack::Open(const repl::ReplConfig& config) {
+  IPA_RETURN_NOT_OK(
+      Open(workload::Backend::kNoFtl, storage::DeltaCodec::kRaw));
+  IPA_ASSIGN_OR_RETURN(repl, repl::ReplNode::Attach(
+                                 db.get(), ts, {accounts_tbl, history_tbl},
+                                 config));
+  return Status::OK();
+}
 
 std::vector<uint8_t> AccountTuple(uint32_t id) {
   std::vector<uint8_t> t(kAccountBytes);
@@ -115,65 +84,65 @@ std::vector<uint8_t> AccountTuple(uint32_t id) {
   return t;
 }
 
-/// Run the deterministic TPC-B-style workload to completion or until the
-/// first power loss. The returned reference holds exactly the content a
-/// correct post-recovery database must serve.
-///
-/// Commit protocol vs power loss: the commit record is forced to the (RAM-
-/// modeled, write-atomic) log *before* Commit() issues any cleaner /
-/// checkpoint flash I/O, so a Commit() that returns Unavailable is already
-/// durable — the reference promotes it. A loss inside any other operation
-/// leaves the transaction uncommitted and the reference unchanged.
-Result<WorkloadOutcome> RunTpcb(Testbed& tb, uint32_t accounts, uint64_t txns,
-                                uint64_t seed) {
-  WorkloadOutcome w;
+Result<TpcbOutcome> RunTpcb(SweepStack& stack, uint32_t accounts,
+                            uint64_t txns, uint64_t seed,
+                            const TpcbHook& hook) {
+  if (accounts == 0) {
+    return Status::InvalidArgument("TPC-B needs at least one account");
+  }
+  engine::Database& db = *stack.db;
+  TpcbOutcome w;
   Rng rng(seed);
-  std::vector<uint64_t> rids;  // packed rids of committed accounts
+  std::vector<uint64_t> rids;  // packed rids of the loaded accounts
+
+  // A power loss ends the run; any other failure is a harness error.
+  auto stop = [&w](const Status& s) -> Result<TpcbOutcome> {
+    if (!s.IsUnavailable()) return s;
+    w.crashed = true;
+    return std::move(w);
+  };
+  auto commit = [&](engine::TxnId txn, Reference& local) {
+    Status s = db.Commit(txn);
+    if (s.ok() || s.IsUnavailable()) {
+      w.committed = std::move(local);
+      w.commits++;
+    }
+    return s;
+  };
+  auto step = [&](const TpcbStep& st) {
+    return hook ? hook(st) : Status::OK();
+  };
 
   // -- Load phase: accounts in small committed batches.
   for (uint32_t base = 0; base < accounts; base += kLoadBatch) {
-    engine::TxnId txn = tb.db->Begin();
+    engine::TxnId txn = db.Begin();
     Reference local = w.committed;
-    std::vector<uint64_t> batch;
-    Status s = Status::OK();
-    for (uint32_t i = base; i < std::min(accounts, base + kLoadBatch); i++) {
+    Status s;
+    for (uint32_t i = base; i < std::min(accounts, base + kLoadBatch) && s.ok();
+         i++) {
       std::vector<uint8_t> t = AccountTuple(i);
-      auto rid = tb.db->Insert(txn, tb.accounts_tbl, t);
-      if (!rid.ok()) {
-        s = rid.status();
-        break;
+      auto rid = db.Insert(txn, stack.accounts_tbl, t);
+      s = rid.status();
+      if (s.ok()) {
+        rids.push_back(rid.value().Pack());
+        local[rids.back()] = std::move(t);
       }
-      local[rid.value().Pack()] = std::move(t);
-      batch.push_back(rid.value().Pack());
     }
-    if (s.ok()) {
-      Status cs = tb.db->Commit(txn);
-      if (cs.ok() || cs.IsUnavailable()) {
-        w.committed = std::move(local);
-        w.commits++;
-        rids.insert(rids.end(), batch.begin(), batch.end());
-      }
-      s = cs;
-    }
-    if (!s.ok()) {
-      if (s.IsUnavailable()) {
-        w.crashed = true;
-        return w;
-      }
-      return s;
-    }
+    if (s.ok()) s = commit(txn, local);
+    if (!s.ok()) return stop(s);
+    IPA_RETURN_NOT_OK(step({.load = true}));
   }
 
   // -- Transaction phase: 3 balance updates + 1 history insert per txn.
   for (uint64_t t = 0; t < txns; t++) {
-    engine::TxnId txn = tb.db->Begin();
+    engine::TxnId txn = db.Begin();
     Reference local = w.committed;
-    Status s = Status::OK();
+    Status s;
     for (int u = 0; u < 3 && s.ok(); u++) {
       uint64_t key = rids[rng.Uniform(rids.size())];
       uint8_t patch[4];
       for (uint8_t& b : patch) b = static_cast<uint8_t>(rng.Next());
-      s = tb.db->Update(txn, engine::Rid::Unpack(key), kBalanceOffset, patch);
+      s = db.Update(txn, engine::Rid::Unpack(key), kBalanceOffset, patch);
       if (s.ok()) {
         std::copy(patch, patch + sizeof(patch),
                   local[key].begin() + kBalanceOffset);
@@ -182,46 +151,171 @@ Result<WorkloadOutcome> RunTpcb(Testbed& tb, uint32_t accounts, uint64_t txns,
     if (s.ok()) {
       std::vector<uint8_t> h(kHistoryBytes);
       for (uint8_t& b : h) b = static_cast<uint8_t>(rng.Next());
-      auto rid = tb.db->Insert(txn, tb.history_tbl, h);
-      if (rid.ok()) {
-        local[rid.value().Pack()] = std::move(h);
-      } else {
-        s = rid.status();
-      }
+      auto rid = db.Insert(txn, stack.history_tbl, h);
+      s = rid.status();
+      if (s.ok()) local[rid.value().Pack()] = std::move(h);
     }
     bool abort = rng.Chance(0.1);  // drawn even on failure: keeps rng aligned
-    if (s.ok()) {
-      if (abort) {
-        s = tb.db->Abort(txn);  // local discarded
-      } else {
-        Status cs = tb.db->Commit(txn);
-        if (cs.ok() || cs.IsUnavailable()) {
-          w.committed = std::move(local);
-          w.commits++;
-        }
-        s = cs;
-      }
-    }
-    if (s.ok() && (t + 1) % kCheckpointEvery == 0) {
-      s = tb.db->Checkpoint();
-    }
-    if (!s.ok()) {
-      if (s.IsUnavailable()) {
-        w.crashed = true;
-        return w;
-      }
-      return s;
+    if (s.ok()) s = abort ? db.Abort(txn) : commit(txn, local);
+    if (!s.ok()) return stop(s);
+    IPA_RETURN_NOT_OK(step({.txn = t, .committed = !abort}));
+    if ((t + 1) % kCheckpointEvery == 0) {
+      s = db.Checkpoint();
+      if (!s.ok()) return stop(s);
     }
   }
   return w;
 }
 
+namespace {
+
+/// What a run injects: nothing (the trace run), a power cut at one mutating
+/// op of the swept stack, or a shipment drill.
+struct Drill {
+  bool armed = true;       ///< false for the crash-free trace run.
+  bool shipment = false;   ///< Shipment drill (else a power cut).
+  uint64_t at = 0;         ///< Mutating-op index, or shipment ordinal.
+  uint64_t torn_seed = 0;  ///< Shapes the torn prefix (shipment drills).
+};
+
+/// One run of the workload: a single stack or, when replicated, the
+/// primary→replica pair plus the shipping state between them.
+struct SweepRun {
+  SweepRun(const CrashSweepConfig& c, const Drill& d) : cfg(c), drill(d) {
+    if (cfg.repl) replica.emplace();
+  }
+
+  /// The stack whose mutating ops the sweep cuts.
+  SweepStack& swept() { return replica ? *replica : primary; }
+
+  const CrashSweepConfig& cfg;
+  const Drill drill;
+  SweepStack primary;                 // the only stack when not replicated
+  std::optional<SweepStack> replica;  // replicated sweeps only
+  TpcbOutcome outcome;          ///< The workload's result.
+  uint64_t swept_ops = 0;       ///< swept()'s mutating ops before verifying.
+  uint64_t shipments = 0;       ///< Next shipment ordinal.
+  uint64_t frames_accepted = 0; ///< Frames the replica took (incl. dups).
+  bool ship_fired = false;      ///< The shipment drill engaged.
+  bool replica_cut_fired = false;
+  bool need_catchup = false;    ///< Primary crashed; in-flight frames lost.
+};
+
+/// Replica crash protocol: power-cycle, engine recovery, then rebuild the
+/// replication state from the durable meta/map tables. Disarms the policy so
+/// the sweep's single cut cannot re-fire during the remainder of the replay.
+Status RecoverReplica(SweepRun& run) {
+  SweepStack& r = *run.replica;
+  run.replica_cut_fired = true;
+  r.db->SimulateCrash();
+  r.dev.PowerCycle();
+  r.dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+  IPA_RETURN_NOT_OK(r.db->RecoverAfterPowerLoss());
+  return r.repl->RecoverReplState();
+}
+
+/// Snapshot catch-up: ship the primary's full state. The replica may lose
+/// power mid-snapshot (the armed cut can land inside the big apply
+/// transaction) — recover and re-apply; the whole stream is one transaction,
+/// so the retry starts from nothing.
+Status RunCatchup(SweepRun& run) {
+  SweepStack& r = *run.replica;
+  auto snap = run.primary.repl->BuildSnapshot();
+  IPA_RETURN_NOT_OK(snap.status());
+  for (int attempt = 0; attempt < 4; attempt++) {
+    Status s = r.repl->ApplySnapshot(snap.value());
+    if (s.IsUnavailable() && !r.dev.powered_on()) {
+      IPA_RETURN_NOT_OK(RecoverReplica(run));
+      continue;
+    }
+    if (s.IsOutOfSpace()) {
+      IPA_RETURN_NOT_OK(r.db->Checkpoint());
+      continue;
+    }
+    IPA_RETURN_NOT_OK(s);
+    run.need_catchup = false;
+    return Status::OK();
+  }
+  return Status::Internal("snapshot catch-up did not settle");
+}
+
+/// Deliver one frame, running the drill when its ordinal comes up.
+///
+/// Shipment drill: the frame first arrives torn (any proper prefix must be
+/// rejected with zero state change), then the PRIMARY loses power at the
+/// boundary — this frame and everything still queued is lost in flight; the
+/// primary recovers and the replica heals later via snapshot catch-up.
+///
+/// Replica cut: the armed power loss fires inside ApplyFrame's transaction;
+/// the engine reports Unavailable, recovery rolls the half-applied frame
+/// back, and re-delivering the SAME frame must succeed (idempotence).
+Status ShipFrame(SweepRun& run, const std::vector<uint8_t>& wire) {
+  SweepStack& p = run.primary;
+  SweepStack& r = *run.replica;
+  const Drill& drill = run.drill;
+  uint64_t ordinal = run.shipments++;
+  if (drill.armed && drill.shipment && !run.ship_fired &&
+      ordinal == drill.at) {
+    run.ship_fired = true;
+    Rng rng(drill.torn_seed);
+    size_t len = 1 + rng.Next() % (wire.size() - 1);
+    auto torn = r.repl->ApplyFrame(std::span(wire.data(), len));
+    IPA_RETURN_NOT_OK(torn.status());
+    if (torn.value() != repl::ReplNode::Apply::kRejectedTorn) {
+      return Status::Corruption("torn shipment was not rejected");
+    }
+    p.db->SimulateCrash();
+    p.dev.PowerCycle();
+    IPA_RETURN_NOT_OK(p.db->RecoverAfterPowerLoss());
+    IPA_RETURN_NOT_OK(p.repl->RecoverReplState());
+    run.need_catchup = true;
+    return Status::OK();  // outbound was cleared; the drain loop ends
+  }
+  for (int attempt = 0; attempt < 6; attempt++) {
+    auto a = r.repl->ApplyFrame(wire);
+    if (!a.ok()) {
+      if (a.status().IsUnavailable() && !r.dev.powered_on()) {
+        IPA_RETURN_NOT_OK(RecoverReplica(run));
+        continue;
+      }
+      if (a.status().IsOutOfSpace()) {
+        IPA_RETURN_NOT_OK(r.db->Checkpoint());
+        continue;
+      }
+      return a.status();
+    }
+    switch (a.value()) {
+      case repl::ReplNode::Apply::kApplied:
+      case repl::ReplNode::Apply::kDuplicate:
+        run.frames_accepted++;
+        return Status::OK();
+      case repl::ReplNode::Apply::kEcho:
+        return Status::Corruption("replica saw its own frame echoed");
+      case repl::ReplNode::Apply::kNeedCatchup:
+        IPA_RETURN_NOT_OK(RunCatchup(run));
+        continue;  // retry: the snapshot covers it, expect kDuplicate
+      case repl::ReplNode::Apply::kRejectedTorn:
+        return Status::Corruption("intact frame rejected as torn");
+    }
+  }
+  return Status::Internal("frame delivery did not settle");
+}
+
+/// Drain the primary's outbound queue through ShipFrame.
+Status ShipAll(SweepRun& run) {
+  for (;;) {
+    std::vector<uint8_t> w = run.primary.repl->PopOutbound();
+    if (w.empty()) return Status::OK();
+    IPA_RETURN_NOT_OK(ShipFrame(run, w));
+  }
+}
+
 /// Scan both tables and compare against the reference byte-for-byte.
-Status VerifyReference(Testbed& tb, const Reference& ref) {
+Status VerifyReference(SweepStack& s, const Reference& ref) {
   Reference found;
-  for (engine::TableId tbl : {tb.accounts_tbl, tb.history_tbl}) {
+  for (engine::TableId tbl : {s.accounts_tbl, s.history_tbl}) {
     IPA_RETURN_NOT_OK(
-        tb.db->Scan(tbl, [&](engine::Rid rid, std::span<const uint8_t> t) {
+        s.db->Scan(tbl, [&](engine::Rid rid, std::span<const uint8_t> t) {
           found[rid.Pack()] = {t.begin(), t.end()};
           return true;
         }));
@@ -245,54 +339,114 @@ Status VerifyReference(Testbed& tb, const Reference& ref) {
   return Status::OK();
 }
 
-CrashSweepPoint RunPoint(const CrashSweepConfig& cfg, uint32_t accounts,
-                         uint64_t txns, uint64_t inject_at) {
-  CrashSweepPoint p;
-  p.inject_at = inject_at;
-  Testbed tb;
-  Status open = tb.Open(cfg.backend, cfg.codec);
-  if (!open.ok()) {
-    p.error = "open: " + open.ToString();
-    return p;
+/// Replica convergence oracle: logical content (origin identity -> bytes)
+/// must be byte-identical on both nodes, and the replica's view re-keyed by
+/// origin rid must equal the reference.
+Status VerifyConverged(SweepRun& run, const Reference& ref) {
+  repl::ReplNode::LogicalMap pm, rm;
+  IPA_RETURN_NOT_OK(run.primary.repl->ScanLogical(&pm));
+  IPA_RETURN_NOT_OK(run.replica->repl->ScanLogical(&rm));
+  if (pm != rm) {
+    return Status::Corruption(
+        "replica diverged: primary has " + std::to_string(pm.size()) +
+        " logical tuples, replica has " + std::to_string(rm.size()));
   }
-  flash::PowerLossPolicy policy;
-  policy.inject_at_op = inject_at;
-  // Distinct torn-state shapes per point, reproducible from the sweep seed.
-  policy.seed = cfg.seed ^ (0x9E3779B97F4A7C15ull * (inject_at + 1));
-  tb.dev.SetPowerLossPolicy(policy);
+  Reference rebuilt;
+  for (const auto& [key, bytes] : rm) {
+    if (key.first != 1) {
+      return Status::Corruption("replica holds tuple from unknown writer " +
+                                std::to_string(key.first));
+    }
+    rebuilt[key.second] = bytes;
+  }
+  if (rebuilt != ref) {
+    return Status::Corruption("replica logical content != reference (" +
+                              std::to_string(rebuilt.size()) + " vs " +
+                              std::to_string(ref.size()) + " tuples)");
+  }
+  return Status::OK();
+}
 
-  auto wr = RunTpcb(tb, accounts, txns, cfg.seed);
-  if (!wr.ok()) {
-    p.error = "workload: " + wr.status().ToString();
-    return p;
+/// Open the stacks, arm the drill and run the workload; a replicated pair
+/// then final-syncs. Sets `run.outcome` and `run.swept_ops`.
+Status Replay(SweepRun& run) {
+  const CrashSweepConfig& cfg = run.cfg;
+  if (cfg.repl) {
+    IPA_RETURN_NOT_OK(run.primary.Open({.writer = 1, .writable = true}));
+    IPA_RETURN_NOT_OK(run.replica->Open({.writer = 2, .writable = false}));
+  } else {
+    IPA_RETURN_NOT_OK(run.primary.Open(cfg.backend, cfg.codec));
   }
-  const WorkloadOutcome& w = wr.value();
-  p.crashed = w.crashed;
-  p.commits = w.commits;
+  flash::PowerLossPolicy policy;  // default: never fires, resets op counter
+  if (run.drill.armed && !run.drill.shipment) {
+    policy.inject_at_op = run.drill.at;
+    // Distinct torn-state shapes per point, reproducible from the seed.
+    policy.seed = cfg.seed ^ (0x9E3779B97F4A7C15ull * (run.drill.at + 1));
+  }
+  run.swept().dev.SetPowerLossPolicy(policy);
 
-  // Crash, power-cycle, restart. Crash-free points (the armed op was
-  // rejected by validation and never drew current) still go through a final
-  // crash + restart, exercising plain volatile-state recovery.
-  tb.db->SimulateCrash();
-  tb.dev.PowerCycle();
-  Status rs = tb.db->RecoverAfterPowerLoss();
-  if (!rs.ok()) {
-    p.error = "recover: " + rs.ToString();
-    return p;
+  TpcbHook ship;
+  if (cfg.repl) ship = [&run](const TpcbStep&) { return ShipAll(run); };
+  IPA_ASSIGN_OR_RETURN(
+      run.outcome,
+      RunTpcb(run.primary, cfg.accounts, cfg.txns, cfg.seed, ship));
+  if (cfg.repl) {
+    // The primary only loses power in a shipment drill, between
+    // transactions.
+    if (run.outcome.crashed) {
+      return Status::Internal("primary lost power mid-workload");
+    }
+    // Final sync: drain stragglers; if the primary crashed at the drill
+    // boundary the lost tail heals through one snapshot catch-up.
+    IPA_RETURN_NOT_OK(ShipAll(run));
+    if (run.need_catchup) IPA_RETURN_NOT_OK(RunCatchup(run));
   }
-  const ftl::RegionStats& st = tb.backend->stats();
-  p.torn_bytes = st.torn_delta_bytes_dropped;
-  p.quarantined = st.torn_pages_quarantined;
+  run.swept_ops = run.swept().dev.mutation_ops();
+  return Status::OK();
+}
+
+/// Check a replay against its reference. A single node first crashes and
+/// restarts (crash-free points too, exercising plain volatile-state
+/// recovery) and reports its torn-write counters in `p`; a replicated pair
+/// must have converged.
+Status Verify(SweepRun& run, CrashSweepPoint* p) {
+  const Reference& ref = run.outcome.committed;
+  if (run.cfg.repl) {
+    IPA_RETURN_NOT_OK(VerifyReference(run.primary, ref));
+    return VerifyConverged(run, ref);
+  }
+  SweepStack& s = run.primary;
+  s.db->SimulateCrash();
+  s.dev.PowerCycle();
+  IPA_RETURN_NOT_OK(s.db->RecoverAfterPowerLoss());
+  const ftl::RegionStats& st = s.backend->stats();
+  p->torn_bytes = st.torn_delta_bytes_dropped;
+  p->quarantined = st.torn_pages_quarantined;
   if (st.ecc_uncorrectable != 0) {
-    p.error = "uncorrectable ECC after recovery";
-    return p;
+    return Status::Corruption("uncorrectable ECC after recovery");
   }
-  Status v = VerifyReference(tb, w.committed);
-  if (!v.ok()) {
-    p.error = v.ToString();
-    return p;
+  return VerifyReference(s, ref);
+}
+
+CrashSweepPoint RunPoint(const CrashSweepConfig& cfg, const Drill& drill) {
+  CrashSweepPoint p;
+  p.shipment = drill.shipment;
+  p.inject_at = drill.at;
+  SweepRun run(cfg, drill);
+  Status s = Replay(run);
+  if (s.ok()) s = Verify(run, &p);
+  p.commits = run.outcome.commits;
+  if (cfg.repl) {
+    p.crashed = drill.shipment ? run.ship_fired : run.replica_cut_fired;
+  } else {
+    p.crashed = run.outcome.crashed;
   }
-  p.ok = true;
+  p.frames = run.frames_accepted;
+  if (s.ok()) {
+    p.ok = true;
+  } else {
+    p.error = s.ToString();
+  }
   return p;
 }
 
@@ -304,15 +458,21 @@ void Append64(std::vector<uint8_t>& buf, uint64_t v) {
 
 uint32_t CrashSweepReport::Fingerprint() const {
   std::vector<uint8_t> buf;
-  buf.reserve(points.size() * 34 + 8);
+  buf.reserve(points.size() * 34 + 16);
   Append64(buf, total_ops);
+  if (repl) Append64(buf, shipments);
   for (const CrashSweepPoint& p : points) {
+    if (repl) buf.push_back(p.shipment ? 1 : 0);
     Append64(buf, p.inject_at);
     buf.push_back(p.crashed ? 1 : 0);
     buf.push_back(p.ok ? 1 : 0);
     Append64(buf, p.commits);
-    Append64(buf, p.torn_bytes);
-    Append64(buf, p.quarantined);
+    if (repl) {
+      Append64(buf, p.frames);
+    } else {
+      Append64(buf, p.torn_bytes);
+      Append64(buf, p.quarantined);
+    }
   }
   return Crc32c(buf.data(), buf.size());
 }
@@ -325,42 +485,49 @@ Result<CrashSweepReport> RunCrashSweep(const CrashSweepConfig& config) {
         8, static_cast<uint64_t>(static_cast<double>(cfg.txns) * scale));
   }
 
-  // -- Trace run: count the mutating flash ops of the crash-free workload.
+  // -- Trace run: count the swept stack's mutating flash ops and, when
+  // replicated, the primary's shipments in the crash-free workload.
   CrashSweepReport report;
+  report.repl = cfg.repl;
   {
-    Testbed tb;
-    IPA_RETURN_NOT_OK(tb.Open(cfg.backend, cfg.codec));
-    tb.dev.SetPowerLossPolicy(flash::PowerLossPolicy{});  // armed never: counts ops
-    auto wr = RunTpcb(tb, cfg.accounts, cfg.txns, cfg.seed);
-    IPA_RETURN_NOT_OK(wr.status());
-    if (wr.value().crashed) {
+    SweepRun trace(cfg, Drill{.armed = false});
+    IPA_RETURN_NOT_OK(Replay(trace));
+    if (trace.outcome.crashed) {
       return Status::Internal("trace run lost power without injection");
     }
-    report.total_ops = tb.dev.mutation_ops();
+    // A crash-free pair must already converge; a crash-free single node has
+    // nothing to recover.
+    CrashSweepPoint p;
+    if (cfg.repl) IPA_RETURN_NOT_OK(Verify(trace, &p));
+    report.total_ops = trace.swept_ops;
+    report.shipments = trace.shipments;
   }
-  if (report.total_ops == 0) {
-    return Status::Internal("workload issued no mutating flash ops");
+  if (report.total_ops == 0 || (cfg.repl && report.shipments == 0)) {
+    return Status::Internal("trace run issued no mutating flash ops");
   }
 
-  // -- Injection points: every op index, or an even subsample when capped.
-  std::vector<uint64_t> points;
-  if (cfg.max_points == 0 || cfg.max_points >= report.total_ops) {
-    points.resize(report.total_ops);
-    for (uint64_t i = 0; i < report.total_ops; i++) points[i] = i;
-  } else {
-    points.resize(cfg.max_points);
-    for (uint64_t i = 0; i < cfg.max_points; i++) {
-      points[i] = i * report.total_ops / cfg.max_points;
+  // -- Point list: every swept op index, then every shipment boundary;
+  // evenly subsampled (preserving the mix) when capped.
+  uint64_t total = report.total_ops + report.shipments;
+  uint64_t want = (cfg.max_points == 0 || cfg.max_points >= total)
+                      ? total
+                      : cfg.max_points;
+  std::vector<Drill> drills(want);
+  for (uint64_t i = 0; i < want; i++) {
+    Drill& d = drills[i];
+    d.at = i * total / want;
+    if (d.at >= report.total_ops) {
+      d.shipment = true;
+      d.at -= report.total_ops;
+      d.torn_seed = cfg.seed ^ (0xC2B2AE3D27D4EB4Full * (d.at + 1));
     }
   }
 
-  // -- Replay: each point is a private stack; order-independent by design.
-  report.points.resize(points.size());
+  // -- Replay: each point is a private stack (or pair); order-independent.
+  report.points.resize(drills.size());
   ParallelFor(
-      points.size(),
-      [&](size_t i) {
-        report.points[i] = RunPoint(cfg, cfg.accounts, cfg.txns, points[i]);
-      },
+      drills.size(),
+      [&](size_t i) { report.points[i] = RunPoint(cfg, drills[i]); },
       cfg.jobs);
 
   for (const CrashSweepPoint& p : report.points) {

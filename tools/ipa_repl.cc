@@ -2,8 +2,9 @@
 // (docs/REPLICATION.md). Runs the full lifecycle on simulated flash:
 //
 //   1. A primary (writer 1) and a replica (writer 2) attach to private
-//      engines; a TPC-B-style workload runs on the primary with per-commit
-//      log shipping.
+//      engines (the crash sweep's stack, bench/crash_sweep.h); a
+//      TPC-B-style workload runs on the primary with per-commit log
+//      shipping.
 //   2. Mid-run, a shipment is deliberately delivered torn (CRC-truncated) to
 //      show the rejection path, and the replica takes a power cut mid-apply
 //      to show crash-atomic re-apply.
@@ -13,84 +14,27 @@
 //      recovered ex-primary (now applying as a replica would).
 //
 // Every step prints the version vectors and convergence verdicts, so the
-// tool doubles as a smoke probe: exit 0 iff every oracle held.
+// tool doubles as a smoke probe: exit 0 iff every oracle held (2 on a usage
+// error).
 //
 // Usage: ipa_repl [--txns N] [--accounts N] [--seed N] [--failover]
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bench/crash_sweep.h"
 #include "common/random.h"
-#include "engine/database.h"
-#include "flash/timing.h"
-#include "ftl/noftl.h"
-#include "repl/node.h"
 
 namespace {
 
 using ipa::Rng;
 using ipa::Status;
-using ipa::repl::ReplConfig;
+using ipa::bench::SweepStack;
 using ipa::repl::ReplNode;
-
-constexpr uint32_t kAccountBytes = 100;
-constexpr uint32_t kBalanceOffset = 12;
-
-struct Node {
-  ipa::flash::FlashArray dev;
-  ipa::ftl::NoFtl noftl;
-  std::unique_ptr<ipa::engine::Database> db;
-  ipa::engine::TablespaceId ts = 0;
-  ipa::engine::TableId tbl = 0;
-  std::unique_ptr<ReplNode> repl;  // after db: hooks detach first
-
-  static ipa::flash::Geometry Geo() {
-    ipa::flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 48;
-    g.pages_per_block = 16;
-    g.page_size = 2048;
-    return g;
-  }
-
-  Node() : dev(Geo(), ipa::flash::SlcTiming()), noftl(&dev) {}
-
-  Status Open(ipa::repl::WriterId writer, bool writable) {
-    ipa::engine::EngineConfig ec;
-    ec.page_size = Geo().page_size;
-    ec.buffer_pages = 12;
-    ec.log_capacity_bytes = 1 << 20;
-    ec.log_reclaim_threshold = 0.375;
-    ipa::storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ipa::ftl::RegionConfig rc;
-    rc.name = "demo";
-    rc.logical_pages = 256;
-    rc.ipa_mode = ipa::ftl::IpaMode::kSlc;
-    rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    auto r = noftl.CreateRegion(rc);
-    IPA_RETURN_NOT_OK(r.status());
-    db = std::make_unique<ipa::engine::Database>(&noftl, ec);
-    auto t = db->CreateTablespace("demo", r.value(), scheme);
-    IPA_RETURN_NOT_OK(t.status());
-    ts = t.value();
-    auto a = db->CreateTable("account", ts);
-    IPA_RETURN_NOT_OK(a.status());
-    tbl = a.value();
-    auto n = ReplNode::Attach(db.get(), ts, {tbl},
-                              ReplConfig{.writer = writer, .writable = writable});
-    IPA_RETURN_NOT_OK(n.status());
-    repl = std::move(n).value();
-    return Status::OK();
-  }
-};
 
 std::string VvString(const ReplNode& n) {
   std::string out = "{";
@@ -117,7 +61,7 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-Status ShipAll(Node& from, Node& to, uint64_t* shipped) {
+Status ShipAll(SweepStack& from, SweepStack& to, uint64_t* shipped) {
   for (;;) {
     std::vector<uint8_t> w = from.repl->PopOutbound();
     if (w.empty()) return Status::OK();
@@ -131,7 +75,7 @@ Status ShipAll(Node& from, Node& to, uint64_t* shipped) {
   }
 }
 
-Status Converged(Node& a, Node& b, const char* what) {
+Status Converged(SweepStack& a, SweepStack& b, const char* what) {
   ReplNode::LogicalMap ma, mb;
   IPA_RETURN_NOT_OK(a.repl->ScanLogical(&ma));
   IPA_RETURN_NOT_OK(b.repl->ScanLogical(&mb));
@@ -147,9 +91,9 @@ Status Converged(Node& a, Node& b, const char* what) {
 
 Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
                bool failover) {
-  Node primary, replica;
-  IPA_RETURN_NOT_OK(primary.Open(1, true));
-  IPA_RETURN_NOT_OK(replica.Open(2, false));
+  SweepStack primary, replica;
+  IPA_RETURN_NOT_OK(primary.Open({.writer = 1, .writable = true}));
+  IPA_RETURN_NOT_OK(replica.Open({.writer = 2, .writable = false}));
   std::printf("== phase 1: load %u accounts, run %llu txns, ship per commit\n",
               accounts, static_cast<unsigned long long>(txns));
 
@@ -158,11 +102,8 @@ Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
   uint64_t shipped = 0;
   for (uint32_t i = 0; i < accounts; i++) {
     ipa::engine::TxnId txn = primary.db->Begin();
-    std::vector<uint8_t> t(kAccountBytes);
-    for (uint32_t j = 0; j < kAccountBytes; j++) {
-      t[j] = static_cast<uint8_t>(i * 7u + j * 13u + 1u);
-    }
-    auto rid = primary.db->Insert(txn, primary.tbl, t);
+    auto rid = primary.db->Insert(txn, primary.accounts_tbl,
+                                  ipa::bench::AccountTuple(i));
     IPA_RETURN_NOT_OK(rid.status());
     rids.push_back(rid.value().Pack());
     IPA_RETURN_NOT_OK(primary.db->Commit(txn));
@@ -178,7 +119,8 @@ Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
       uint8_t patch[4];
       for (uint8_t& b : patch) b = static_cast<uint8_t>(rng.Next());
       IPA_RETURN_NOT_OK(primary.db->Update(txn, ipa::engine::Rid::Unpack(key),
-                                           kBalanceOffset, patch));
+                                           ipa::bench::kBalanceOffset,
+                                           patch));
     }
     IPA_RETURN_NOT_OK(primary.db->Commit(txn));
 
@@ -241,8 +183,8 @@ Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
   IPA_RETURN_NOT_OK(Converged(primary, replica, "steady stream"));
 
   std::printf("== phase 2: late joiner catches up from snapshot\n");
-  Node joiner;
-  IPA_RETURN_NOT_OK(joiner.Open(3, false));
+  SweepStack joiner;
+  IPA_RETURN_NOT_OK(joiner.Open({.writer = 3, .writable = false}));
   auto snap = primary.repl->BuildSnapshot();
   IPA_RETURN_NOT_OK(snap.status());
   IPA_RETURN_NOT_OK(joiner.repl->ApplySnapshot(snap.value()));
@@ -256,8 +198,8 @@ Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
     IPA_RETURN_NOT_OK(replica.repl->Promote({}));
     // The promoted node serves writes of its own, under its writer id...
     ipa::engine::TxnId txn = replica.db->Begin();
-    std::vector<uint8_t> t(kAccountBytes, 0x5A);
-    auto rid = replica.db->Insert(txn, replica.tbl, t);
+    std::vector<uint8_t> t(ipa::bench::kAccountBytes, 0x5A);
+    auto rid = replica.db->Insert(txn, replica.accounts_tbl, t);
     IPA_RETURN_NOT_OK(rid.status());
     IPA_RETURN_NOT_OK(replica.db->Commit(txn));
     std::printf("  promoted writer %u committed its own tuple, vv %s\n",
@@ -265,8 +207,8 @@ Status RunDemo(uint64_t txns, uint32_t accounts, uint64_t seed,
     // ...while the old machine discards its primary identity and rejoins as
     // a fresh replica, catching up from the new primary's snapshot (a
     // writable node never catches up — failover contract).
-    Node rejoin;
-    IPA_RETURN_NOT_OK(rejoin.Open(4, false));
+    SweepStack rejoin;
+    IPA_RETURN_NOT_OK(rejoin.Open({.writer = 4, .writable = false}));
     auto snap2 = replica.repl->BuildSnapshot();
     IPA_RETURN_NOT_OK(snap2.status());
     IPA_RETURN_NOT_OK(rejoin.repl->ApplySnapshot(snap2.value()));
@@ -283,6 +225,10 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(ArgU64(argc, argv, "--accounts", 16));
   uint64_t seed = ArgU64(argc, argv, "--seed", 42);
   bool failover = HasFlag(argc, argv, "--failover");
+  if (accounts == 0) {
+    std::fprintf(stderr, "ipa_repl: --accounts must be at least 1\n");
+    return 2;
+  }
   Status s = RunDemo(txns, accounts, seed, failover);
   if (!s.ok()) {
     std::fprintf(stderr, "ipa_repl: %s\n", s.ToString().c_str());
