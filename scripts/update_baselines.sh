@@ -14,7 +14,8 @@ BUILD=${1:-build}
 for bin in bench/bench_table02_ipl_vs_ipa bench/bench_table07_tpcb_emulator \
            bench/bench_table12_backend_compare bench/bench_scaleup \
            bench/bench_serve bench/bench_replication \
-           bench/bench_delta_compression tools/crash_sweep; do
+           bench/bench_delta_compression tools/crash_sweep \
+           bench/bench_table06_tpcb_openssd bench/bench_ablation_maintenance; do
   if [ ! -x "$BUILD/$bin" ]; then
     echo "update_baselines: missing $BUILD/$bin (build it first)" >&2
     exit 2
@@ -48,5 +49,12 @@ echo "== bench_delta_compression"
 echo "== crash_sweep"
 "$BUILD/tools/crash_sweep" --points 300 \
   --metrics-json bench/baselines/crash_sweep.json > /dev/null
+
+echo "== table06_tpcb_openssd"
+"$BUILD/bench/bench_table06_tpcb_openssd" \
+  --metrics-json bench/baselines/table06_tpcb_openssd.json > /dev/null
+echo "== ablation_maintenance"
+"$BUILD/bench/bench_ablation_maintenance" \
+  --metrics-json bench/baselines/ablation_maintenance.json > /dev/null
 
 git status --short bench/baselines/
