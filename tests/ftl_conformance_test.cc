@@ -1,15 +1,18 @@
-// FtlBackend conformance suite: every backend (NoFTL region device, PageFtl
-// under each of its three GC policies) must honor the same host-visible
-// contract — fresh pages read erased, writes round-trip, trim drops the
-// mapping, out-of-range LBAs are rejected, data survives GC pressure and
-// power cycles, Mount() is idempotent, a torn write resolves to old-or-new,
-// and Audit() holds after every step. Backend-specific behavior (write_delta
-// availability) is probed through the capability API, never assumed. The
-// stream-aware backend additionally proves torn-program old-or-new across
-// every write frontier (one tagged write per stream before the tear).
+// FtlBackend conformance suite: every backend (NoFTL region devices in SLC,
+// pSLC and odd-MLC mode, PageFtl under each of its three GC policies) must
+// honor the same host-visible contract — fresh pages read erased, writes
+// round-trip, trim drops the mapping, out-of-range LBAs are rejected, data
+// survives GC pressure (including power cuts at evenly spaced flash ops of a
+// storm whose GC migrates valid pages) and power cycles, Mount() is
+// idempotent, a torn write resolves to old-or-new, and Audit() holds after
+// every step. Backend-specific behavior (write_delta availability) is probed
+// through the capability API, never assumed. The stream-aware backend
+// additionally proves torn-program old-or-new across every write frontier
+// (one tagged write per stream before the tear).
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,9 +27,21 @@
 namespace ipa {
 namespace {
 
-enum class Kind { kNoFtlRegion, kPageFtlGreedy, kPageFtlCostBenefit, kStreamFtl };
+enum class Kind {
+  kNoFtlRegion,
+  kPageFtlGreedy,
+  kPageFtlCostBenefit,
+  kStreamFtl,
+  kNoFtlPSlc,    ///< MLC device, LSB pages only.
+  kNoFtlOddMlc,  ///< MLC device, every page; appends on LSB pages only.
+};
 
 constexpr uint64_t kLogicalPages = 64;
+
+/// The GC storm: after a fill of every logical page, rounds of overwrites of
+/// the first kHot pages. Fill images use tag kFillTag + lba.
+constexpr ftl::Lba kHot = 8;
+constexpr uint64_t kFillTag = 1000;
 
 /// One backend over its own private device.
 struct Stack {
@@ -40,7 +55,12 @@ struct Stack {
   uint32_t data_bytes = 0;
 };
 
-flash::Geometry Geo() {
+bool IsNoFtl(Kind kind) {
+  return kind == Kind::kNoFtlRegion || kind == Kind::kNoFtlPSlc ||
+         kind == Kind::kNoFtlOddMlc;
+}
+
+flash::Geometry Geo(Kind kind) {
   flash::Geometry g;
   g.channels = 2;
   g.chips_per_channel = 2;
@@ -48,20 +68,26 @@ flash::Geometry Geo() {
   g.pages_per_block = 16;
   g.page_size = 2048;
   g.oob_size = 128;
+  if (kind == Kind::kNoFtlPSlc || kind == Kind::kNoFtlOddMlc) {
+    g.cell_type = flash::CellType::kMlc;
+  }
   return g;
 }
 
 Stack MakeStack(Kind kind) {
   Stack s;
-  s.dev = std::make_unique<flash::FlashArray>(Geo(), flash::SlcTiming());
-  if (kind == Kind::kNoFtlRegion) {
+  flash::Geometry g = Geo(kind);
+  s.dev = std::make_unique<flash::FlashArray>(g, flash::TimingFor(g.cell_type));
+  if (IsNoFtl(kind)) {
     s.noftl = std::make_unique<ftl::NoFtl>(s.dev.get());
     storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
     ftl::RegionConfig rc;
     rc.name = "conformance";
     rc.logical_pages = kLogicalPages;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
+    rc.ipa_mode = kind == Kind::kNoFtlPSlc     ? ftl::IpaMode::kPSlc
+                  : kind == Kind::kNoFtlOddMlc ? ftl::IpaMode::kOddMlc
+                                               : ftl::IpaMode::kSlc;
+    rc.delta_area_offset = g.page_size - scheme.AreaBytes();
     rc.manage_ecc = true;
     auto r = s.noftl->CreateRegion(rc);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -78,7 +104,7 @@ Stack MakeStack(Kind kind) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     s.pageftl = std::move(r).value();
     s.backend = s.pageftl.get();
-    s.data_bytes = Geo().page_size;
+    s.data_bytes = g.page_size;
   }
   return s;
 }
@@ -89,6 +115,35 @@ std::vector<uint8_t> Pattern(uint64_t tag, uint32_t n) {
     v[i] = static_cast<uint8_t>(tag * 31 + i * 7 + 1);
   }
   return v;
+}
+
+// A full-page host image: deterministic pattern in the host-writable prefix,
+// erased 0xFF in any reserved tail (the IPA delta area).
+std::vector<uint8_t> ImageOf(const Stack& s, uint64_t tag) {
+  std::vector<uint8_t> v(s.backend->page_size(), 0xFF);
+  std::vector<uint8_t> p = Pattern(tag, s.data_bytes);
+  std::copy(p.begin(), p.end(), v.begin());
+  return v;
+}
+
+// Writes the fill image of every logical page; `tag` receives the tags.
+void Fill(Stack& s, std::vector<uint64_t>* tag) {
+  tag->assign(kLogicalPages, 0);
+  for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
+    (*tag)[lba] = kFillTag + lba;
+    std::vector<uint8_t> img = ImageOf(s, kFillTag + lba);
+    ASSERT_TRUE(s.backend->WritePage(lba, img.data(), true).ok()) << "fill lba " << lba;
+  }
+}
+
+// The storm's overwrites, in order: (lba, image tag) for `rounds` passes
+// over the hot set.
+std::vector<std::pair<ftl::Lba, uint64_t>> StormWrites(uint64_t rounds) {
+  std::vector<std::pair<ftl::Lba, uint64_t>> w;
+  for (uint64_t round = 0; round < rounds; round++) {
+    for (ftl::Lba lba = 0; lba < kHot; lba++) w.emplace_back(lba, round * kHot + lba);
+  }
+  return w;
 }
 
 class FtlConformance : public ::testing::TestWithParam<Kind> {
@@ -102,14 +157,7 @@ class FtlConformance : public ::testing::TestWithParam<Kind> {
   flash::FlashArray& dev() { return *stack_.dev; }
   uint32_t page_size() { return b().page_size(); }
 
-  // A full-page host image: deterministic pattern in the host-writable
-  // prefix, erased 0xFF in any reserved tail (the IPA delta area).
-  std::vector<uint8_t> Image(uint64_t tag) {
-    std::vector<uint8_t> v(page_size(), 0xFF);
-    std::vector<uint8_t> p = Pattern(tag, stack_.data_bytes);
-    std::copy(p.begin(), p.end(), v.begin());
-    return v;
-  }
+  std::vector<uint8_t> Image(uint64_t tag) { return ImageOf(stack_, tag); }
 
   Stack stack_;
 };
@@ -194,24 +242,99 @@ TEST_P(FtlConformance, DeltaGatingMatchesCapability) {
 }
 
 TEST_P(FtlConformance, GcStormPreservesAllData) {
-  // Hammer a small working set until GC must run; every logical page keeps
-  // serving its latest image throughout.
-  constexpr ftl::Lba kHot = 8;
-  uint64_t round = 0;
-  for (; round < 120; round++) {
-    for (ftl::Lba lba = 0; lba < kHot; lba++) {
-      std::vector<uint8_t> img = Image(round * kHot + lba);
-      ASSERT_TRUE(b().WritePage(lba, img.data(), true).ok())
-          << "round " << round << " lba " << lba;
-    }
+  // Fill every logical page, then hammer the hot set until GC must run and
+  // migrate the cold fill; every logical page keeps serving its latest image
+  // throughout.
+  std::vector<uint64_t> tag;
+  ASSERT_NO_FATAL_FAILURE(Fill(stack_, &tag));
+  for (auto [lba, t] : StormWrites(120)) {
+    ASSERT_TRUE(b().WritePage(lba, Image(t).data(), true).ok())
+        << "storm tag " << t << " lba " << lba;
+    tag[lba] = t;
   }
   std::vector<uint8_t> buf(page_size());
-  for (ftl::Lba lba = 0; lba < kHot; lba++) {
+  for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
     ASSERT_TRUE(b().ReadPage(lba, buf.data()).ok());
-    EXPECT_EQ(buf, Image((round - 1) * kHot + lba)) << lba;
+    EXPECT_EQ(buf, Image(tag[lba])) << lba;
   }
   EXPECT_GT(b().stats().gc_erases, 0u) << "storm never triggered GC";
+  EXPECT_GT(b().stats().gc_page_migrations, 0u)
+      << "GC never migrated a valid page";
   EXPECT_TRUE(b().Audit().ok());
+}
+
+// Power-cut sweep over a shorter storm. A dry run counts the storm's
+// mutating flash ops and marks the ones issued by GC passes that migrate
+// valid pages. Then, at kPoints evenly spaced ops, a fresh stack is filled,
+// power is cut at that op, and after a power cycle, Mount() and Audit() every
+// page must read its last acknowledged image; the torn write's page may
+// instead read its new image. The swept ops must include GC-migration ops,
+// where a torn copy or erase meets live data.
+TEST_P(FtlConformance, PowerCutSweepOverGcStorm) {
+  constexpr uint64_t kRounds = 20;
+  constexpr uint64_t kPoints = 25;  // per arm, evenly spaced over the storm
+  const std::vector<std::pair<ftl::Lba, uint64_t>> storm = StormWrites(kRounds);
+
+  std::vector<bool> migrating_op;
+  {
+    std::vector<uint64_t> tag;
+    ASSERT_NO_FATAL_FAILURE(Fill(stack_, &tag));
+    dev().SetPowerLossPolicy(flash::PowerLossPolicy{});  // restart op count
+    for (auto [lba, t] : storm) {
+      uint64_t migrated = b().stats().gc_page_migrations;
+      uint64_t first_op = dev().mutation_ops();
+      ASSERT_TRUE(b().WritePage(lba, Image(t).data(), true).ok());
+      // GC runs before the host program, which is the write's last op.
+      bool migrating = b().stats().gc_page_migrations > migrated;
+      migrating_op.resize(dev().mutation_ops(), false);
+      for (uint64_t op = first_op; op + 1 < dev().mutation_ops(); op++) {
+        migrating_op[op] = migrating;
+      }
+    }
+  }
+
+  const uint64_t stride = (migrating_op.size() + kPoints - 1) / kPoints;
+  uint64_t points = 0, migrating_points = 0;
+  std::vector<uint8_t> buf(page_size());
+  for (uint64_t point = 0; point < migrating_op.size(); point += stride) {
+    Stack s = MakeStack(GetParam());
+    std::vector<uint64_t> tag;
+    ASSERT_NO_FATAL_FAILURE(Fill(s, &tag));
+    flash::PowerLossPolicy policy;
+    policy.inject_at_op = point;
+    policy.seed = 0xC0FFEE + point;
+    s.dev->SetPowerLossPolicy(policy);
+    ftl::Lba torn = kLogicalPages;
+    uint64_t torn_tag = 0;
+    for (auto [lba, t] : storm) {
+      if (!s.backend->WritePage(lba, ImageOf(s, t).data(), true).ok()) {
+        torn = lba;
+        torn_tag = t;
+        break;
+      }
+      tag[lba] = t;
+    }
+    ASSERT_LT(torn, kLogicalPages) << "op " << point << ": power never died";
+    points++;
+    if (migrating_op[point]) migrating_points++;
+
+    s.dev->PowerCycle();
+    s.dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
+    ASSERT_TRUE(s.backend->Mount().ok()) << "op " << point;
+    Status audit = s.backend->Audit();
+    ASSERT_TRUE(audit.ok()) << "op " << point << ": " << audit.ToString();
+    for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
+      ASSERT_TRUE(s.backend->ReadPage(lba, buf.data()).ok())
+          << "op " << point << " lba " << lba;
+      bool ok = buf == ImageOf(s, tag[lba]) ||
+                (lba == torn && buf == ImageOf(s, torn_tag));
+      EXPECT_TRUE(ok) << "op " << point << " lba " << lba
+                      << ": neither the acknowledged nor the torn image";
+    }
+  }
+  EXPECT_GT(points, 0u);
+  EXPECT_GT(migrating_points, 0u)
+      << "no swept op fell inside a GC pass that migrates valid pages";
 }
 
 TEST_P(FtlConformance, MountIsIdempotentAndPreservesAcrossPowerCycles) {
@@ -323,7 +446,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, FtlConformance,
                          ::testing::Values(Kind::kNoFtlRegion,
                                            Kind::kPageFtlGreedy,
                                            Kind::kPageFtlCostBenefit,
-                                           Kind::kStreamFtl),
+                                           Kind::kStreamFtl, Kind::kNoFtlPSlc,
+                                           Kind::kNoFtlOddMlc),
                          [](const ::testing::TestParamInfo<Kind>& info) {
                            switch (info.param) {
                              case Kind::kNoFtlRegion: return "NoFtlRegion";
@@ -331,6 +455,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, FtlConformance,
                              case Kind::kPageFtlCostBenefit:
                                return "PageFtlCostBenefit";
                              case Kind::kStreamFtl: return "StreamFtl";
+                             case Kind::kNoFtlPSlc: return "NoFtlPSlc";
+                             case Kind::kNoFtlOddMlc: return "NoFtlOddMlc";
                            }
                            return "Unknown";
                          });
