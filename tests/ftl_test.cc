@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -314,6 +315,52 @@ TEST(NoFtlTest, RegionCreationValidation) {
   rc.logical_pages = 1u << 20;  // larger than the device
   rc.delta_area_offset = 400;
   EXPECT_TRUE(ftl.CreateRegion(rc).status().IsOutOfSpace());
+  rc.logical_pages = 64;
+  rc.gc_free_block_threshold = 0;  // GC would never run
+  EXPECT_TRUE(ftl.CreateRegion(rc).status().IsInvalidArgument());
+  rc.gc_free_block_threshold = 1;
+  EXPECT_TRUE(ftl.CreateRegion(rc).ok());
+}
+
+// One OOB ECC slot holds the ECC of two 256-byte segments, so a managed-ECC
+// region must refuse a longer delta (the caller falls back to a page write)
+// instead of acknowledging an append whose ECC it truncates. Such a page
+// used to read back with a phantom corrected bit, and once a second append
+// filled the next slot, every read of it failed as uncorrectable.
+TEST(NoFtlTest, ManagedEccRefusesDeltaLongerThanOneSlotCovers) {
+  flash::Geometry g = SmallSlc();
+  g.page_size = 2048;
+  constexpr uint32_t kDeltaOff = 1024;
+  flash::FlashArray dev(g, flash::SlcTiming());
+  NoFtl ftl(&dev);
+  RegionConfig rc;
+  rc.logical_pages = 8;
+  rc.ipa_mode = IpaMode::kSlc;
+  rc.delta_area_offset = kDeltaOff;
+  rc.manage_ecc = true;
+  auto r = ftl.CreateRegion(rc);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  RegionId region = r.value();
+
+  std::vector<uint8_t> want = PageOf(g.page_size, 0x3C, kDeltaOff);
+  ASSERT_TRUE(ftl.WritePage(region, 0, want.data()).ok());
+  std::vector<uint8_t> long_delta(600, 0x5A);
+  EXPECT_TRUE(ftl.WriteDelta(region, 0, kDeltaOff, long_delta.data(), 600).IsNotSupported());
+  EXPECT_EQ(ftl.region_stats(region).delta_fallbacks, 1u);
+  EXPECT_EQ(ftl.region_stats(region).host_delta_writes, 0u);
+
+  // Appends up to 512 bytes still go in place and read back exactly.
+  std::vector<uint8_t> small(8, 0x21);
+  std::vector<uint8_t> full(512, 0x42);
+  ASSERT_TRUE(ftl.WriteDelta(region, 0, kDeltaOff, small.data(), 8).ok());
+  ASSERT_TRUE(ftl.WriteDelta(region, 0, kDeltaOff + 8, full.data(), 512).ok());
+  std::copy(small.begin(), small.end(), want.begin() + kDeltaOff);
+  std::copy(full.begin(), full.end(), want.begin() + kDeltaOff + 8);
+  std::vector<uint8_t> out(g.page_size);
+  ASSERT_TRUE(ftl.ReadPage(region, 0, out.data()).ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(ftl.region_stats(region).ecc_corrected_bits, 0u);
+  EXPECT_TRUE(ftl.AuditRegion(region).ok());
 }
 
 TEST(NoFtlTest, MountScanCleanRegionFindsNothing) {
