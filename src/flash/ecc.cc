@@ -1,81 +1,98 @@
 #include "flash/ecc.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 namespace ipa::flash {
 
+// The encoder reads a segment as little-endian 64-bit words, the byte order
+// common/bytes.h already assumes for every on-media integer.
+static_assert(std::endian::native == std::endian::little,
+              "EccEncode reads segments as little-endian words");
+
 namespace {
 
-inline uint8_t Parity8(uint8_t b) {
-  return static_cast<uint8_t>(std::popcount(static_cast<unsigned>(b)) & 1);
+inline uint32_t Parity(uint64_t x) { return static_cast<uint32_t>(std::popcount(x) & 1); }
+
+/// Moves bit k of a 16-bit value to bit 2k.
+inline uint32_t Spread(uint32_t v) {
+  v = (v | (v << 8)) & 0x00FF00FF;
+  v = (v | (v << 4)) & 0x0F0F0F0F;
+  v = (v | (v << 2)) & 0x33333333;
+  v = (v | (v << 1)) & 0x55555555;
+  return v;
+}
+
+/// The 22 code bits of three ECC bytes: CP0..CP5, then LP0..LP15.
+inline uint32_t CodeOf(const std::array<uint8_t, kEccBytesPerSegment>& ecc) {
+  return (ecc[2] & 0x3Fu) | uint32_t{ecc[0]} << 6 | uint32_t{ecc[1]} << 14;
 }
 
 }  // namespace
 
 std::array<uint8_t, kEccBytesPerSegment> EccEncode(const uint8_t* data, size_t len) {
   // Classic SmartMedia 22-bit Hamming code: 16 line-parity bits over the byte
-  // address, 6 column-parity bits over the bit position.
-  uint16_t lp = 0;  // bit 2k = LP2k (address bit k == 0), bit 2k+1 = LP2k+1
-  uint8_t cp = 0;   // bits 0..5 = CP0..CP5
-
-  for (size_t i = 0; i < kEccSegment; i++) {
-    uint8_t b = (i < len) ? data[i] : 0;
-    if (Parity8(b)) {
-      for (unsigned k = 0; k < 8; k++) {
-        unsigned bit = ((i >> k) & 1) ? (2 * k + 1) : (2 * k);
-        lp ^= static_cast<uint16_t>(1u << bit);
-      }
-    }
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x55) << 0);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xAA) << 1);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x33) << 2);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xCC) << 3);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x0F) << 4);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xF0) << 5);
+  // address, 6 column-parity bits over the bit position. A set data bit at
+  // 11-bit address byte << 3 | bit flips one bit of each of the 11 parity
+  // pairs: the odd one (2k+1) if address bit k is 1, else the even one (2k).
+  // The code is linear, so it depends only on z, the XOR of the addresses of
+  // all set bits, and n, the parity of their count. In code order (CP0..CP5,
+  // then LP0..LP15), the odd bits spell z, and the even bits spell z
+  // complemented when n is 1.
+  //
+  // Read as 32 little-endian words, a bit's address is word << 6 | bit-in-word.
+  // Folding the segment in half eleven times, first by word and then by bit,
+  // yields z one bit per fold: the parity of the upper half is the address
+  // bit that the fold removes. The bit left over is n. A short segment is
+  // zero-padded; zero bytes add nothing.
+  uint64_t w[kEccSegment / 8];
+  if (len >= kEccSegment) {
+    std::memcpy(w, data, kEccSegment);
+  } else {
+    std::memset(w, 0, sizeof w);
+    if (len > 0) std::memcpy(w, data, len);
   }
+  uint32_t z = 0;
+  for (uint32_t half = 16, bit = 10; half > 0; half /= 2, bit--) {
+    uint64_t upper = 0;
+    for (uint32_t i = 0; i < half; i++) {
+      upper ^= w[half + i];
+      w[i] ^= w[half + i];
+    }
+    z |= Parity(upper) << bit;
+  }
+  uint64_t x = w[0];
+  for (uint32_t half = 32, bit = 5; half > 0; half /= 2, bit--) {
+    z |= Parity(x >> half) << bit;
+    x = (x ^ (x >> half)) & ((uint64_t{1} << half) - 1);
+  }
+  uint32_t n = static_cast<uint32_t>(x);
 
-  std::array<uint8_t, 3> ecc;
-  ecc[0] = static_cast<uint8_t>(lp & 0xFF);
-  ecc[1] = static_cast<uint8_t>(lp >> 8);
-  ecc[2] = static_cast<uint8_t>(cp | 0xC0);  // top two bits fixed to 1
-  return ecc;
+  uint32_t code = Spread(z) << 1 | Spread(n ? z ^ 0x7FF : z);
+  return {static_cast<uint8_t>(code >> 6), static_cast<uint8_t>(code >> 14),
+          static_cast<uint8_t>((code & 0x3F) | 0xC0)};  // top two bits fixed to 1
 }
 
 EccResult EccCheckAndCorrect(uint8_t* data, size_t len,
                              const std::array<uint8_t, kEccBytesPerSegment>& stored) {
-  auto computed = EccEncode(data, len);
-  uint8_t d0 = static_cast<uint8_t>(stored[0] ^ computed[0]);
-  uint8_t d1 = static_cast<uint8_t>(stored[1] ^ computed[1]);
-  uint8_t d2 = static_cast<uint8_t>((stored[2] ^ computed[2]) & 0x3F);
+  uint32_t syndrome = CodeOf(stored) ^ CodeOf(EccEncode(data, len));
+  if (syndrome == 0) return EccResult::kClean;
 
-  if ((d0 | d1 | d2) == 0) return EccResult::kClean;
-
-  int total = std::popcount(static_cast<unsigned>(d0)) +
-              std::popcount(static_cast<unsigned>(d1)) +
-              std::popcount(static_cast<unsigned>(d2));
-
-  // A single flipped data bit flips exactly one bit of every LP/CP pair:
-  // 8 LP pairs + 3 CP pairs = 11 differing bits, one per pair.
-  bool one_per_pair = (((d0 ^ (d0 >> 1)) & 0x55) == 0x55) &&
-                      (((d1 ^ (d1 >> 1)) & 0x55) == 0x55) &&
-                      (((d2 ^ (d2 >> 1)) & 0x15) == 0x15);
-  if (total == 11 && one_per_pair) {
-    unsigned byte_addr = ((d0 >> 1) & 1) << 0 | ((d0 >> 3) & 1) << 1 |
-                         ((d0 >> 5) & 1) << 2 | ((d0 >> 7) & 1) << 3 |
-                         ((d1 >> 1) & 1) << 4 | ((d1 >> 3) & 1) << 5 |
-                         ((d1 >> 5) & 1) << 6 | ((d1 >> 7) & 1) << 7;
-    unsigned bit_addr = ((d2 >> 1) & 1) << 0 | ((d2 >> 3) & 1) << 1 |
-                        ((d2 >> 5) & 1) << 2;
-    if (byte_addr < len) {
-      data[byte_addr] ^= static_cast<uint8_t>(1u << bit_addr);
-    }
-    // An error in the zero-padding region cannot happen physically; if the
-    // address points past `len` the stored ECC itself was damaged.
+  // A single flipped data bit flips exactly one bit of each of the 11 pairs
+  // (mask 0x155555 holds bit 2k of each), and the odd bits spell its address.
+  if (((syndrome ^ (syndrome >> 1)) & 0x155555) == 0x155555) {
+    uint32_t addr = 0;
+    for (uint32_t k = 0; k < 11; k++) addr |= ((syndrome >> (2 * k + 1)) & 1) << k;
+    size_t byte = addr >> 3;
+    // No bit of the zero padding can flip, so a syndrome that points past
+    // `len` takes three or more flipped bits: the data cannot be trusted.
+    if (byte >= len) return EccResult::kUncorrectable;
+    data[byte] ^= static_cast<uint8_t>(1u << (addr & 7));
     return EccResult::kCorrected;
   }
 
-  if (total == 1) {
+  if (std::popcount(syndrome) == 1) {
     // Single-bit error in the ECC bytes themselves; the data is intact.
     return EccResult::kCorrected;
   }

@@ -33,6 +33,7 @@ std::array<uint8_t, kEccBytesPerSegment> EccEncode(const uint8_t* data, size_t l
 
 /// Verify (and if possible repair) `data[0..len)` against a stored ECC.
 /// On a single-bit error the data is fixed in place and kCorrected returned.
+/// A syndrome that points past `len`, into the zero padding, is kUncorrectable.
 EccResult EccCheckAndCorrect(uint8_t* data, size_t len,
                              const std::array<uint8_t, kEccBytesPerSegment>& stored);
 
