@@ -44,6 +44,13 @@ FtlCounters& Fm() {
   return counters;
 }
 
+/// True for a slot whose offset/len no appended delta could have written:
+/// empty, past the page end, or longer than the slot's ECC covers.
+bool SlotIsDamaged(uint16_t offset, uint16_t len, const flash::Geometry& g) {
+  return len == 0 || offset + len > g.page_size ||
+         flash::EccRegionBytes(len) > kSlotEccBytes;
+}
+
 /// Marks in `covered` (indexed from `delta_off`) every delta-area byte that
 /// an OOB ECC slot in `oob` covers, up to the first erased slot. False on a
 /// damaged slot; later slots stay unread.
@@ -54,7 +61,7 @@ bool CoverDeltaArea(const uint8_t* oob, const flash::Geometry& g, uint32_t delta
     uint16_t offset = DecodeU16(&oob[base]);
     uint16_t len = DecodeU16(&oob[base + 2]);
     if (offset == 0xFFFF && len == 0xFFFF) break;  // erased slot: no more deltas
-    if (offset + len > g.page_size || len == 0) return false;
+    if (SlotIsDamaged(offset, len, g)) return false;
     for (uint32_t i = std::max(static_cast<uint32_t>(offset), delta_off);
          i < static_cast<uint32_t>(offset) + len; i++) {
       (*covered)[i - delta_off] = true;
@@ -381,7 +388,7 @@ Status NoFtl::VerifyEcc(Region& reg, flash::Ppn ppn, uint8_t* data) {
     uint16_t offset = DecodeU16(&oob[base]);
     uint16_t len = DecodeU16(&oob[base + 2]);
     if (offset == 0xFFFF && len == 0xFFFF) break;  // erased slot: no more deltas
-    if (offset + len > g.page_size || len == 0) {
+    if (SlotIsDamaged(offset, len, g)) {
       reg.stats.ecc_uncorrectable++;
       return Status::Corruption("damaged delta ECC slot");
     }
