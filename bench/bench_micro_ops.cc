@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the core operations on the IPA
 // hot paths: page diffing, delta-record encode/apply, slotted-page ops,
-// ECC, emulated flash commands and B+tree point operations.
+// ECC, CRC32C, emulated flash commands and B+tree point operations.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "core/write_policy.h"
 #include "engine/btree.h"
@@ -191,6 +192,22 @@ void BM_EccEncodeDelta(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kDeltaBytes);
 }
 BENCHMARK(BM_EccEncodeDelta);
+
+// CRC32C at the sizes its users checksum: a PageFtl OOB entry (23 B), a
+// typical WAL record (64 B), a serve-kv frame (1 KiB) and a linkbench page
+// body (8 KiB).
+void BM_Crc32c(benchmark::State& state) {
+  const auto len = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> data(len);
+  Rng rng(3);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    uint32_t crc = Crc32c(data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_Crc32c)->Arg(23)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_FlashProgramRead(benchmark::State& state) {
   flash::Geometry g;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/random.h"
@@ -182,6 +186,16 @@ TEST(SampleDistributionTest, CdfAndPercentiles) {
   EXPECT_NEAR(d.Mean(), 0.6 * 4 + 0.3 * 10 + 0.1 * 100, 1e-9);
 }
 
+// CRC32-C one bit at a time, straight from the reflected polynomial.
+uint32_t BitSerialCrc32c(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; i++) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; k++) crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1)));
+  }
+  return ~crc;
+}
+
 TEST(Crc32Test, KnownVectorsAndSensitivity) {
   const uint8_t data[] = "123456789";
   // CRC32-C of "123456789" is 0xE3069283.
@@ -189,6 +203,61 @@ TEST(Crc32Test, KnownVectorsAndSensitivity) {
   uint8_t tweaked[] = "123456780";
   EXPECT_NE(Crc32c(tweaked, 9), Crc32c(data, 9));
   EXPECT_EQ(Crc32c(data, 0), 0u);
+
+  // RFC 3720 B.4: 32 zero bytes, 32 0xFF bytes, 00..1F and 1F..00.
+  std::array<uint8_t, 32> zeros{}, ones{}, up{}, down{};
+  ones.fill(0xFF);
+  for (uint8_t i = 0; i < 32; i++) {
+    up[i] = i;
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::pair<const std::array<uint8_t, 32>*, uint32_t> vectors[] = {
+      {&zeros, 0x8A9136AAu}, {&ones, 0x62A8AB43u}, {&up, 0x46DD794Eu}, {&down, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : vectors) {
+    EXPECT_EQ(Crc32c(bytes->data(), bytes->size()), want);
+    EXPECT_EQ(Crc32cPortable(bytes->data(), bytes->size()), want);
+    EXPECT_EQ(BitSerialCrc32c(bytes->data(), bytes->size(), 0), want);
+  }
+}
+
+// Both kernels against the bit-serial reference: a word loop that is wrong
+// only past some length, only in its tail bytes or only at some alignment
+// fails here.
+TEST(Crc32Test, MatchesBitSerialReference) {
+  Rng rng(11);
+  std::vector<uint8_t> buf(8192 + 8);
+  std::vector<size_t> lengths(1101);
+  std::iota(lengths.begin(), lengths.end(), size_t{0});
+  lengths.push_back(4096);
+  lengths.push_back(8192);
+  for (size_t len : lengths) {
+    for (size_t align = 0; align < 8; align++) {
+      for (size_t i = 0; i < len + align; i++) buf[i] = static_cast<uint8_t>(rng.Next());
+      const uint8_t* p = buf.data() + align;
+      const auto seed = static_cast<uint32_t>(rng.Next());
+      const uint32_t want = BitSerialCrc32c(p, len, seed);
+      ASSERT_EQ(Crc32c(p, len, seed), want) << "len " << len << " align " << align;
+      ASSERT_EQ(Crc32cPortable(p, len, seed), want) << "len " << len << " align " << align;
+    }
+  }
+}
+
+// Chaining from a previous result continues the CRC, for either kernel on
+// either side of the split.
+TEST(Crc32Test, ChainingEqualsConcatenation) {
+  Rng rng(12);
+  std::vector<uint8_t> buf(2048);
+  for (int trial = 0; trial < 200; trial++) {
+    const size_t len = rng.Uniform(buf.size() + 1);
+    const size_t split = rng.Uniform(len + 1);
+    for (size_t i = 0; i < len; i++) buf[i] = static_cast<uint8_t>(rng.Next());
+    const uint8_t* a = buf.data();
+    const uint8_t* b = buf.data() + split;
+    const uint32_t whole = Crc32c(a, len);
+    EXPECT_EQ(Crc32c(b, len - split, Crc32c(a, split)), whole) << len << "/" << split;
+    EXPECT_EQ(Crc32cPortable(b, len - split, Crc32c(a, split)), whole);
+    EXPECT_EQ(Crc32c(b, len - split, Crc32cPortable(a, split)), whole);
+  }
 }
 
 TEST(FormatTest, Thousands) {
