@@ -12,7 +12,8 @@
 #   - micro_ns: every bench_micro_ops benchmark, in ns per iteration (the
 #     median of 3 repetitions);
 #   - perfbench: the end-to-end line of each workload in SRC/BENCHMARK.json
-#     (seed 1, 15 s, --trace 0). perfbench/run.py builds it under SRC.
+#     (seed 1, 15 s, --trace 0). perfbench/run.py builds it under SRC. A run
+#     that fails its build or correctness check stops the script (exit 1).
 # The entry is stored under "runs"."LABEL" in OUT, which keeps any other
 # labels already there. Record a change and its parent on one machine, one
 # after the other:
@@ -69,8 +70,14 @@ for w in $(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
            "$SRC/BENCHMARK.json"); do
   echo "== perfbench $w" >&2
-  (cd "$SRC" && python3 perfbench/run.py --workload "$w" --seed 1 --seconds 15 \
-     --trace 0) | tail -n 1 > "$TMP/perfbench-$w.json"
+  # run.py exits non-zero when the build or a correctness check fails; such a
+  # run is not a record.
+  if ! (cd "$SRC" && python3 perfbench/run.py --workload "$w" --seed 1 --seconds 15 \
+          --trace 0) > "$TMP/perfbench-$w.out"; then
+    echo "bench_record: perfbench $w failed: $(tail -n 1 "$TMP/perfbench-$w.out")" >&2
+    exit 1
+  fi
+  tail -n 1 "$TMP/perfbench-$w.out" > "$TMP/perfbench-$w.json"
 done
 
 commit=$(git -C "$SRC" describe --always --dirty 2> /dev/null || echo unknown)
@@ -101,6 +108,7 @@ for path in sorted(glob.glob(os.path.join(tmp, "perfbench-*.json"))):
     with open(path) as f:
         line = json.load(f)
     perfbench[name] = {
+        "correct": line["correct"],
         "attempted": line["attempted"],
         "failed": line["failed"],
         **{k: round(v["value"], 3) for k, v in line["metrics"].items()},
