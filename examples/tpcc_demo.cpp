@@ -49,7 +49,7 @@ Result<Outcome> RunOnce(storage::Scheme scheme, uint64_t txns) {
   SimTime span = bed->noftl->clock().Now() - t0;
 
   Outcome out;
-  out.region = bed->region_stats();
+  out.region = bed->backend_stats();
   out.tps = static_cast<double>(bed->db->txn_stats().commits) /
             (static_cast<double>(span) / 1e6);
   return out;

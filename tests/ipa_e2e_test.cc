@@ -66,7 +66,7 @@ TpcbRun RunTpcb(storage::Scheme scheme, Profile profile, uint64_t txns,
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
   EXPECT_TRUE(run.bed->db->Checkpoint().ok());
-  run.stats = run.bed->region_stats();
+  run.stats = run.bed->backend_stats();
   return run;
 }
 

@@ -38,7 +38,7 @@ TEST_P(PageSizeSweep, TpcbEndToEnd) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   ASSERT_TRUE(bed.value()->db->Checkpoint().ok());
-  EXPECT_GT(bed.value()->region_stats().host_delta_writes, 0u)
+  EXPECT_GT(bed.value()->backend_stats().host_delta_writes, 0u)
       << "IPA must engage at page size " << page_size;
 
   // Content integrity through a full drop + refetch.

@@ -40,7 +40,7 @@ TEST(TpcbWorkloadTest, LoadAndRunWithIpa) {
   // IPA must have served some flushes.
   ASSERT_TRUE(bed->db->Checkpoint().ok());
   EXPECT_GT(bed->db->buffer_pool().stats().ipa_flushes, 0u);
-  EXPECT_GT(bed->region_stats().host_delta_writes, 0u);
+  EXPECT_GT(bed->backend_stats().host_delta_writes, 0u);
 }
 
 TEST(TpcbWorkloadTest, BalancesConserved) {
@@ -101,8 +101,8 @@ TEST(TpccWorkloadTest, RunsWithoutIpaToo) {
   ASSERT_TRUE(RunTransactions(tpcc, 200).ok());
   ASSERT_TRUE(bed->db->Checkpoint().ok());
   EXPECT_EQ(bed->db->buffer_pool().stats().ipa_flushes, 0u);
-  EXPECT_EQ(bed->region_stats().host_delta_writes, 0u);
-  EXPECT_GT(bed->region_stats().host_page_writes, 0u);
+  EXPECT_EQ(bed->backend_stats().host_delta_writes, 0u);
+  EXPECT_GT(bed->backend_stats().host_page_writes, 0u);
 }
 
 TEST(TatpWorkloadTest, LoadAndRunMix) {
