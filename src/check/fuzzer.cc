@@ -7,6 +7,9 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "check/invariants.h"
 #include "check/model_db.h"
@@ -16,20 +19,15 @@
 #include "engine/database.h"
 #include "engine/sharded_database.h"
 #include "flash/flash_array.h"
-#include "flash/timing.h"
 #include "ftl/noftl.h"
 #include "ftl/page_ftl.h"
 #include "repl/node.h"
 #include "storage/page_format.h"
+#include "workload/testbed.h"
 
 namespace ipa::check {
 
 namespace {
-
-constexpr const char* kScheduleNames[kNumSchedules] = {
-    "slc",       "slc-noneager", "pslc",    "oddmlc",
-    "slc-noecc", "pageftl",      "sharded", "streamftl",
-    "replication", "deltacodec"};
 
 constexpr const char* kKindNames[] = {
     "insert", "update",     "resize",     "delete", "read",      "commit",
@@ -44,196 +42,105 @@ std::vector<uint8_t> Payload(uint64_t seed, size_t n) {
   return v;
 }
 
-/// One fully private simulated stack (same shape as the crash sweep's).
-struct Testbed {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;                       // cooked-FTL schedules leave it idle
-  std::unique_ptr<ftl::PageFtl> pageftl;  // cooked-FTL schedules only
-  /// The stack's FTL backend, whichever flavor is active.
-  ftl::FtlBackend* backend = nullptr;
-  std::unique_ptr<engine::Database> db;
-  ftl::RegionId region = 0;
-  engine::TablespaceId ts = 0;
-  engine::TableId tables[2] = {0, 0};
+constexpr storage::Scheme kScheme{.n = 2, .m = 4, .v = 12};
 
-  /// kDeltaCodec only: the second region/tablespace (t1 lives there, encoded
-  /// with the OTHER byte codec than t0's).
-  ftl::RegionId region2 = 0;
-  engine::TablespaceId ts2 = 0;
-
-  /// kSharded only: one shared-nothing partition per chip pair.
-  struct ShardPart {
-    std::unique_ptr<engine::Database> db;
-    ftl::RegionId region = 0;
-    engine::TablespaceId ts = 0;
-    engine::TableId tables[2] = {0, 0};
-  };
-  std::vector<ShardPart> parts;
-  std::unique_ptr<engine::ShardedDatabase> sharded;
-
-  /// kRepl only: a second fully private stack (the replica) plus the two
-  /// replication endpoints. Declared after the engines they attach to, so
-  /// the nodes detach their hooks before the Databases die.
-  std::unique_ptr<Testbed> replica;
-  std::unique_ptr<repl::ReplNode> repl_primary;
-  std::unique_ptr<repl::ReplNode> repl_replica;
-
-  Testbed(const flash::Geometry& g, const flash::TimingModel& t)
-      : dev(g, t), noftl(&dev) {}
-};
-
-flash::Geometry GeoFor(Schedule s) {
-  flash::Geometry g;
-  g.channels = 2;
-  g.chips_per_channel = 2;
-  g.blocks_per_chip = 48;
-  g.pages_per_block = 16;
-  g.page_size = 2048;
-  if (s == Schedule::kPSlc || s == Schedule::kOddMlc) {
-    g.cell_type = flash::CellType::kMlc;
-  }
-  return g;
+/// A NoFTL region of the fuzz stacks: managed ECC, so mount scans must
+/// scrub torn appends (Section 6.2).
+ftl::RegionConfig FuzzRegion(const char* name, ftl::IpaMode mode,
+                             uint64_t logical_pages = 256) {
+  return {.name = name,
+          .logical_pages = logical_pages,
+          .ipa_mode = mode,
+          .manage_ecc = true};
 }
 
-/// `seed` matters only to kDeltaCodec: its parity decides which of the two
-/// tablespaces carries kDelta vs kDeltaCompress, so both placements get
-/// fuzzed across a seed sweep while any single seed stays reproducible.
-Result<std::unique_ptr<Testbed>> MakeTestbed(Schedule s, uint64_t seed = 0) {
-  flash::Geometry g = GeoFor(s);
-  auto tb = std::make_unique<Testbed>(g, flash::TimingFor(g.cell_type));
+/// The oracles' small stack with one region backing tablespace "fuzz", which
+/// holds tables t0 and t1.
+workload::StackSpec OneRegion(
+    flash::CellType cell,
+    std::variant<ftl::RegionConfig, ftl::PageFtlConfig> ftl,
+    storage::Scheme scheme = kScheme) {
+  workload::StackSpec spec = workload::SmallSpec(cell);
+  spec.regions.push_back({std::move(ftl), "fuzz", scheme, {"t0", "t1"}});
+  return spec;
+}
 
-  engine::EngineConfig pec;
-  if (s == Schedule::kPageFtl || s == Schedule::kStreamFtl) {
-    // Cooked-device stack: page-mapping FTL instead of a NoFTL region, no
-    // scheme (write_delta is structurally impossible behind it). The
-    // stream-aware flavor takes the same stack; the Database's buffer pool
-    // tags its writebacks (heap vs index) and GC relocations segregate
-    // below the block interface.
-    ftl::PageFtlConfig pc;
-    pc.name = ScheduleName(s);
-    pc.logical_pages = 256;
-    pc.gc_policy = s == Schedule::kStreamFtl ? ftl::GcPolicy::kStreamWarmCold
-                                             : ftl::GcPolicy::kCostBenefit;
-    IPA_ASSIGN_OR_RETURN(tb->pageftl, ftl::PageFtl::Create(&tb->dev, pc));
-    tb->backend = tb->pageftl.get();
-    pec.page_size = g.page_size;
-    pec.buffer_pages = 12;
-    pec.log_capacity_bytes = 1 << 20;
-    pec.log_reclaim_threshold = 0.375;
-    tb->db = std::make_unique<engine::Database>(nullptr, pec, &tb->dev.clock());
-    IPA_ASSIGN_OR_RETURN(
-        tb->ts, tb->db->CreateTablespaceOn("fuzz", tb->backend, {}));
-    IPA_ASSIGN_OR_RETURN(tb->tables[0], tb->db->CreateTable("t0", tb->ts));
-    IPA_ASSIGN_OR_RETURN(tb->tables[1], tb->db->CreateTable("t1", tb->ts));
-    return tb;
-  }
+/// One schedule: the stack it runs on and its two op-mix tweaks.
+struct ScheduleRow {
+  const char* name;
+  workload::StackSpec spec;
+  /// Draw power cuts. Without managed ECC the paper promises no crash
+  /// consistency for torn appends (Section 6.2), so slc-noecc runs cut-free.
+  bool power_cuts = true;
+  /// Build the spec twice, bridge primary and replica with ReplNodes, and
+  /// mix shipping and sync barriers into the ops.
+  bool replicated = false;
+};
 
-  if (s == Schedule::kSharded) {
+/// The seed matrix, indexed by Schedule. A new schedule is one more row.
+const ScheduleRow& Row(Schedule s) {
+  static const std::vector<ScheduleRow> rows = [] {
+    using flash::CellType;
+    using ftl::IpaMode;
+    workload::StackSpec noneager =
+        OneRegion(CellType::kSlc, FuzzRegion("slc-noneager", IpaMode::kSlc));
+    noneager.engine.dirty_flush_threshold = 0.75;
+    noneager.engine.log_reclaim_threshold = 0.9;
+    ftl::RegionConfig noecc = FuzzRegion("slc-noecc", IpaMode::kSlc);
+    noecc.manage_ecc = false;
+    // Cooked-device stacks: a page-mapping FTL instead of a NoFTL region, no
+    // scheme (write_delta is structurally impossible behind it). Under the
+    // stream policy the buffer pool tags its writebacks (heap vs index) and
+    // GC relocations segregate below the block interface.
+    auto cooked = [](const char* name, ftl::GcPolicy policy) {
+      return OneRegion(CellType::kSlc,
+                       ftl::PageFtlConfig{.name = name,
+                                          .logical_pages = 256,
+                                          .gc_policy = policy},
+                       {});
+    };
     // Two shared-nothing partitions, one channel (2 chips) each, composed
     // behind a ShardedDatabase. Sequential driver: power-loss injection
     // needs deterministic crash points (docs/SHARDING.md), and the oracles
     // compare against one global model.
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    std::vector<engine::ShardedDatabase::Partition> sparts;
-    tb->parts.resize(2);
+    workload::StackSpec sharded = workload::SmallSpec();
     for (uint32_t p = 0; p < 2; p++) {
-      Testbed::ShardPart& part = tb->parts[p];
-      ftl::RegionConfig rc;
-      rc.name = std::string("sharded") + static_cast<char>('0' + p);
-      rc.logical_pages = 128;
-      rc.ipa_mode = ftl::IpaMode::kSlc;
-      rc.delta_area_offset = g.page_size - scheme.AreaBytes();
-      rc.manage_ecc = true;  // mount scans must scrub torn appends (6.2)
+      ftl::RegionConfig rc =
+          FuzzRegion(p == 0 ? "sharded0" : "sharded1", IpaMode::kSlc, 128);
       rc.chips = {2 * p, 2 * p + 1};
-      IPA_ASSIGN_OR_RETURN(part.region, tb->noftl.CreateRegion(rc));
-      engine::EngineConfig ec;
-      ec.page_size = g.page_size;
-      ec.buffer_pages = 12;
-      ec.log_capacity_bytes = 1 << 20;
-      ec.log_reclaim_threshold = 0.375;
-      part.db = std::make_unique<engine::Database>(&tb->noftl, ec);
-      IPA_ASSIGN_OR_RETURN(
-          part.ts, part.db->CreateTablespace("fuzz", part.region, scheme));
-      IPA_ASSIGN_OR_RETURN(part.tables[0],
-                           part.db->CreateTable("t0", part.ts));
-      IPA_ASSIGN_OR_RETURN(part.tables[1],
-                           part.db->CreateTable("t1", part.ts));
-      sparts.push_back({part.db.get(), nullptr});
+      sharded.regions.push_back({rc, "fuzz", kScheme, {"t0", "t1"}});
     }
-    tb->sharded = std::make_unique<engine::ShardedDatabase>(
-        std::move(sparts), &tb->dev, engine::ShardedDatabase::Config{});
-    return tb;
-  }
-
-  storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-  const bool mixed = s == Schedule::kDeltaCodec;
-  if (mixed) {
-    // Mixed-codec pair: t0's tablespace gets one byte codec, t1's the other,
-    // swapped by seed parity so both placements are covered across a sweep.
-    scheme.codec = static_cast<uint8_t>((seed & 1) != 0
-                                            ? storage::DeltaCodec::kDeltaCompress
-                                            : storage::DeltaCodec::kDelta);
-  }
-  ftl::RegionConfig rc;
-  rc.name = ScheduleName(s);
-  rc.logical_pages = mixed ? 128 : 256;  // two regions share the device
-  rc.ipa_mode = s == Schedule::kPSlc     ? ftl::IpaMode::kPSlc
-                : s == Schedule::kOddMlc ? ftl::IpaMode::kOddMlc
-                                         : ftl::IpaMode::kSlc;
-  rc.delta_area_offset = g.page_size - scheme.AreaBytes();
-  rc.manage_ecc = s != Schedule::kSlcNoEcc;
-  IPA_ASSIGN_OR_RETURN(tb->region, tb->noftl.CreateRegion(rc));
-
-  engine::EngineConfig ec;
-  ec.page_size = g.page_size;
-  ec.buffer_pages = 12;  // tiny pool: constant steal under the workload
-  ec.log_capacity_bytes = 1 << 20;
-  ec.log_reclaim_threshold = 0.375;
-  if (s == Schedule::kSlcNonEager) {
-    ec.dirty_flush_threshold = 0.75;
-    ec.log_reclaim_threshold = 0.9;
-  }
-  tb->db = std::make_unique<engine::Database>(&tb->noftl, ec);
-  IPA_ASSIGN_OR_RETURN(tb->ts, tb->db->CreateTablespace("fuzz", tb->region, scheme));
-  tb->backend = tb->noftl.region_device(tb->region);
-
-  if (mixed) {
-    storage::Scheme scheme2 = scheme;
-    scheme2.codec = static_cast<uint8_t>(
-        scheme.delta_codec() == storage::DeltaCodec::kDelta
-            ? storage::DeltaCodec::kDeltaCompress
-            : storage::DeltaCodec::kDelta);
-    ftl::RegionConfig rc2 = rc;
-    rc2.name = "deltacodec2";  // AreaBytes() is codec-independent: same offset
-    IPA_ASSIGN_OR_RETURN(tb->region2, tb->noftl.CreateRegion(rc2));
-    IPA_ASSIGN_OR_RETURN(
-        tb->ts2, tb->db->CreateTablespace("fuzz2", tb->region2, scheme2));
-    IPA_ASSIGN_OR_RETURN(tb->tables[0], tb->db->CreateTable("t0", tb->ts));
-    IPA_ASSIGN_OR_RETURN(tb->tables[1], tb->db->CreateTable("t1", tb->ts2));
-    return tb;
-  }
-
-  IPA_ASSIGN_OR_RETURN(tb->tables[0], tb->db->CreateTable("t0", tb->ts));
-  IPA_ASSIGN_OR_RETURN(tb->tables[1], tb->db->CreateTable("t1", tb->ts));
-
-  if (s == Schedule::kRepl) {
-    // Replica: a second private stack of the same shape (its own device, its
-    // own WAL), bridged only by the changeset stream the runner ships.
-    auto rep = MakeTestbed(Schedule::kSlc);
-    if (!rep.ok()) return rep.status();
-    tb->replica = std::move(rep.value());
-    IPA_ASSIGN_OR_RETURN(
-        tb->repl_primary,
-        repl::ReplNode::Attach(tb->db.get(), tb->ts,
-                               {tb->tables[0], tb->tables[1]},
-                               repl::ReplConfig{.writer = 1, .writable = true}));
-    IPA_ASSIGN_OR_RETURN(
-        tb->repl_replica,
-        repl::ReplNode::Attach(tb->replica->db.get(), tb->replica->ts,
-                               {tb->replica->tables[0], tb->replica->tables[1]},
-                               repl::ReplConfig{.writer = 2}));
-  }
-  return tb;
+    sharded.sharded = true;
+    // Mixed-codec pair: ONE engine over two regions, t0's tablespace in one
+    // byte codec and t1's in the other (Runner swaps them on odd seeds).
+    workload::StackSpec mixed = workload::SmallSpec();
+    storage::Scheme delta = kScheme, compress = kScheme;
+    delta.codec = static_cast<uint8_t>(storage::DeltaCodec::kDelta);
+    compress.codec = static_cast<uint8_t>(storage::DeltaCodec::kDeltaCompress);
+    mixed.regions.push_back(
+        {FuzzRegion("deltacodec", IpaMode::kSlc, 128), "fuzz", delta, {"t0"}});
+    mixed.regions.push_back({FuzzRegion("deltacodec2", IpaMode::kSlc, 128),
+                             "fuzz2", compress, {"t1"}});
+    return std::vector<ScheduleRow>{
+        {"slc", OneRegion(CellType::kSlc, FuzzRegion("slc", IpaMode::kSlc))},
+        {"slc-noneager", noneager},
+        {"pslc", OneRegion(CellType::kMlc, FuzzRegion("pslc", IpaMode::kPSlc))},
+        {"oddmlc",
+         OneRegion(CellType::kMlc, FuzzRegion("oddmlc", IpaMode::kOddMlc))},
+        {.name = "slc-noecc",
+         .spec = OneRegion(CellType::kSlc, noecc),
+         .power_cuts = false},
+        {"pageftl", cooked("pageftl", ftl::GcPolicy::kCostBenefit)},
+        {"sharded", sharded},
+        {"streamftl", cooked("streamftl", ftl::GcPolicy::kStreamWarmCold)},
+        {.name = "replication",
+         .spec = OneRegion(CellType::kSlc,
+                           FuzzRegion("replication", IpaMode::kSlc)),
+         .replicated = true},
+        {"deltacodec", mixed},
+    };
+  }();
+  return rows[static_cast<int>(s)];
 }
 
 /// Replays one trace against a fresh testbed and the reference model.
@@ -242,11 +149,10 @@ class Runner {
   explicit Runner(const FuzzConfig& cfg) : cfg_(cfg) {}
 
   FuzzResult Run(const std::vector<Op>& trace) {
-    auto tb = MakeTestbed(cfg_.schedule, cfg_.seed);
-    if (!tb.ok()) {
-      return Fail(0, Status::Internal("testbed: " + tb.status().ToString()));
+    Status built = BuildStacks();
+    if (!built.ok()) {
+      return Fail(0, Status::Internal("testbed: " + built.ToString()));
     }
-    tb_ = std::move(tb.value());
 
     for (size_t i = 0; i < trace.size(); i++) {
       Status s = Execute(trace[i]);
@@ -275,7 +181,7 @@ class Runner {
       txn_ = engine::kInvalidTxn;
       s_open_ = false;
       CrashEngine();
-      tb_->dev.PowerCycle();
+      tb_->dev->PowerCycle();
       Status s = RecoverLoop();
       if (s.ok() && Repl()) s = RecoverPrimaryRepl();
       if (s.ok()) s = DeepCheck(model_.committed());
@@ -295,7 +201,7 @@ class Runner {
       if (!c.ok()) return Fail(end, c);
     }
 
-    const ftl::RegionStats rs = BackendStats();
+    const ftl::RegionStats rs = SumRegionStats(*tb_);
     res_.torn_bytes = rs.torn_delta_bytes_dropped;
     res_.quarantined = rs.torn_pages_quarantined;
     res_.fingerprint = Fingerprint();
@@ -303,6 +209,40 @@ class Runner {
   }
 
  private:
+  /// The schedule's stack; kRepl builds it twice and bridges the two with
+  /// ReplNodes.
+  Status BuildStacks() {
+    const ScheduleRow& row = Row(cfg_.schedule);
+    workload::StackSpec spec = row.spec;
+    // Odd seeds swap a two-region stack's codecs, so a seed sweep fuzzes
+    // both placements of deltacodec's kDelta and kDeltaCompress while any
+    // single seed stays reproducible.
+    if (spec.regions.size() == 2 && (cfg_.seed & 1) != 0) {
+      std::swap(spec.regions[0].scheme.codec, spec.regions[1].scheme.codec);
+    }
+    IPA_ASSIGN_OR_RETURN(tb_, workload::Build(spec));
+    if (!Sharded()) {
+      for (const auto& part : tb_->parts) {
+        tables_.insert(tables_.end(), part.tables.begin(), part.tables.end());
+      }
+    }
+    if (!row.replicated) return Status::OK();
+    // The replica is a second private stack of the same shape (its own
+    // device, its own WAL), bridged only by the changeset stream the runner
+    // ships.
+    IPA_ASSIGN_OR_RETURN(replica_, workload::Build(spec));
+    IPA_ASSIGN_OR_RETURN(
+        repl_primary_,
+        repl::ReplNode::Attach(tb_->db.get(), tb_->ts, tb_->parts[0].tables,
+                               repl::ReplConfig{.writer = 1, .writable = true}));
+    IPA_ASSIGN_OR_RETURN(
+        repl_replica_,
+        repl::ReplNode::Attach(replica_->db.get(), replica_->ts,
+                               replica_->parts[0].tables,
+                               repl::ReplConfig{.writer = 2}));
+    return Status::OK();
+  }
+
   FuzzResult Fail(size_t op_index, const Status& s, const Op* op = nullptr) {
     res_.ok = false;
     res_.failed_op = op_index;
@@ -334,7 +274,7 @@ class Runner {
       }
       return Status::OK();
     }
-    for (engine::TableId t : tb_->tables) {
+    for (engine::TableId t : tables_) {
       IPA_RETURN_NOT_OK(tb_->db->Scan(
           t, [&](engine::Rid rid, std::span<const uint8_t> bytes) {
             (*got)[rid.Pack()] =
@@ -374,56 +314,41 @@ class Runner {
     return Status::Corruption("equivalence: scans diverge");
   }
 
-  bool Sharded() const { return cfg_.schedule == Schedule::kSharded; }
-  bool Repl() const { return cfg_.schedule == Schedule::kRepl; }
-  bool MixedCodec() const { return cfg_.schedule == Schedule::kDeltaCodec; }
+  bool Sharded() const { return tb_->sharded != nullptr; }
+  bool Repl() const { return replica_ != nullptr; }
   /// A page-mapping FTL backs the tablespace (tb_->pageftl).
-  bool Cooked() const {
-    return cfg_.schedule == Schedule::kPageFtl ||
-           cfg_.schedule == Schedule::kStreamFtl;
-  }
+  bool Cooked() const { return tb_->pageftl != nullptr; }
 
-  static void AccumulateRegionStats(ftl::RegionStats* sum,
-                                    const ftl::RegionStats& rs) {
-    sum->host_reads += rs.host_reads;
-    sum->host_page_writes += rs.host_page_writes;
-    sum->host_delta_writes += rs.host_delta_writes;
-    sum->delta_bytes_written += rs.delta_bytes_written;
-    sum->delta_fallbacks += rs.delta_fallbacks;
-    sum->gc_page_migrations += rs.gc_page_migrations;
-    sum->gc_erases += rs.gc_erases;
-    sum->ecc_corrected_bits += rs.ecc_corrected_bits;
-    sum->ecc_uncorrectable += rs.ecc_uncorrectable;
-    sum->torn_delta_bytes_dropped += rs.torn_delta_bytes_dropped;
-    sum->torn_pages_quarantined += rs.torn_pages_quarantined;
-    sum->scrub_refreshes += rs.scrub_refreshes;
-    sum->wear_level_migrations += rs.wear_level_migrations;
-    sum->wear_level_swaps += rs.wear_level_swaps;
-  }
-
-  /// kSharded: one device serves both partitions' regions, so the
-  /// conservation oracle compares device counters against the per-layer sums.
-  ftl::RegionStats SumRegionStats() const {
+  /// Backend stats summed over every region of `s`. One device serves them
+  /// all, so the conservation oracle compares device counters against this
+  /// sum.
+  static ftl::RegionStats SumRegionStats(const workload::Stack& s) {
     ftl::RegionStats sum;
-    for (const auto& part : tb_->parts) {
-      AccumulateRegionStats(&sum, tb_->noftl.region_stats(part.region));
+    for (const auto& part : s.parts) {
+      const ftl::RegionStats& rs = part.backend->stats();
+      sum.host_reads += rs.host_reads;
+      sum.host_page_writes += rs.host_page_writes;
+      sum.host_delta_writes += rs.host_delta_writes;
+      sum.delta_bytes_written += rs.delta_bytes_written;
+      sum.delta_fallbacks += rs.delta_fallbacks;
+      sum.gc_page_migrations += rs.gc_page_migrations;
+      sum.gc_erases += rs.gc_erases;
+      sum.ecc_corrected_bits += rs.ecc_corrected_bits;
+      sum.ecc_uncorrectable += rs.ecc_uncorrectable;
+      sum.torn_delta_bytes_dropped += rs.torn_delta_bytes_dropped;
+      sum.torn_pages_quarantined += rs.torn_pages_quarantined;
+      sum.scrub_refreshes += rs.scrub_refreshes;
+      sum.wear_level_migrations += rs.wear_level_migrations;
+      sum.wear_level_swaps += rs.wear_level_swaps;
     }
     return sum;
   }
 
-  /// kDeltaCodec: both mixed-codec regions share the device, so the oracles
-  /// compare device counters against the two-region sum.
-  ftl::RegionStats SumCodecRegionStats() const {
-    ftl::RegionStats sum;
-    AccumulateRegionStats(&sum, tb_->noftl.region_stats(tb_->region));
-    AccumulateRegionStats(&sum, tb_->noftl.region_stats(tb_->region2));
-    return sum;
-  }
-
-  engine::BufferStats SumBufferStats() const {
+  /// Buffer-pool stats summed over every Database of `s`.
+  static engine::BufferStats SumBufferStats(workload::Stack& s) {
     engine::BufferStats sum;
-    for (const auto& part : tb_->parts) {
-      const engine::BufferStats& bs = part.db->buffer_pool().stats();
+    auto add = [&sum](engine::Database& db) {
+      const engine::BufferStats& bs = db.buffer_pool().stats();
       sum.fetches += bs.fetches;
       sum.hits += bs.hits;
       sum.misses += bs.misses;
@@ -435,16 +360,26 @@ class Runner {
       sum.ipa_fallbacks += bs.ipa_fallbacks;
       sum.cleaner_runs += bs.cleaner_runs;
       sum.delta_records_written += bs.delta_records_written;
+    };
+    if (s.db) add(*s.db);
+    for (auto& part : s.parts) {
+      if (part.db) add(*part.db);
     }
     return sum;
   }
 
-  /// Backend stats for reporting/fingerprinting: the single region's, or the
-  /// per-partition sum under kSharded.
-  ftl::RegionStats BackendStats() const {
-    if (Sharded()) return SumRegionStats();
-    if (MixedCodec()) return SumCodecRegionStats();
-    return tb_->backend->stats();
+  /// Structural audits of `s`: the device, then every region. Delta areas
+  /// only exist on NoFTL regions; behind a page-mapping FTL every page body
+  /// is an opaque host image.
+  static Status AuditStack(const workload::Stack& s) {
+    IPA_RETURN_NOT_OK(s.dev->AuditState());
+    for (const auto& part : s.parts) {
+      IPA_RETURN_NOT_OK(part.backend->Audit());
+      if (s.noftl) {
+        IPA_RETURN_NOT_OK(AuditMappedDeltaAreas(*s.dev, *s.noftl, part.region));
+      }
+    }
+    return Status::OK();
   }
 
   /// Satellite of the torn-record handling (docs/DELTA_COMPRESSION.md):
@@ -465,78 +400,44 @@ class Runner {
 
   /// Cheap per-op oracles.
   Status CheapCheck() {
-    if (!tb_->dev.powered_on()) {
+    if (!tb_->dev->powered_on()) {
       return Status::Internal("device left powered off after op handling");
     }
     if (Cooked()) {
       // Every cooked-FTL policy honors the same conservation contract: every
       // device program is a host write or a GC migration, every erase is a
       // GC erase, and no deltas exist below the block interface.
-      return CheckPageFtlCounterConservation(tb_->dev.stats(),
-                                             tb_->backend->stats(),
-                                             tb_->db->buffer_pool().stats());
-    }
-    if (Sharded()) {
-      return CheckCounterConservation(tb_->dev.stats(), SumRegionStats(),
-                                      SumBufferStats());
-    }
-    if (MixedCodec()) {
-      return CheckCounterConservation(tb_->dev.stats(), SumCodecRegionStats(),
-                                      tb_->db->buffer_pool().stats());
+      return CheckPageFtlCounterConservation(
+          tb_->dev->stats(), SumRegionStats(*tb_), SumBufferStats(*tb_));
     }
     if (Repl()) {
-      if (!tb_->replica->dev.powered_on()) {
+      if (!replica_->dev->powered_on()) {
         return Status::Internal("replica left powered off after op handling");
       }
-      IPA_RETURN_NOT_OK(CheckCounterConservation(
-          tb_->replica->dev.stats(),
-          tb_->replica->noftl.region_stats(tb_->replica->region),
-          tb_->replica->db->buffer_pool().stats()));
+      IPA_RETURN_NOT_OK(CheckCounterConservation(replica_->dev->stats(),
+                                                 SumRegionStats(*replica_),
+                                                 SumBufferStats(*replica_)));
       // Stream conservation: the replica never applies frames the primary
       // did not emit (counters are monotone across both nodes' crashes).
-      const repl::ReplStats& ps = tb_->repl_primary->stats();
-      const repl::ReplStats& as = tb_->repl_replica->stats();
+      const repl::ReplStats& ps = repl_primary_->stats();
+      const repl::ReplStats& as = repl_replica_->stats();
       if (as.frames_applied > ps.frames_emitted) {
         return Status::Corruption(
             "replication conservation: more frames applied than emitted");
       }
     }
-    return CheckCounterConservation(tb_->dev.stats(),
-                                    tb_->noftl.region_stats(tb_->region),
-                                    tb_->db->buffer_pool().stats());
+    return CheckCounterConservation(tb_->dev->stats(), SumRegionStats(*tb_),
+                                    SumBufferStats(*tb_));
   }
 
   /// Full oracle battery against `want` (the model view or committed state).
+  /// The strict scan in AuditDeltaArea decodes every byte-codec record, so a
+  /// torn compressed record that slipped past quarantine fails loudly here.
   Status DeepCheck(const ModelDb::Map& want) {
     IPA_RETURN_NOT_OK(CheckEquivalence(want));
-    IPA_RETURN_NOT_OK(tb_->dev.AuditState());
-    if (Sharded()) {
-      for (const auto& part : tb_->parts) {
-        IPA_RETURN_NOT_OK(tb_->noftl.region_device(part.region)->Audit());
-        IPA_RETURN_NOT_OK(
-            AuditMappedDeltaAreas(tb_->dev, tb_->noftl, part.region));
-      }
-      return shadow_.ObserveAndCheck(tb_->dev);
-    }
-    if (MixedCodec()) {
-      // Both regions audit independently: the strict scan in AuditDeltaArea
-      // decodes every byte-codec record, so a torn compressed record that
-      // slipped past quarantine fails loudly here.
-      for (ftl::RegionId r : {tb_->region, tb_->region2}) {
-        IPA_RETURN_NOT_OK(tb_->noftl.region_device(r)->Audit());
-        IPA_RETURN_NOT_OK(AuditMappedDeltaAreas(tb_->dev, tb_->noftl, r));
-      }
-      IPA_RETURN_NOT_OK(CheckTornCounterConservation());
-      return shadow_.ObserveAndCheck(tb_->dev);
-    }
-    IPA_RETURN_NOT_OK(tb_->backend->Audit());
-    if (!Cooked()) {
-      // Delta areas only exist on NoFTL regions; behind a page-mapping FTL
-      // every page body is an opaque host image.
-      IPA_RETURN_NOT_OK(AuditMappedDeltaAreas(tb_->dev, tb_->noftl, tb_->region));
-    }
+    IPA_RETURN_NOT_OK(AuditStack(*tb_));
     IPA_RETURN_NOT_OK(CheckTornCounterConservation());
-    IPA_RETURN_NOT_OK(shadow_.ObserveAndCheck(tb_->dev));
+    IPA_RETURN_NOT_OK(shadow_.ObserveAndCheck(*tb_->dev));
     if (Repl()) return ReplicaDeepCheck();
     return Status::OK();
   }
@@ -582,7 +483,7 @@ class Runner {
     s_open_ = false;
     res_.crashes++;
     CrashEngine();
-    tb_->dev.PowerCycle();
+    tb_->dev->PowerCycle();
     IPA_RETURN_NOT_OK(RecoverLoop());
     if (Repl()) IPA_RETURN_NOT_OK(RecoverPrimaryRepl());
     return DeepCheck(model_.committed());
@@ -593,7 +494,7 @@ class Runner {
   /// emitted frame (prev_lsn = kUnknownLsn) pushes the replica into
   /// catch-up, so force the snapshot path eagerly.
   Status RecoverPrimaryRepl() {
-    IPA_RETURN_NOT_OK(tb_->repl_primary->RecoverReplState());
+    IPA_RETURN_NOT_OK(repl_primary_->RecoverReplState());
     net_.clear();
     force_catchup_ = true;
     return Status::OK();
@@ -606,21 +507,21 @@ class Runner {
         flash::PowerLossPolicy p;
         p.inject_at_op = rearm_delta_ - 1;
         p.seed = rearm_seed_;
-        tb_->dev.SetPowerLossPolicy(p);
+        tb_->dev->SetPowerLossPolicy(p);
         rearmed = true;
         rearm_delta_ = 0;
       } else {
-        tb_->dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+        tb_->dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
       }
       Status s = RecoverEngine();
       if (s.ok()) {
-        tb_->dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+        tb_->dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
         return Status::OK();
       }
       if (!s.IsUnavailable()) return s;
       res_.crashes++;  // double crash: power died during recovery
       CrashEngine();
-      tb_->dev.PowerCycle();
+      tb_->dev->PowerCycle();
     }
     return Status::Internal("recovery did not converge after 8 power cycles");
   }
@@ -635,8 +536,8 @@ class Runner {
   // HandleReplicaCrash — the model is NOT crashed for a replica-only cut.
 
   void PumpOutbound() {
-    while (tb_->repl_primary->outbound_frames() > 0) {
-      net_.push_back(tb_->repl_primary->PopOutbound());
+    while (repl_primary_->outbound_frames() > 0) {
+      net_.push_back(repl_primary_->PopOutbound());
     }
   }
 
@@ -646,12 +547,12 @@ class Runner {
   Status ShipOne() {
     if (force_catchup_) return RunCatchup();
     if (net_.empty()) return Status::OK();
-    auto r = tb_->repl_replica->ApplyFrame(net_.front());
+    auto r = repl_replica_->ApplyFrame(net_.front());
     if (!r.ok()) {
       if (r.status().IsUnavailable()) return HandleReplicaCrash();
       if (r.status().IsOutOfSpace()) {
         // The apply rolled back whole; free replica log space, retry later.
-        Status cs = tb_->replica->db->Checkpoint();
+        Status cs = replica_->db->Checkpoint();
         if (cs.IsUnavailable()) return HandleReplicaCrash();
         return Status::OK();
       }
@@ -681,12 +582,12 @@ class Runner {
       IPA_RETURN_NOT_OK(Execute(commit));  // Unavailable: primary crash path
       PumpOutbound();
     }
-    auto snap = tb_->repl_primary->BuildSnapshot();
+    auto snap = repl_primary_->BuildSnapshot();
     if (!snap.ok()) return snap.status();
-    Status s = tb_->repl_replica->ApplySnapshot(snap.value());
+    Status s = repl_replica_->ApplySnapshot(snap.value());
     if (s.IsUnavailable()) return HandleReplicaCrash();  // retried: flag stays
     if (s.IsOutOfSpace()) {
-      Status cs = tb_->replica->db->Checkpoint();
+      Status cs = replica_->db->Checkpoint();
       if (cs.IsUnavailable()) return HandleReplicaCrash();
       return Status::OK();  // rolled back whole; retried on the next ship
     }
@@ -700,10 +601,10 @@ class Runner {
   /// and rebuilds its repl state from the meta/map tables.
   Status HandleReplicaCrash() {
     res_.crashes++;
-    tb_->replica->db->SimulateCrash();
-    tb_->replica->dev.PowerCycle();
+    replica_->db->SimulateCrash();
+    replica_->dev->PowerCycle();
     IPA_RETURN_NOT_OK(ReplicaRecoverLoop());
-    IPA_RETURN_NOT_OK(tb_->repl_replica->RecoverReplState());
+    IPA_RETURN_NOT_OK(repl_replica_->RecoverReplState());
     return ReplicaDeepCheck();
   }
 
@@ -714,21 +615,21 @@ class Runner {
         flash::PowerLossPolicy p;
         p.inject_at_op = r_rearm_delta_ - 1;
         p.seed = r_rearm_seed_;
-        tb_->replica->dev.SetPowerLossPolicy(p);
+        replica_->dev->SetPowerLossPolicy(p);
         rearmed = true;
         r_rearm_delta_ = 0;
       } else {
-        tb_->replica->dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+        replica_->dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
       }
-      Status s = tb_->replica->db->RecoverAfterPowerLoss();
+      Status s = replica_->db->RecoverAfterPowerLoss();
       if (s.ok()) {
-        tb_->replica->dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+        replica_->dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
         return Status::OK();
       }
       if (!s.IsUnavailable()) return s;
       res_.crashes++;  // double crash: power died during replica recovery
-      tb_->replica->db->SimulateCrash();
-      tb_->replica->dev.PowerCycle();
+      replica_->db->SimulateCrash();
+      replica_->dev->PowerCycle();
     }
     return Status::Internal(
         "replica recovery did not converge after 8 power cycles");
@@ -737,12 +638,8 @@ class Runner {
   /// Structural audits on the replica stack. (The logical oracle is
   /// CheckReplicaConvergence, which needs a drained stream.)
   Status ReplicaDeepCheck() {
-    IPA_RETURN_NOT_OK(tb_->replica->dev.AuditState());
-    IPA_RETURN_NOT_OK(tb_->replica->backend->Audit());
-    IPA_RETURN_NOT_OK(AuditMappedDeltaAreas(tb_->replica->dev,
-                                            tb_->replica->noftl,
-                                            tb_->replica->region));
-    return rshadow_.ObserveAndCheck(tb_->replica->dev);
+    IPA_RETURN_NOT_OK(AuditStack(*replica_));
+    return rshadow_.ObserveAndCheck(*replica_->dev);
   }
 
   /// Drain the stream end-to-end (catch-up included), then require the
@@ -758,7 +655,7 @@ class Runner {
     for (int guard = 0; guard < 4096; guard++) {
       if (!force_catchup_ && net_.empty()) {
         Status s = CheckReplicaConvergence();
-        if (s.IsUnavailable() && !tb_->replica->dev.powered_on()) {
+        if (s.IsUnavailable() && !replica_->dev->powered_on()) {
           IPA_RETURN_NOT_OK(HandleReplicaCrash());
           continue;  // replica recovered; scan again
         }
@@ -776,7 +673,7 @@ class Runner {
   /// committed view exactly.
   Status CheckReplicaConvergence() {
     repl::ReplNode::LogicalMap lm;
-    IPA_RETURN_NOT_OK(tb_->repl_replica->ScanLogical(&lm));
+    IPA_RETURN_NOT_OK(repl_replica_->ScanLogical(&lm));
     ModelDb::Map got;
     for (auto& [key, bytes] : lm) {
       if (key.first != 1) {
@@ -807,10 +704,10 @@ class Runner {
         "replica convergence: phantom tuples on the replica");
   }
 
-  /// Maintenance-op region selection: kDeltaCodec alternates between the two
-  /// mixed-codec regions by the op's `b` draw; everyone else has one region.
+  /// Maintenance-op region selection: stacks of several regions (sharded,
+  /// deltacodec) pick one by the op's `b` draw.
   ftl::RegionId MaintRegion(uint64_t draw) const {
-    return MixedCodec() && draw % 2 == 1 ? tb_->region2 : tb_->region;
+    return tb_->parts[draw % tb_->parts.size()].region;
   }
 
   Status Execute(const Op& op) {
@@ -818,7 +715,7 @@ class Runner {
     switch (op.kind) {
       case Op::Kind::kInsert: {
         EnsureTxn();
-        engine::TableId table = tb_->tables[op.a % 2];
+        engine::TableId table = tables_[op.a % tables_.size()];
         std::vector<uint8_t> t = Payload(op.seed, 16 + op.b % 97);
         auto r = tb_->db->Insert(txn_, table, t);
         if (r.ok()) {
@@ -937,8 +834,8 @@ class Runner {
         // A black-box FTL exposes no scrub hook; the closest background
         // maintenance it runs on its own is a GC pass.
         Status s = Cooked() ? tb_->pageftl->CollectOnce()
-                            : tb_->noftl.ScrubRegion(MaintRegion(op.b),
-                                                     op.a % 4 == 0);
+                            : tb_->noftl->ScrubRegion(MaintRegion(op.b),
+                                                      op.a % 4 == 0);
         if (s.IsOutOfSpace()) return Status::OK();
         return s;
       }
@@ -947,7 +844,7 @@ class Runner {
           return Status::OK();  // cooked FTLs wear-level internally via GC
         }
         uint32_t spread = 2 + static_cast<uint32_t>(op.a % 6);
-        Status s = tb_->noftl.WearLevelRegion(MaintRegion(op.b), spread);
+        Status s = tb_->noftl->WearLevelRegion(MaintRegion(op.b), spread);
         if (s.IsOutOfSpace()) return Status::OK();
         return s;
       }
@@ -957,12 +854,12 @@ class Runner {
         p.seed = op.seed;
         if (Repl() && (op.a >> 32) % 2 == 1) {
           // Cut the REPLICA: some later apply-side flash mutation tears.
-          tb_->replica->dev.SetPowerLossPolicy(p);
+          replica_->dev->SetPowerLossPolicy(p);
           r_rearm_delta_ = (op.b % 4 == 0) ? 1 + op.c % 6 : 0;
           r_rearm_seed_ = op.seed ^ 0xD1B54A32D192ED03ull;
           return Status::OK();
         }
-        tb_->dev.SetPowerLossPolicy(p);
+        tb_->dev->SetPowerLossPolicy(p);
         rearm_delta_ = (op.b % 4 == 0) ? 1 + op.c % 6 : 0;
         rearm_seed_ = op.seed ^ 0xD1B54A32D192ED03ull;
         return Status::OK();
@@ -1157,15 +1054,13 @@ class Runner {
         return s;
       }
       case Op::Kind::kScrub: {
-        Status s = tb_->noftl.ScrubRegion(tb_->parts[op.b % 2].region,
-                                          op.a % 4 == 0);
+        Status s = tb_->noftl->ScrubRegion(MaintRegion(op.b), op.a % 4 == 0);
         if (s.IsOutOfSpace()) return Status::OK();
         return s;
       }
       case Op::Kind::kWearLevel: {
         uint32_t spread = 2 + static_cast<uint32_t>(op.a % 6);
-        Status s =
-            tb_->noftl.WearLevelRegion(tb_->parts[op.b % 2].region, spread);
+        Status s = tb_->noftl->WearLevelRegion(MaintRegion(op.b), spread);
         if (s.IsOutOfSpace()) return Status::OK();
         return s;
       }
@@ -1173,7 +1068,7 @@ class Runner {
         flash::PowerLossPolicy p;
         p.inject_at_op = op.a % 24;
         p.seed = op.seed;
-        tb_->dev.SetPowerLossPolicy(p);
+        tb_->dev->SetPowerLossPolicy(p);
         rearm_delta_ = (op.b % 4 == 0) ? 1 + op.c % 6 : 0;
         rearm_seed_ = op.seed ^ 0xD1B54A32D192ED03ull;
         return Status::OK();
@@ -1227,8 +1122,8 @@ class Runner {
       add64(v.size());
       crc = Crc32c(v.data(), v.size(), crc);
     }
-    const auto& ds = tb_->dev.stats();
-    const ftl::RegionStats rs = BackendStats();
+    const auto& ds = tb_->dev->stats();
+    const ftl::RegionStats rs = SumRegionStats(*tb_);
     for (uint64_t v :
          {res_.commits, res_.crashes, ds.page_programs, ds.delta_programs,
           ds.block_erases, ds.page_refreshes, rs.host_page_writes,
@@ -1239,10 +1134,10 @@ class Runner {
     if (Repl()) {
       // Replica-side physical activity and the stream counters are part of
       // the run's identity too.
-      const flash::DeviceStats& rds = tb_->replica->dev.stats();
-      const ftl::RegionStats rrs = tb_->replica->backend->stats();
-      const repl::ReplStats& ps = tb_->repl_primary->stats();
-      const repl::ReplStats& as = tb_->repl_replica->stats();
+      const flash::DeviceStats& rds = replica_->dev->stats();
+      const ftl::RegionStats rrs = SumRegionStats(*replica_);
+      const repl::ReplStats& ps = repl_primary_->stats();
+      const repl::ReplStats& as = repl_replica_->stats();
       for (uint64_t v :
            {rds.page_programs, rds.delta_programs, rds.block_erases,
             rrs.host_page_writes, rrs.host_delta_writes, ps.frames_emitted,
@@ -1256,7 +1151,13 @@ class Runner {
   }
 
   FuzzConfig cfg_;
-  std::unique_ptr<Testbed> tb_;
+  std::unique_ptr<workload::Stack> tb_;
+  std::unique_ptr<workload::Stack> replica_;  // kRepl only
+  // After the stacks: the nodes detach their hooks before the Databases die.
+  std::unique_ptr<repl::ReplNode> repl_primary_;
+  std::unique_ptr<repl::ReplNode> repl_replica_;
+  /// Unsharded stacks: every region's tables in order (t0, t1).
+  std::vector<engine::TableId> tables_;
   ModelDb model_;
   FlashShadow shadow_;
   FuzzResult res_;
@@ -1282,12 +1183,12 @@ class Runner {
 }  // namespace
 
 const char* ScheduleName(Schedule s) {
-  return kScheduleNames[static_cast<int>(s)];
+  return Row(s).name;
 }
 
 bool ParseSchedule(const std::string& name, Schedule* out) {
   for (int i = 0; i < kNumSchedules; i++) {
-    if (name == kScheduleNames[i]) {
+    if (name == Row(static_cast<Schedule>(i)).name) {
       *out = static_cast<Schedule>(i);
       return true;
     }
@@ -1310,15 +1211,14 @@ std::vector<Op> GenerateOps(const FuzzConfig& cfg) {
       {Op::Kind::kAbort, 2},       {Op::Kind::kScanCheck, 4},
       {Op::Kind::kCheckpoint, 3},  {Op::Kind::kScrub, 2},
       {Op::Kind::kWearLevel, 2},   {Op::Kind::kPowerCut, 5}};
-  if (cfg.schedule == Schedule::kSlcNoEcc) {
-    // Without managed ECC the paper promises no crash consistency for torn
-    // appends (Section 6.2) — run this schedule cut-free.
+  const ScheduleRow& row = Row(cfg.schedule);
+  if (!row.power_cuts) {
     for (auto& w : main) {
       if (w.kind == Op::Kind::kPowerCut) w.weight = 0;
       if (w.kind == Op::Kind::kUpdate) w.weight += 5;
     }
   }
-  if (cfg.schedule == Schedule::kRepl) {
+  if (row.replicated) {
     // Interleave shipping with the DML so the replica applies mid-workload
     // (and power cuts land on either node's flash activity); the periodic
     // sync barrier drains the stream and runs the convergence oracle. The

@@ -18,10 +18,10 @@
 #include "common/random.h"
 #include "engine/database.h"
 #include "flash/flash_array.h"
-#include "flash/timing.h"
 #include "ftl/noftl.h"
 #include "storage/delta_record.h"
 #include "storage/page_format.h"
+#include "workload/testbed.h"
 
 namespace ipa::check {
 namespace {
@@ -258,54 +258,31 @@ TEST(Differential, DoubleCrashDuringRecovery) {
 // redo must still replay the committed update the torn append was carrying.
 // ---------------------------------------------------------------------------
 
-struct DirectBed {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;
-  std::unique_ptr<engine::Database> db;
-  ftl::RegionId region = 0;
-  engine::TablespaceId ts = 0;
-  engine::TableId table = 0;
-
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 48;
-    g.pages_per_block = 16;
-    g.page_size = 2048;
-    return g;
-  }
-
-  DirectBed() : dev(Geo(), flash::TimingFor(flash::CellType::kSlc)), noftl(&dev) {
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ftl::RegionConfig rc;
-    rc.name = "direct";
-    rc.logical_pages = 64;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = Geo().page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    region = noftl.CreateRegion(rc).value();
-
-    engine::EngineConfig ec;
-    ec.page_size = Geo().page_size;
-    ec.buffer_pages = 12;
-    ec.log_capacity_bytes = 1 << 20;
-    db = std::make_unique<engine::Database>(&noftl, ec);
-    ts = db->CreateTablespace("direct", region, scheme).value();
-    table = db->CreateTable("t", ts).value();
-  }
-};
+/// The fuzzer's slc shape with 64 logical pages and one table "t".
+std::unique_ptr<workload::Stack> DirectBed() {
+  workload::StackSpec spec = workload::SmallSpec();
+  spec.regions.push_back({ftl::RegionConfig{.name = "direct",
+                                            .logical_pages = 64,
+                                            .ipa_mode = ftl::IpaMode::kSlc,
+                                            .manage_ecc = true},
+                          "direct",
+                          {.n = 2, .m = 4, .v = 12},
+                          {"t"}});
+  return workload::Build(spec).value();
+}
 
 TEST(Differential, TornLastDeltaSlotQuarantinedOnMount) {
   int visible_tears = 0;
   for (uint64_t seed = 1; seed <= 16; seed++) {
-    DirectBed bed;
+    std::unique_ptr<workload::Stack> stack = DirectBed();
+    workload::Stack& bed = *stack;
+    engine::TableId table = bed.parts[0].tables[0];
     std::vector<uint8_t> tuple(64);
     for (size_t i = 0; i < tuple.size(); i++) {
       tuple[i] = static_cast<uint8_t>(i * 7 + 1);
     }
     engine::TxnId txn = bed.db->Begin();
-    auto rid = bed.db->Insert(txn, bed.table, tuple);
+    auto rid = bed.db->Insert(txn, table, tuple);
     ASSERT_TRUE(rid.ok());
     ASSERT_TRUE(bed.db->Commit(txn).ok());
     ASSERT_TRUE(bed.db->Checkpoint().ok());  // initial out-of-place write
@@ -329,21 +306,21 @@ TEST(Differential, TornLastDeltaSlotQuarantinedOnMount) {
     flash::PowerLossPolicy p;
     p.inject_at_op = 0;
     p.seed = seed;
-    bed.dev.SetPowerLossPolicy(p);
+    bed.dev->SetPowerLossPolicy(p);
     Status cs = bed.db->Checkpoint();
     ASSERT_TRUE(cs.IsUnavailable()) << "seed " << seed << ": " << cs.ToString();
 
     bed.db->SimulateCrash();
-    bed.dev.PowerCycle();
-    bed.dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+    bed.dev->PowerCycle();
+    bed.dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
 
     // Raw media before the mount scan: a visible tear must fail the
     // delta-area audit (partial record / bytes past the last present slot).
-    flash::Ppn ppn = bed.noftl.PhysicalOf(bed.region, rid.value().page.lba());
-    Status audit = storage::AuditDeltaArea(bed.dev.page_state(ppn).data.data(),
-                                           DirectBed::Geo().page_size);
+    flash::Ppn ppn = bed.noftl->PhysicalOf(bed.region, rid.value().page.lba());
+    Status audit = storage::AuditDeltaArea(bed.dev->page_state(ppn).data.data(),
+                                           bed.dev->geometry().page_size);
     ftl::MountScanReport rep;
-    ASSERT_TRUE(bed.noftl.MountScan(bed.region, &rep).ok());
+    ASSERT_TRUE(bed.noftl->MountScan(bed.region, &rep).ok());
     if (!audit.ok()) {
       visible_tears++;
       EXPECT_GE(rep.torn_pages_quarantined, 1u) << "seed " << seed;
@@ -357,7 +334,7 @@ TEST(Differential, TornLastDeltaSlotQuarantinedOnMount) {
     size_t tuples = 0;
     std::vector<uint8_t> got;
     ASSERT_TRUE(bed.db
-                    ->Scan(bed.table,
+                    ->Scan(table,
                            [&](engine::Rid, std::span<const uint8_t> bytes) {
                              tuples++;
                              got.assign(bytes.begin(), bytes.end());
@@ -380,20 +357,21 @@ TEST(Differential, TornLastDeltaSlotQuarantinedOnMount) {
 // ---------------------------------------------------------------------------
 
 TEST(Differential, WearLevelSurvivesTornSwap) {
-  flash::Geometry g = DirectBed::Geo();
-  flash::FlashArray dev(g, flash::TimingFor(flash::CellType::kSlc));
-  ftl::NoFtl noftl(&dev);
-
-  ftl::RegionConfig rc;
-  rc.name = "wl";
-  rc.logical_pages = 128;
-  rc.over_provisioning = 0.5;
-  rc.ipa_mode = ftl::IpaMode::kSlc;
-  rc.delta_area_offset = g.page_size - storage::Scheme{.n = 2, .m = 4, .v = 12}.AreaBytes();
-  rc.manage_ecc = true;
-  auto region = noftl.CreateRegion(rc);
-  ASSERT_TRUE(region.ok());
-  ftl::RegionId r = region.value();
+  workload::StackSpec spec = workload::SmallSpec();
+  spec.regions.push_back({ftl::RegionConfig{.name = "wl",
+                                            .logical_pages = 128,
+                                            .over_provisioning = 0.5,
+                                            .ipa_mode = ftl::IpaMode::kSlc,
+                                            .manage_ecc = true},
+                          "",
+                          {.n = 2, .m = 4, .v = 12}});
+  auto stack = workload::Build(spec);
+  ASSERT_TRUE(stack.ok());
+  flash::FlashArray& dev = *stack.value()->dev;
+  ftl::NoFtl& noftl = *stack.value()->noftl;
+  ftl::RegionId r = stack.value()->region;
+  const flash::Geometry& g = dev.geometry();
+  const ftl::RegionConfig& rc = noftl.region_config(r);
 
   // Host pages of an IPA region keep the delta area erased (0xFF) — only
   // WriteDelta may program bytes there.

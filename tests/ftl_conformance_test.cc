@@ -18,11 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "flash/flash_array.h"
-#include "flash/timing.h"
 #include "ftl/ftl_backend.h"
 #include "ftl/noftl.h"
 #include "ftl/page_ftl.h"
 #include "storage/page_format.h"
+#include "workload/testbed.h"
 
 namespace ipa {
 namespace {
@@ -43,70 +43,47 @@ constexpr uint64_t kLogicalPages = 64;
 constexpr ftl::Lba kHot = 8;
 constexpr uint64_t kFillTag = 1000;
 
-/// One backend over its own private device.
-struct Stack {
-  std::unique_ptr<flash::FlashArray> dev;
-  std::unique_ptr<ftl::NoFtl> noftl;
-  std::unique_ptr<ftl::PageFtl> pageftl;
-  ftl::FtlBackend* backend = nullptr;
-  // Host-writable prefix of a page image. An IPA region reserves the page
-  // tail for the delta area, which must leave the host as erased 0xFF bytes;
-  // a cooked page-mapping FTL exposes the full page.
-  uint32_t data_bytes = 0;
-};
-
 bool IsNoFtl(Kind kind) {
   return kind == Kind::kNoFtlRegion || kind == Kind::kNoFtlPSlc ||
          kind == Kind::kNoFtlOddMlc;
 }
 
-flash::Geometry Geo(Kind kind) {
-  flash::Geometry g;
-  g.channels = 2;
-  g.chips_per_channel = 2;
-  g.blocks_per_chip = 48;
-  g.pages_per_block = 16;
-  g.page_size = 2048;
-  g.oob_size = 128;
-  if (kind == Kind::kNoFtlPSlc || kind == Kind::kNoFtlOddMlc) {
-    g.cell_type = flash::CellType::kMlc;
+/// One backend over its own private device: the fuzz stacks' geometry, with
+/// no engine.
+std::unique_ptr<workload::Stack> MakeStack(Kind kind) {
+  bool mlc = kind == Kind::kNoFtlPSlc || kind == Kind::kNoFtlOddMlc;
+  workload::StackSpec spec =
+      workload::SmallSpec(mlc ? flash::CellType::kMlc : flash::CellType::kSlc);
+  workload::RegionSpec r;
+  if (IsNoFtl(kind)) {
+    r.ftl = ftl::RegionConfig{
+        .name = "conformance",
+        .logical_pages = kLogicalPages,
+        .ipa_mode = kind == Kind::kNoFtlPSlc     ? ftl::IpaMode::kPSlc
+                    : kind == Kind::kNoFtlOddMlc ? ftl::IpaMode::kOddMlc
+                                                 : ftl::IpaMode::kSlc,
+        .manage_ecc = true};
+    r.scheme = {.n = 2, .m = 4, .v = 12};
+  } else {
+    r.ftl = ftl::PageFtlConfig{
+        .name = "conformance",
+        .logical_pages = kLogicalPages,
+        .gc_policy = kind == Kind::kPageFtlGreedy ? ftl::GcPolicy::kGreedy
+                     : kind == Kind::kStreamFtl   ? ftl::GcPolicy::kStreamWarmCold
+                                                  : ftl::GcPolicy::kCostBenefit};
   }
-  return g;
+  spec.regions.push_back(std::move(r));
+  auto s = workload::Build(spec);
+  EXPECT_TRUE(s.ok()) << s.status().ToString();
+  return std::move(s).value();
 }
 
-Stack MakeStack(Kind kind) {
-  Stack s;
-  flash::Geometry g = Geo(kind);
-  s.dev = std::make_unique<flash::FlashArray>(g, flash::TimingFor(g.cell_type));
-  if (IsNoFtl(kind)) {
-    s.noftl = std::make_unique<ftl::NoFtl>(s.dev.get());
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ftl::RegionConfig rc;
-    rc.name = "conformance";
-    rc.logical_pages = kLogicalPages;
-    rc.ipa_mode = kind == Kind::kNoFtlPSlc     ? ftl::IpaMode::kPSlc
-                  : kind == Kind::kNoFtlOddMlc ? ftl::IpaMode::kOddMlc
-                                               : ftl::IpaMode::kSlc;
-    rc.delta_area_offset = g.page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    auto r = s.noftl->CreateRegion(rc);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    s.backend = s.noftl->region_device(r.value());
-    s.data_bytes = rc.delta_area_offset;
-  } else {
-    ftl::PageFtlConfig pc;
-    pc.name = "conformance";
-    pc.logical_pages = kLogicalPages;
-    pc.gc_policy = kind == Kind::kPageFtlGreedy ? ftl::GcPolicy::kGreedy
-                   : kind == Kind::kStreamFtl   ? ftl::GcPolicy::kStreamWarmCold
-                                                : ftl::GcPolicy::kCostBenefit;
-    auto r = ftl::PageFtl::Create(s.dev.get(), pc);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    s.pageftl = std::move(r).value();
-    s.backend = s.pageftl.get();
-    s.data_bytes = g.page_size;
-  }
-  return s;
+// Host-writable prefix of a page image. An IPA region reserves the page tail
+// for the delta area, which must leave the host as erased 0xFF bytes; a
+// cooked page-mapping FTL exposes the full page.
+uint32_t DataBytes(const workload::Stack& s) {
+  return s.noftl ? s.noftl->region_config(s.region).delta_area_offset
+                 : s.backend->page_size();
 }
 
 std::vector<uint8_t> Pattern(uint64_t tag, uint32_t n) {
@@ -119,15 +96,15 @@ std::vector<uint8_t> Pattern(uint64_t tag, uint32_t n) {
 
 // A full-page host image: deterministic pattern in the host-writable prefix,
 // erased 0xFF in any reserved tail (the IPA delta area).
-std::vector<uint8_t> ImageOf(const Stack& s, uint64_t tag) {
+std::vector<uint8_t> ImageOf(const workload::Stack& s, uint64_t tag) {
   std::vector<uint8_t> v(s.backend->page_size(), 0xFF);
-  std::vector<uint8_t> p = Pattern(tag, s.data_bytes);
+  std::vector<uint8_t> p = Pattern(tag, DataBytes(s));
   std::copy(p.begin(), p.end(), v.begin());
   return v;
 }
 
 // Writes the fill image of every logical page; `tag` receives the tags.
-void Fill(Stack& s, std::vector<uint64_t>* tag) {
+void Fill(workload::Stack& s, std::vector<uint64_t>* tag) {
   tag->assign(kLogicalPages, 0);
   for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
     (*tag)[lba] = kFillTag + lba;
@@ -150,16 +127,16 @@ class FtlConformance : public ::testing::TestWithParam<Kind> {
  protected:
   void SetUp() override {
     stack_ = MakeStack(GetParam());
-    ASSERT_NE(stack_.backend, nullptr);
+    ASSERT_NE(stack_->backend, nullptr);
   }
 
-  ftl::FtlBackend& b() { return *stack_.backend; }
-  flash::FlashArray& dev() { return *stack_.dev; }
+  ftl::FtlBackend& b() { return *stack_->backend; }
+  flash::FlashArray& dev() { return *stack_->dev; }
   uint32_t page_size() { return b().page_size(); }
 
-  std::vector<uint8_t> Image(uint64_t tag) { return ImageOf(stack_, tag); }
+  std::vector<uint8_t> Image(uint64_t tag) { return ImageOf(*stack_, tag); }
 
-  Stack stack_;
+  std::unique_ptr<workload::Stack> stack_;
 };
 
 TEST_P(FtlConformance, FreshPagesReadErasedAndUnmapped) {
@@ -221,7 +198,7 @@ TEST_P(FtlConformance, DeltaGatingMatchesCapability) {
 
   // write_delta appends into the erased delta-area tail of the physical
   // page (ISPP 1->0), so the target offset is the first delta-area byte.
-  uint32_t off = stack_.data_bytes;
+  uint32_t off = DataBytes(*stack_);
   std::vector<uint8_t> patch = Pattern(5, 4);
   if (b().DeltaWritePossible(2)) {
     // IPA-capable backend: the append must succeed and reads must serve the
@@ -246,7 +223,7 @@ TEST_P(FtlConformance, GcStormPreservesAllData) {
   // migrate the cold fill; every logical page keeps serving its latest image
   // throughout.
   std::vector<uint64_t> tag;
-  ASSERT_NO_FATAL_FAILURE(Fill(stack_, &tag));
+  ASSERT_NO_FATAL_FAILURE(Fill(*stack_, &tag));
   for (auto [lba, t] : StormWrites(120)) {
     ASSERT_TRUE(b().WritePage(lba, Image(t).data(), true).ok())
         << "storm tag " << t << " lba " << lba;
@@ -278,7 +255,7 @@ TEST_P(FtlConformance, PowerCutSweepOverGcStorm) {
   std::vector<bool> migrating_op;
   {
     std::vector<uint64_t> tag;
-    ASSERT_NO_FATAL_FAILURE(Fill(stack_, &tag));
+    ASSERT_NO_FATAL_FAILURE(Fill(*stack_, &tag));
     dev().SetPowerLossPolicy(flash::PowerLossPolicy{});  // restart op count
     for (auto [lba, t] : storm) {
       uint64_t migrated = b().stats().gc_page_migrations;
@@ -297,7 +274,8 @@ TEST_P(FtlConformance, PowerCutSweepOverGcStorm) {
   uint64_t points = 0, migrating_points = 0;
   std::vector<uint8_t> buf(page_size());
   for (uint64_t point = 0; point < migrating_op.size(); point += stride) {
-    Stack s = MakeStack(GetParam());
+    std::unique_ptr<workload::Stack> owned = MakeStack(GetParam());
+    workload::Stack& s = *owned;
     std::vector<uint64_t> tag;
     ASSERT_NO_FATAL_FAILURE(Fill(s, &tag));
     flash::PowerLossPolicy policy;
