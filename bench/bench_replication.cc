@@ -37,8 +37,9 @@
 namespace ipa::bench {
 namespace {
 
-uint64_t ProgrammedBytes(const SweepStack& s) {
-  return s.dev.stats().bytes_programmed + s.dev.stats().delta_bytes_programmed;
+uint64_t ProgrammedBytes(const SweepNode& n) {
+  const flash::DeviceStats& ds = n.stack->dev->stats();
+  return ds.bytes_programmed + ds.delta_bytes_programmed;
 }
 
 struct WorkloadStats {
@@ -52,7 +53,7 @@ struct WorkloadStats {
 /// queue to `r` (when given) after every load batch and every `ship_every`
 /// transactions. Frames can also be captured into `sink` (the catch-up arm
 /// records the retained tail instead of a live replica).
-Status RunWorkload(SweepStack& p, SweepStack* r, uint64_t ship_every,
+Status RunWorkload(SweepNode& p, SweepNode* r, uint64_t ship_every,
                    uint64_t txns, uint32_t accounts, uint64_t seed,
                    WorkloadStats* out,
                    std::vector<std::vector<uint8_t>>* sink) {
@@ -89,7 +90,7 @@ Status RunWorkload(SweepStack& p, SweepStack* r, uint64_t ship_every,
 
   out->logical_bytes = uint64_t{accounts} * kAccountBytes;
   IPA_ASSIGN_OR_RETURN(TpcbOutcome w,
-                       RunTpcb(p, accounts, txns, seed, ship));
+                       RunTpcb(*p.stack, accounts, txns, seed, ship));
   if (w.crashed) return Status::Internal("primary lost power");
   return drain();
 }
@@ -100,10 +101,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
       8, static_cast<uint64_t>(static_cast<double>(txns) * scale));
 
   // -- Steady arm: per-commit shipping, live replica.
-  SweepStack p, r;
+  SweepNode p, r;
   WorkloadStats w;
-  Status s = p.Open({.writer = 1, .writable = true});
-  if (s.ok()) s = r.Open({.writer = 2, .writable = false});
+  Status s = BuildReplicated({.writer = 1, .writable = true}, &p);
+  if (s.ok()) s = BuildReplicated({.writer = 2, .writable = false}, &r);
   if (s.ok()) s = RunWorkload(p, &r, 1, txns, accounts, seed, &w, nullptr);
   if (s.ok()) {
     repl::ReplNode::LogicalMap pm, rm;
@@ -163,10 +164,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   // -- Ship-lag arm: batch shipments, report the exposure window.
   TablePrinter lag({"ship every", "max queue frames", "max queue bytes"});
   for (uint64_t every : {1ull, 4ull, 16ull, 64ull}) {
-    SweepStack bp, br;
+    SweepNode bp, br;
     WorkloadStats bw;
-    s = bp.Open({.writer = 1, .writable = true});
-    if (s.ok()) s = br.Open({.writer = 2, .writable = false});
+    s = BuildReplicated({.writer = 1, .writable = true}, &bp);
+    if (s.ok()) s = BuildReplicated({.writer = 2, .writable = false}, &br);
     if (s.ok()) s = RunWorkload(bp, &br, every, txns, accounts, seed, &bw,
                                 nullptr);
     if (!s.ok()) {
@@ -186,10 +187,10 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   lag.Print();
 
   // -- Catch-up arm: retained tail replay vs one snapshot ship.
-  SweepStack cp;
+  SweepNode cp;
   std::vector<std::vector<uint8_t>> tail;
   WorkloadStats cw;
-  s = cp.Open({.writer = 1, .writable = true});
+  s = BuildReplicated({.writer = 1, .writable = true}, &cp);
   if (s.ok()) s = RunWorkload(cp, nullptr, 1, txns, accounts, seed, &cw, &tail);
   if (!s.ok()) {
     std::fprintf(stderr, "bench_replication: catchup primary: %s\n",
@@ -199,11 +200,11 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
   uint64_t tail_bytes = 0;
   for (const auto& f : tail) tail_bytes += f.size();
 
-  SweepStack tr;  // tail-replay replica
-  s = tr.Open({.writer = 2, .writable = false});
+  SweepNode tr;  // tail-replay replica
+  s = BuildReplicated({.writer = 2, .writable = false}, &tr);
   SimTime tail_us = 0;
   if (s.ok()) {
-    SimTime start = tr.dev.clock().Now();
+    SimTime start = tr.stack->clock().Now();
     for (const auto& f : tail) {
       auto a = tr.repl->ApplyFrame(f);
       if (!a.ok()) {
@@ -215,7 +216,7 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
         break;
       }
     }
-    tail_us = tr.dev.clock().Now() - start;
+    tail_us = tr.stack->clock().Now() - start;
   }
   if (!s.ok()) {
     std::fprintf(stderr, "bench_replication: tail replay: %s\n",
@@ -223,8 +224,8 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
     return 2;
   }
 
-  SweepStack sr;  // snapshot replica
-  s = sr.Open({.writer = 3, .writable = false});
+  SweepNode sr;  // snapshot replica
+  s = BuildReplicated({.writer = 3, .writable = false}, &sr);
   SimTime snap_us = 0;
   uint64_t snap_frames = 0, snap_bytes = 0;
   if (s.ok()) {
@@ -234,9 +235,9 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
     } else {
       snap_frames = snap.value().size();
       for (const auto& f : snap.value()) snap_bytes += f.size();
-      SimTime start = sr.dev.clock().Now();
+      SimTime start = sr.stack->clock().Now();
       s = sr.repl->ApplySnapshot(snap.value());
-      snap_us = sr.dev.clock().Now() - start;
+      snap_us = sr.stack->clock().Now() - start;
     }
   }
   if (!s.ok()) {

@@ -1,14 +1,12 @@
 #include "bench/crash_sweep.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 
 #include "bench/parallel_runner.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "engine/database.h"
-#include "flash/timing.h"
 
 namespace ipa::bench {
 
@@ -17,62 +15,33 @@ namespace {
 constexpr uint32_t kLoadBatch = 8;
 constexpr uint64_t kCheckpointEvery = 16;
 
-flash::Geometry SweepGeometry() {
-  flash::Geometry g;
-  g.channels = 2;
-  g.chips_per_channel = 2;
-  g.blocks_per_chip = 48;
-  g.pages_per_block = 16;
-  g.page_size = 2048;
-  return g;
-}
-
 }  // namespace
 
-SweepStack::SweepStack()
-    : dev(SweepGeometry(), flash::SlcTiming()), noftl(&dev) {}
-
-Status SweepStack::Open(workload::Backend kind, storage::DeltaCodec codec) {
-  engine::EngineConfig ec;
-  ec.page_size = dev.geometry().page_size;
-  ec.buffer_pages = 12;
-  ec.log_capacity_bytes = 1 << 20;
-  ec.log_reclaim_threshold = 0.375;
-
-  if (kind == workload::Backend::kNoFtl) {
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    scheme.codec = static_cast<uint8_t>(codec);
-    ftl::RegionConfig rc;
-    rc.name = "sweep";
-    rc.logical_pages = 256;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = ec.page_size - scheme.AreaBytes();
-    rc.manage_ecc = true;
-    IPA_ASSIGN_OR_RETURN(ftl::RegionId region, noftl.CreateRegion(rc));
-    backend = noftl.region_device(region);
-    db = std::make_unique<engine::Database>(&noftl, ec);
-    IPA_ASSIGN_OR_RETURN(ts, db->CreateTablespace("sweep", region, scheme));
+workload::StackSpec SweepSpec(workload::Backend backend,
+                              storage::DeltaCodec codec) {
+  workload::StackSpec spec = workload::SmallSpec();
+  workload::RegionSpec r{.tablespace = "sweep", .tables = {"account", "history"}};
+  if (backend == workload::Backend::kNoFtl) {
+    r.ftl = ftl::RegionConfig{.name = "sweep",
+                              .logical_pages = 256,
+                              .ipa_mode = ftl::IpaMode::kSlc,
+                              .manage_ecc = true};
+    r.scheme = {.n = 2, .m = 4, .v = 12, .codec = static_cast<uint8_t>(codec)};
   } else {
-    ftl::PageFtlConfig pc;
-    pc.name = "sweep";
-    pc.logical_pages = 256;
-    pc.gc_policy = workload::PageFtlPolicy(kind);
-    IPA_ASSIGN_OR_RETURN(pageftl, ftl::PageFtl::Create(&dev, pc));
-    backend = pageftl.get();
-    db = std::make_unique<engine::Database>(nullptr, ec, &dev.clock());
-    IPA_ASSIGN_OR_RETURN(ts, db->CreateTablespaceOn("sweep", backend, {}));
+    r.ftl = ftl::PageFtlConfig{.name = "sweep",
+                               .logical_pages = 256,
+                               .gc_policy = workload::PageFtlPolicy(backend)};
   }
-  IPA_ASSIGN_OR_RETURN(accounts_tbl, db->CreateTable("account", ts));
-  IPA_ASSIGN_OR_RETURN(history_tbl, db->CreateTable("history", ts));
-  return Status::OK();
+  spec.regions.push_back(std::move(r));
+  return spec;
 }
 
-Status SweepStack::Open(const repl::ReplConfig& config) {
-  IPA_RETURN_NOT_OK(
-      Open(workload::Backend::kNoFtl, storage::DeltaCodec::kRaw));
-  IPA_ASSIGN_OR_RETURN(repl, repl::ReplNode::Attach(
-                                 db.get(), ts, {accounts_tbl, history_tbl},
-                                 config));
+Status BuildReplicated(const repl::ReplConfig& config, SweepNode* out) {
+  IPA_ASSIGN_OR_RETURN(out->stack, workload::Build(SweepSpec()));
+  workload::Stack& s = *out->stack;
+  IPA_ASSIGN_OR_RETURN(out->repl, repl::ReplNode::Attach(s.db.get(), s.ts,
+                                                         s.parts[0].tables,
+                                                         config));
   return Status::OK();
 }
 
@@ -84,13 +53,14 @@ std::vector<uint8_t> AccountTuple(uint32_t id) {
   return t;
 }
 
-Result<TpcbOutcome> RunTpcb(SweepStack& stack, uint32_t accounts,
+Result<TpcbOutcome> RunTpcb(workload::Stack& stack, uint32_t accounts,
                             uint64_t txns, uint64_t seed,
                             const TpcbHook& hook) {
   if (accounts == 0) {
     return Status::InvalidArgument("TPC-B needs at least one account");
   }
   engine::Database& db = *stack.db;
+  const std::vector<engine::TableId>& tables = stack.parts[0].tables;
   TpcbOutcome w;
   Rng rng(seed);
   std::vector<uint64_t> rids;  // packed rids of the loaded accounts
@@ -121,7 +91,7 @@ Result<TpcbOutcome> RunTpcb(SweepStack& stack, uint32_t accounts,
     for (uint32_t i = base; i < std::min(accounts, base + kLoadBatch) && s.ok();
          i++) {
       std::vector<uint8_t> t = AccountTuple(i);
-      auto rid = db.Insert(txn, stack.accounts_tbl, t);
+      auto rid = db.Insert(txn, tables[kAccountTable], t);
       s = rid.status();
       if (s.ok()) {
         rids.push_back(rid.value().Pack());
@@ -151,7 +121,7 @@ Result<TpcbOutcome> RunTpcb(SweepStack& stack, uint32_t accounts,
     if (s.ok()) {
       std::vector<uint8_t> h(kHistoryBytes);
       for (uint8_t& b : h) b = static_cast<uint8_t>(rng.Next());
-      auto rid = db.Insert(txn, stack.history_tbl, h);
+      auto rid = db.Insert(txn, tables[kHistoryTable], h);
       s = rid.status();
       if (s.ok()) local[rid.value().Pack()] = std::move(h);
     }
@@ -181,17 +151,15 @@ struct Drill {
 /// One run of the workload: a single stack or, when replicated, the
 /// primary→replica pair plus the shipping state between them.
 struct SweepRun {
-  SweepRun(const CrashSweepConfig& c, const Drill& d) : cfg(c), drill(d) {
-    if (cfg.repl) replica.emplace();
-  }
+  SweepRun(const CrashSweepConfig& c, const Drill& d) : cfg(c), drill(d) {}
 
   /// The stack whose mutating ops the sweep cuts.
-  SweepStack& swept() { return replica ? *replica : primary; }
+  workload::Stack& swept() { return *(cfg.repl ? replica : primary).stack; }
 
   const CrashSweepConfig& cfg;
   const Drill drill;
-  SweepStack primary;                 // the only stack when not replicated
-  std::optional<SweepStack> replica;  // replicated sweeps only
+  SweepNode primary;  // the only node when not replicated
+  SweepNode replica;  // replicated sweeps only
   TpcbOutcome outcome;          ///< The workload's result.
   uint64_t swept_ops = 0;       ///< swept()'s mutating ops before verifying.
   uint64_t shipments = 0;       ///< Next shipment ordinal.
@@ -205,13 +173,13 @@ struct SweepRun {
 /// replication state from the durable meta/map tables. Disarms the policy so
 /// the sweep's single cut cannot re-fire during the remainder of the replay.
 Status RecoverReplica(SweepRun& run) {
-  SweepStack& r = *run.replica;
+  workload::Stack& r = *run.replica.stack;
   run.replica_cut_fired = true;
   r.db->SimulateCrash();
-  r.dev.PowerCycle();
-  r.dev.SetPowerLossPolicy(flash::PowerLossPolicy{});
+  r.dev->PowerCycle();
+  r.dev->SetPowerLossPolicy(flash::PowerLossPolicy{});
   IPA_RETURN_NOT_OK(r.db->RecoverAfterPowerLoss());
-  return r.repl->RecoverReplState();
+  return run.replica.repl->RecoverReplState();
 }
 
 /// Snapshot catch-up: ship the primary's full state. The replica may lose
@@ -219,17 +187,17 @@ Status RecoverReplica(SweepRun& run) {
 /// transaction) — recover and re-apply; the whole stream is one transaction,
 /// so the retry starts from nothing.
 Status RunCatchup(SweepRun& run) {
-  SweepStack& r = *run.replica;
+  SweepNode& r = run.replica;
   auto snap = run.primary.repl->BuildSnapshot();
   IPA_RETURN_NOT_OK(snap.status());
   for (int attempt = 0; attempt < 4; attempt++) {
     Status s = r.repl->ApplySnapshot(snap.value());
-    if (s.IsUnavailable() && !r.dev.powered_on()) {
+    if (s.IsUnavailable() && !r.stack->dev->powered_on()) {
       IPA_RETURN_NOT_OK(RecoverReplica(run));
       continue;
     }
     if (s.IsOutOfSpace()) {
-      IPA_RETURN_NOT_OK(r.db->Checkpoint());
+      IPA_RETURN_NOT_OK(r.stack->db->Checkpoint());
       continue;
     }
     IPA_RETURN_NOT_OK(s);
@@ -250,8 +218,8 @@ Status RunCatchup(SweepRun& run) {
 /// the engine reports Unavailable, recovery rolls the half-applied frame
 /// back, and re-delivering the SAME frame must succeed (idempotence).
 Status ShipFrame(SweepRun& run, const std::vector<uint8_t>& wire) {
-  SweepStack& p = run.primary;
-  SweepStack& r = *run.replica;
+  SweepNode& p = run.primary;
+  SweepNode& r = run.replica;
   const Drill& drill = run.drill;
   uint64_t ordinal = run.shipments++;
   if (drill.armed && drill.shipment && !run.ship_fired &&
@@ -264,9 +232,9 @@ Status ShipFrame(SweepRun& run, const std::vector<uint8_t>& wire) {
     if (torn.value() != repl::ReplNode::Apply::kRejectedTorn) {
       return Status::Corruption("torn shipment was not rejected");
     }
-    p.db->SimulateCrash();
-    p.dev.PowerCycle();
-    IPA_RETURN_NOT_OK(p.db->RecoverAfterPowerLoss());
+    p.stack->db->SimulateCrash();
+    p.stack->dev->PowerCycle();
+    IPA_RETURN_NOT_OK(p.stack->db->RecoverAfterPowerLoss());
     IPA_RETURN_NOT_OK(p.repl->RecoverReplState());
     run.need_catchup = true;
     return Status::OK();  // outbound was cleared; the drain loop ends
@@ -274,12 +242,12 @@ Status ShipFrame(SweepRun& run, const std::vector<uint8_t>& wire) {
   for (int attempt = 0; attempt < 6; attempt++) {
     auto a = r.repl->ApplyFrame(wire);
     if (!a.ok()) {
-      if (a.status().IsUnavailable() && !r.dev.powered_on()) {
+      if (a.status().IsUnavailable() && !r.stack->dev->powered_on()) {
         IPA_RETURN_NOT_OK(RecoverReplica(run));
         continue;
       }
       if (a.status().IsOutOfSpace()) {
-        IPA_RETURN_NOT_OK(r.db->Checkpoint());
+        IPA_RETURN_NOT_OK(r.stack->db->Checkpoint());
         continue;
       }
       return a.status();
@@ -311,9 +279,9 @@ Status ShipAll(SweepRun& run) {
 }
 
 /// Scan both tables and compare against the reference byte-for-byte.
-Status VerifyReference(SweepStack& s, const Reference& ref) {
+Status VerifyReference(workload::Stack& s, const Reference& ref) {
   Reference found;
-  for (engine::TableId tbl : {s.accounts_tbl, s.history_tbl}) {
+  for (engine::TableId tbl : s.parts[0].tables) {
     IPA_RETURN_NOT_OK(
         s.db->Scan(tbl, [&](engine::Rid rid, std::span<const uint8_t> t) {
           found[rid.Pack()] = {t.begin(), t.end()};
@@ -345,7 +313,7 @@ Status VerifyReference(SweepStack& s, const Reference& ref) {
 Status VerifyConverged(SweepRun& run, const Reference& ref) {
   repl::ReplNode::LogicalMap pm, rm;
   IPA_RETURN_NOT_OK(run.primary.repl->ScanLogical(&pm));
-  IPA_RETURN_NOT_OK(run.replica->repl->ScanLogical(&rm));
+  IPA_RETURN_NOT_OK(run.replica.repl->ScanLogical(&rm));
   if (pm != rm) {
     return Status::Corruption(
         "replica diverged: primary has " + std::to_string(pm.size()) +
@@ -372,10 +340,13 @@ Status VerifyConverged(SweepRun& run, const Reference& ref) {
 Status Replay(SweepRun& run) {
   const CrashSweepConfig& cfg = run.cfg;
   if (cfg.repl) {
-    IPA_RETURN_NOT_OK(run.primary.Open({.writer = 1, .writable = true}));
-    IPA_RETURN_NOT_OK(run.replica->Open({.writer = 2, .writable = false}));
+    IPA_RETURN_NOT_OK(
+        BuildReplicated({.writer = 1, .writable = true}, &run.primary));
+    IPA_RETURN_NOT_OK(
+        BuildReplicated({.writer = 2, .writable = false}, &run.replica));
   } else {
-    IPA_RETURN_NOT_OK(run.primary.Open(cfg.backend, cfg.codec));
+    IPA_ASSIGN_OR_RETURN(run.primary.stack,
+                         workload::Build(SweepSpec(cfg.backend, cfg.codec)));
   }
   flash::PowerLossPolicy policy;  // default: never fires, resets op counter
   if (run.drill.armed && !run.drill.shipment) {
@@ -383,13 +354,13 @@ Status Replay(SweepRun& run) {
     // Distinct torn-state shapes per point, reproducible from the seed.
     policy.seed = cfg.seed ^ (0x9E3779B97F4A7C15ull * (run.drill.at + 1));
   }
-  run.swept().dev.SetPowerLossPolicy(policy);
+  run.swept().dev->SetPowerLossPolicy(policy);
 
   TpcbHook ship;
   if (cfg.repl) ship = [&run](const TpcbStep&) { return ShipAll(run); };
   IPA_ASSIGN_OR_RETURN(
       run.outcome,
-      RunTpcb(run.primary, cfg.accounts, cfg.txns, cfg.seed, ship));
+      RunTpcb(*run.primary.stack, cfg.accounts, cfg.txns, cfg.seed, ship));
   if (cfg.repl) {
     // The primary only loses power in a shipment drill, between
     // transactions.
@@ -401,7 +372,7 @@ Status Replay(SweepRun& run) {
     IPA_RETURN_NOT_OK(ShipAll(run));
     if (run.need_catchup) IPA_RETURN_NOT_OK(RunCatchup(run));
   }
-  run.swept_ops = run.swept().dev.mutation_ops();
+  run.swept_ops = run.swept().dev->mutation_ops();
   return Status::OK();
 }
 
@@ -412,12 +383,12 @@ Status Replay(SweepRun& run) {
 Status Verify(SweepRun& run, CrashSweepPoint* p) {
   const Reference& ref = run.outcome.committed;
   if (run.cfg.repl) {
-    IPA_RETURN_NOT_OK(VerifyReference(run.primary, ref));
+    IPA_RETURN_NOT_OK(VerifyReference(*run.primary.stack, ref));
     return VerifyConverged(run, ref);
   }
-  SweepStack& s = run.primary;
+  workload::Stack& s = *run.primary.stack;
   s.db->SimulateCrash();
-  s.dev.PowerCycle();
+  s.dev->PowerCycle();
   IPA_RETURN_NOT_OK(s.db->RecoverAfterPowerLoss());
   const ftl::RegionStats& st = s.backend->stats();
   p->torn_bytes = st.torn_delta_bytes_dropped;

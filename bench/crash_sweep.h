@@ -108,28 +108,28 @@ Result<CrashSweepReport> RunCrashSweep(const CrashSweepConfig& config);
 // The sweep's stack and workload, shared with the replication benches.
 // ---------------------------------------------------------------------------
 
-/// One fully private simulated stack: 2x2 chips of 48 blocks x 16 pages of
-/// 2 KiB, a 12-page buffer pool (constant steal under the workload), a 1 MiB
-/// log, and an account and a history table. The tablespace sits on a
-/// [2x4] v=12 SLC NoFTL region with managed ECC, or on a page-mapping FTL.
-/// A replicated stack also carries a ReplNode over both tables.
-struct SweepStack {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;                       // NoFTL stacks only
-  std::unique_ptr<ftl::PageFtl> pageftl;  // page-mapping stacks only
-  /// The tablespace's backend, whichever stack is active.
-  ftl::FtlBackend* backend = nullptr;
-  std::unique_ptr<engine::Database> db;
-  engine::TablespaceId ts = 0;
-  engine::TableId accounts_tbl = 0;
-  engine::TableId history_tbl = 0;
-  std::unique_ptr<repl::ReplNode> repl;  // after db: hooks detach first
+/// The sweep's stack: the oracles' small stack (workload::SmallSpec) with an
+/// account and a history table, in a tablespace on a [2x4] v=12 SLC NoFTL
+/// region with managed ECC and `codec`, or on a page-mapping FTL.
+workload::StackSpec SweepSpec(
+    workload::Backend backend = workload::Backend::kNoFtl,
+    storage::DeltaCodec codec = storage::DeltaCodec::kRaw);
 
-  SweepStack();
-  Status Open(workload::Backend kind, storage::DeltaCodec codec);
-  /// The NoFTL stack with the raw codec, replicated under `config`.
-  Status Open(const repl::ReplConfig& config);
+/// Positions of the account and history tables in the sweep stack's
+/// `parts[0].tables`.
+inline constexpr size_t kAccountTable = 0;
+inline constexpr size_t kHistoryTable = 1;
+
+/// One node of a sweep or replication run: a stack and, when replicated,
+/// the ReplNode over its two tables. The node is declared after the stack,
+/// so it detaches its hooks before the Database dies.
+struct SweepNode {
+  std::unique_ptr<workload::Stack> stack;
+  std::unique_ptr<repl::ReplNode> repl;
 };
+
+/// Build(SweepSpec()) into `out` and attach its ReplNode under `config`.
+Status BuildReplicated(const repl::ReplConfig& config, SweepNode* out);
 
 // TPC-B-style rows: fixed-size account tuples whose balance field takes the
 // per-transaction 4-byte in-place updates (the IPA-friendly write pattern),
@@ -170,7 +170,7 @@ struct TpcbOutcome {
 /// checkpoint flash I/O, so a Commit() that returns Unavailable is already
 /// durable — the reference promotes it. A loss inside any other operation
 /// leaves the transaction uncommitted and the reference unchanged.
-Result<TpcbOutcome> RunTpcb(SweepStack& stack, uint32_t accounts,
+Result<TpcbOutcome> RunTpcb(workload::Stack& stack, uint32_t accounts,
                             uint64_t txns, uint64_t seed,
                             const TpcbHook& hook = {});
 
