@@ -73,21 +73,6 @@ class SampleDistribution {
   uint64_t total_ = 0;
 };
 
-/// Simple named counter set with formatted reporting; used for per-run I/O
-/// accounting where a fixed struct would be too rigid (tests, examples).
-class CounterSet {
- public:
-  void Inc(const std::string& name, uint64_t delta = 1) { counters_[name] += delta; }
-  uint64_t Get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, uint64_t>& All() const { return counters_; }
-
- private:
-  std::map<std::string, uint64_t> counters_;
-};
-
 /// Pretty-print helper: 1234567 -> "1 234 567" (matching the paper's tables).
 std::string FormatThousands(uint64_t v);
 
