@@ -15,6 +15,7 @@
 #include "flash/flash_array.h"
 #include "storage/delta_record.h"
 #include "storage/slotted_page.h"
+#include "workload/testbed.h"
 
 namespace ipa {
 namespace {
@@ -254,19 +255,12 @@ void BM_WriteDelta(benchmark::State& state) {
 BENCHMARK(BM_WriteDelta);
 
 void BM_BtreeLookup(benchmark::State& state) {
-  flash::Geometry g;
-  g.page_size = kPageSize;
-  g.blocks_per_chip = 256;
-  flash::FlashArray dev(g, flash::SlcTiming());
-  ftl::NoFtl noftl(&dev);
-  ftl::RegionConfig rc;
-  rc.logical_pages = 4096;
-  auto region = noftl.CreateRegion(rc);
-  engine::EngineConfig ec;
-  ec.buffer_pages = 1024;
-  engine::Database db(&noftl, ec);
-  auto ts = db.CreateTablespace("t", region.value(), {});
-  auto tree = engine::Btree::Create(&db, "idx", ts.value());
+  workload::StackSpec spec;
+  spec.geometry.blocks_per_chip = 256;
+  spec.regions.push_back({ftl::RegionConfig{.logical_pages = 4096}, "t"});
+  spec.engine.buffer_pages = 1024;
+  auto stack = workload::Build(spec).value();
+  auto tree = engine::Btree::Create(stack->db.get(), "idx", stack->ts);
   for (uint64_t k = 0; k < 20000; k++) (void)tree.value().Insert(k, k);
   uint64_t k = 0;
   for (auto _ : state) {

@@ -6,29 +6,35 @@
 #include <cstring>
 
 #include "engine/buffer_pool.h"
-#include "ftl/noftl.h"
 #include "storage/slotted_page.h"
+#include "workload/testbed.h"
 
 namespace ipa::engine {
 namespace {
 
+/// A bare [NxM] SLC region of `logical_pages` on a 4x4-chip device of 32
+/// blocks x 32 pages of 4 KiB.
+workload::StackSpec RegionSpec(storage::Scheme scheme, uint64_t logical_pages) {
+  workload::StackSpec spec;
+  spec.geometry.blocks_per_chip = 32;
+  spec.geometry.pages_per_block = 32;
+  spec.regions.push_back({ftl::RegionConfig{.name = "t",
+                                            .logical_pages = logical_pages,
+                                            .ipa_mode = ftl::IpaMode::kSlc},
+                          "",
+                          scheme});
+  return spec;
+}
+
 struct PoolFixture {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;
-  ftl::RegionId region;
-  std::unique_ptr<BufferPool> pool;
   static constexpr uint32_t kPageSize = 4096;
   storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
+  std::unique_ptr<workload::Stack> stack;
+  std::unique_ptr<BufferPool> pool;
 
   explicit PoolFixture(uint32_t frames, double dirty_threshold = 0.5,
                        bool record_update_sizes = false)
-      : dev(Geo(), flash::SlcTiming()), noftl(&dev) {
-    ftl::RegionConfig rc;
-    rc.name = "t";
-    rc.logical_pages = 1024;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = kPageSize - scheme.AreaBytes();
-    region = noftl.CreateRegion(rc).value();
+      : stack(workload::Build(RegionSpec(scheme, 1024)).value()) {
     BufferConfig bc;
     bc.page_size = kPageSize;
     bc.frames = frames;
@@ -36,16 +42,7 @@ struct PoolFixture {
     bc.cleaner_async = false;
     bc.record_update_sizes = record_update_sizes;
     pool = std::make_unique<BufferPool>(
-        bc, [this](TablespaceId) { return noftl.region_device(region); },
-        [](Lsn) {});
-  }
-
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.page_size = kPageSize;
-    g.blocks_per_chip = 32;
-    g.pages_per_block = 32;
-    return g;
+        bc, [this](TablespaceId) { return stack->backend; }, [](Lsn) {});
   }
 
   /// Create + flush a formatted page with one 64B tuple.
@@ -145,10 +142,10 @@ TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
   fx.pool->DropAllNoFlush();
   auto f = fx.pool->Fix(p).value();
   fx.pool->Unfix(f, /*dirtied=*/true);  // marked dirty, nothing changed
-  uint64_t writes_before = fx.noftl.region_stats(fx.region).HostWrites();
+  uint64_t writes_before = fx.stack->backend_stats().HostWrites();
   ASSERT_TRUE(fx.pool->FlushAll().ok());
   EXPECT_EQ(fx.pool->stats().clean_diff_skips, 1u);
-  EXPECT_EQ(fx.noftl.region_stats(fx.region).HostWrites(), writes_before);
+  EXPECT_EQ(fx.stack->backend_stats().HostWrites(), writes_before);
 }
 
 TEST(BufferPoolTest, CleanerRespectsThreshold) {
@@ -194,22 +191,13 @@ TEST(BufferPoolTest, MinRecLsnTracksOldestDirty) {
 TEST(BufferPoolTest, FallbackWhenDeviceBudgetExhausted) {
   // Device allows initial program + 1 append only; the second small-update
   // flush must fall back to an out-of-place write.
-  flash::Geometry g = PoolFixture::Geo();
-  g.max_programs_per_page = 2;
-  flash::FlashArray dev(g, flash::SlcTiming());
-  ftl::NoFtl noftl(&dev);
   storage::Scheme scheme{.n = 3, .m = 4, .v = 12};
-  ftl::RegionConfig rc;
-  rc.name = "t";
-  rc.logical_pages = 256;
-  rc.ipa_mode = ftl::IpaMode::kSlc;
-  rc.delta_area_offset = 4096 - scheme.AreaBytes();
-  auto region = noftl.CreateRegion(rc).value();
+  workload::StackSpec spec = RegionSpec(scheme, 256);
+  spec.geometry.max_programs_per_page = 2;
+  std::unique_ptr<workload::Stack> stack = workload::Build(spec).value();
   BufferConfig bc;
   bc.frames = 8;
-  BufferPool pool(
-      bc, [&](TablespaceId) { return noftl.region_device(region); },
-      [](Lsn) {});
+  BufferPool pool(bc, [&](TablespaceId) { return stack->backend; }, [](Lsn) {});
 
   PageId p(0, 0);
   auto f = pool.Fix(p, true).value();

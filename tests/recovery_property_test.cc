@@ -13,44 +13,35 @@
 
 #include "common/random.h"
 #include "engine/database.h"
+#include "workload/testbed.h"
 
 namespace ipa::engine {
 namespace {
 
 struct Fixture {
-  flash::FlashArray dev;
-  ftl::NoFtl noftl;
-  std::unique_ptr<Database> db;
-  TablespaceId ts = 0;
-  TableId table = 0;
-
   explicit Fixture(uint32_t buffer_pages, storage::Scheme scheme)
-      : dev(Geo(), flash::SlcTiming()), noftl(&dev) {
-    ftl::RegionConfig rc;
-    rc.name = "fuzz";
-    rc.logical_pages = 4096;
-    rc.ipa_mode = scheme.enabled() ? ftl::IpaMode::kSlc : ftl::IpaMode::kOff;
-    rc.delta_area_offset = scheme.enabled() ? 4096 - scheme.AreaBytes() : 0;
-    auto r = noftl.CreateRegion(rc);
-    EXPECT_TRUE(r.ok());
-    EngineConfig ec;
-    ec.buffer_pages = buffer_pages;
-    ec.log_capacity_bytes = 8 << 20;
-    ec.log_reclaim_threshold = 0.5;
-    db = std::make_unique<Database>(&noftl, ec);
-    ts = db->CreateTablespace("t", r.value(), scheme).value();
-    table = db->CreateTable("fuzz", ts).value();
+      : stack(workload::Build(Spec(buffer_pages, scheme)).value()) {}
+
+  static workload::StackSpec Spec(uint32_t buffer_pages, storage::Scheme scheme) {
+    workload::StackSpec spec;
+    spec.geometry = {.channels = 2,
+                     .chips_per_channel = 2,
+                     .blocks_per_chip = 96,
+                     .pages_per_block = 32};
+    ftl::RegionConfig rc{
+        .name = "fuzz",
+        .logical_pages = 4096,
+        .ipa_mode = scheme.enabled() ? ftl::IpaMode::kSlc : ftl::IpaMode::kOff};
+    spec.regions.push_back({rc, "t", scheme, {"fuzz"}});
+    spec.engine.buffer_pages = buffer_pages;
+    spec.engine.log_capacity_bytes = 8 << 20;
+    spec.engine.log_reclaim_threshold = 0.5;
+    return spec;
   }
 
-  static flash::Geometry Geo() {
-    flash::Geometry g;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    g.blocks_per_chip = 96;
-    g.pages_per_block = 32;
-    g.page_size = 4096;
-    return g;
-  }
+  std::unique_ptr<workload::Stack> stack;
+  std::unique_ptr<Database>& db = stack->db;
+  TableId table = stack->parts[0].tables[0];
 };
 
 using Reference = std::map<uint64_t, std::vector<uint8_t>>;  // rid.Pack -> bytes

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,10 +19,10 @@
 #include "engine/database.h"
 #include "engine/wal.h"
 #include "flash/flash_array.h"
-#include "flash/timing.h"
 #include "ftl/noftl.h"
 #include "ftl/page_device.h"
 #include "ftl/page_ftl.h"
+#include "workload/testbed.h"
 
 namespace ipa::engine {
 namespace {
@@ -199,23 +200,22 @@ TEST(StreamTag, DeltaRejectedFoldbackCarriesDeltaWritebackStream) {
 // WritePage — same physical placement, same counters, same read-back — no
 // matter which tag is passed. This pins the pre-stream behavior of the
 // legacy backends bit for bit.
-TEST(StreamTag, PageFtlIgnoresTagsBitIdentically) {
-  flash::Geometry g;
-  g.channels = 2;
-  g.chips_per_channel = 2;
-  g.blocks_per_chip = 48;
-  g.pages_per_block = 16;
-  g.page_size = 2048;
-  g.oob_size = 128;
+/// The fuzz stacks' small shape over one bare region or page-mapping FTL.
+std::unique_ptr<workload::Stack> BareStack(
+    std::variant<ftl::RegionConfig, ftl::PageFtlConfig> ftl) {
+  workload::StackSpec spec = workload::SmallSpec();
+  spec.regions.push_back({std::move(ftl), "", {.n = 2, .m = 4, .v = 12}});
+  return workload::Build(spec).value();
+}
 
-  flash::FlashArray dev_a(g, flash::SlcTiming());
-  flash::FlashArray dev_b(g, flash::SlcTiming());
-  ftl::PageFtlConfig pc;
-  pc.name = "t";
-  pc.logical_pages = 64;
-  auto a = ftl::PageFtl::Create(&dev_a, pc);
-  auto b = ftl::PageFtl::Create(&dev_b, pc);
-  ASSERT_TRUE(a.ok() && b.ok());
+TEST(StreamTag, PageFtlIgnoresTagsBitIdentically) {
+  ftl::PageFtlConfig pc{.name = "t", .logical_pages = 64};
+  std::unique_ptr<workload::Stack> sa = BareStack(pc), sb = BareStack(pc);
+  ftl::PageFtl* a = sa->pageftl.get();
+  ftl::PageFtl* b = sb->pageftl.get();
+  flash::FlashArray& dev_a = *sa->dev;
+  flash::FlashArray& dev_b = *sb->dev;
+  const flash::Geometry& g = dev_a.geometry();
 
   std::vector<uint8_t> img(g.page_size);
   for (uint64_t round = 0; round < 6; round++) {
@@ -225,53 +225,36 @@ TEST(StreamTag, PageFtlIgnoresTagsBitIdentically) {
       }
       ftl::StreamTag tag =
           static_cast<ftl::StreamTag>((round + lba) % ftl::kNumStreams);
-      ASSERT_TRUE(a.value()->WritePage(lba, img.data(), true).ok());
-      ASSERT_TRUE(b.value()->WriteTagged(lba, img.data(), true, tag).ok());
+      ASSERT_TRUE(a->WritePage(lba, img.data(), true).ok());
+      ASSERT_TRUE(b->WriteTagged(lba, img.data(), true, tag).ok());
     }
   }
   std::vector<uint8_t> ra(g.page_size), rb(g.page_size);
   for (ftl::Lba lba = 0; lba < 16; lba++) {
-    EXPECT_EQ(a.value()->PhysicalOf(lba), b.value()->PhysicalOf(lba))
+    EXPECT_EQ(a->PhysicalOf(lba), b->PhysicalOf(lba))
         << "placement diverged at lba " << lba;
-    ASSERT_TRUE(a.value()->ReadPage(lba, ra.data()).ok());
-    ASSERT_TRUE(b.value()->ReadPage(lba, rb.data()).ok());
+    ASSERT_TRUE(a->ReadPage(lba, ra.data()).ok());
+    ASSERT_TRUE(b->ReadPage(lba, rb.data()).ok());
     EXPECT_EQ(ra, rb);
   }
-  EXPECT_EQ(a.value()->stats().host_page_writes,
-            b.value()->stats().host_page_writes);
-  EXPECT_EQ(a.value()->stats().gc_page_migrations,
-            b.value()->stats().gc_page_migrations);
-  EXPECT_EQ(a.value()->stats().gc_erases, b.value()->stats().gc_erases);
+  EXPECT_EQ(a->stats().host_page_writes,
+            b->stats().host_page_writes);
+  EXPECT_EQ(a->stats().gc_page_migrations,
+            b->stats().gc_page_migrations);
+  EXPECT_EQ(a->stats().gc_erases, b->stats().gc_erases);
   EXPECT_EQ(dev_a.stats().page_programs, dev_b.stats().page_programs);
   EXPECT_EQ(dev_a.stats().block_erases, dev_b.stats().block_erases);
 }
 
 TEST(StreamTag, NoFtlRegionIgnoresTagsBitIdentically) {
-  flash::Geometry g;
-  g.channels = 2;
-  g.chips_per_channel = 2;
-  g.blocks_per_chip = 48;
-  g.pages_per_block = 16;
-  g.page_size = 2048;
-  g.oob_size = 128;
-
-  auto make = [&](flash::FlashArray* dev, std::unique_ptr<ftl::NoFtl>* noftl) {
-    *noftl = std::make_unique<ftl::NoFtl>(dev);
-    storage::Scheme scheme{.n = 2, .m = 4, .v = 12};
-    ftl::RegionConfig rc;
-    rc.name = "t";
-    rc.logical_pages = 64;
-    rc.ipa_mode = ftl::IpaMode::kSlc;
-    rc.delta_area_offset = g.page_size - scheme.AreaBytes();
-    auto r = (*noftl)->CreateRegion(rc);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return (*noftl)->region_device(r.value());
-  };
-  flash::FlashArray dev_a(g, flash::SlcTiming());
-  flash::FlashArray dev_b(g, flash::SlcTiming());
-  std::unique_ptr<ftl::NoFtl> noftl_a, noftl_b;
-  ftl::PageDevice* a = make(&dev_a, &noftl_a);
-  ftl::PageDevice* b = make(&dev_b, &noftl_b);
+  ftl::RegionConfig rc{
+      .name = "t", .logical_pages = 64, .ipa_mode = ftl::IpaMode::kSlc};
+  std::unique_ptr<workload::Stack> sa = BareStack(rc), sb = BareStack(rc);
+  ftl::PageDevice* a = sa->backend;
+  ftl::PageDevice* b = sb->backend;
+  flash::FlashArray& dev_a = *sa->dev;
+  flash::FlashArray& dev_b = *sb->dev;
+  const flash::Geometry& g = dev_a.geometry();
 
   std::vector<uint8_t> img(g.page_size);
   for (uint64_t round = 0; round < 4; round++) {
