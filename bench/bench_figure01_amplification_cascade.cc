@@ -84,8 +84,9 @@ int Run() {
   t.AddRow({"(e) file-system writes (ext3, x3.4 [24])",
             Fmt(4096 * fs_factor, 0) + " B",
             Fmt(4096.0 * fs_factor / net, 0) + "x"});
-  t.AddRow({"(f) flash GC/WL (measured on emulator)",
-            "x" + Fmt(device_wa, 2) + " on-device",
+  std::string on_device = "x";
+  on_device += Fmt(device_wa, 2) + " on-device";
+  t.AddRow({"(f) flash GC/WL (measured on emulator)", on_device,
             Fmt(4096.0 * fs_factor * device_wa / net, 0) + "x"});
   t.Print();
 

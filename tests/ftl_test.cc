@@ -273,13 +273,11 @@ TEST(NoFtlTest, MultipleRegionsAreIndependent) {
   auto g = SmallSlc();
   flash::FlashArray dev(g, flash::SlcTiming());
   NoFtl ftl(&dev);
-  RegionConfig a;
-  a.name = "a";
-  a.logical_pages = 64;
-  RegionConfig b = a;
-  b.name = "b";
-  b.ipa_mode = IpaMode::kSlc;
-  b.delta_area_offset = 416;
+  RegionConfig a{.name = "a", .logical_pages = 64};
+  RegionConfig b{.name = "b",
+                 .logical_pages = 64,
+                 .ipa_mode = IpaMode::kSlc,
+                 .delta_area_offset = 416};
   auto ra = ftl.CreateRegion(a);
   auto rb = ftl.CreateRegion(b);
   ASSERT_TRUE(ra.ok());

@@ -185,10 +185,9 @@ int CmdAdvise(const Args& args) {
     profile.net_update_sizes = trace.net;
     profile.meta_update_sizes = trace.meta;
     core::Advice a = core::Recommend(profile, cell, args.page_size, args.goal);
-    t.AddRow({name,
-              "[" + std::to_string(a.scheme.n) + "x" +
-                  std::to_string(a.scheme.m) + "]",
-              std::to_string(a.scheme.v),
+    std::string scheme = "[";
+    scheme += std::to_string(a.scheme.n) + "x" + std::to_string(a.scheme.m) + "]";
+    t.AddRow({name, scheme, std::to_string(a.scheme.v),
               Fmt(100 * a.expected_ipa_fraction, 0),
               Fmt(100 * a.space_overhead, 1)});
   }
