@@ -15,7 +15,8 @@ for bin in bench/bench_table02_ipl_vs_ipa bench/bench_table07_tpcb_emulator \
            bench/bench_table12_backend_compare bench/bench_scaleup \
            bench/bench_serve bench/bench_replication \
            bench/bench_delta_compression tools/crash_sweep \
-           bench/bench_table06_tpcb_openssd bench/bench_ablation_maintenance; do
+           bench/bench_table06_tpcb_openssd bench/bench_ablation_maintenance \
+           tools/ipa_fuzz; do
   if [ ! -x "$BUILD/$bin" ]; then
     echo "update_baselines: missing $BUILD/$bin (build it first)" >&2
     exit 2
@@ -56,5 +57,8 @@ echo "== table06_tpcb_openssd"
 echo "== ablation_maintenance"
 "$BUILD/bench/bench_ablation_maintenance" \
   --metrics-json bench/baselines/ablation_maintenance.json > /dev/null
+echo "== ipa_fuzz"
+"$BUILD/tools/ipa_fuzz" --seeds 8 --ops 2000 \
+  --metrics-json bench/baselines/ipa_fuzz.json > /dev/null
 
 git status --short bench/baselines/
