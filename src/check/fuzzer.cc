@@ -324,23 +324,7 @@ class Runner {
   /// sum.
   static ftl::RegionStats SumRegionStats(const workload::Stack& s) {
     ftl::RegionStats sum;
-    for (const auto& part : s.parts) {
-      const ftl::RegionStats& rs = part.backend->stats();
-      sum.host_reads += rs.host_reads;
-      sum.host_page_writes += rs.host_page_writes;
-      sum.host_delta_writes += rs.host_delta_writes;
-      sum.delta_bytes_written += rs.delta_bytes_written;
-      sum.delta_fallbacks += rs.delta_fallbacks;
-      sum.gc_page_migrations += rs.gc_page_migrations;
-      sum.gc_erases += rs.gc_erases;
-      sum.ecc_corrected_bits += rs.ecc_corrected_bits;
-      sum.ecc_uncorrectable += rs.ecc_uncorrectable;
-      sum.torn_delta_bytes_dropped += rs.torn_delta_bytes_dropped;
-      sum.torn_pages_quarantined += rs.torn_pages_quarantined;
-      sum.scrub_refreshes += rs.scrub_refreshes;
-      sum.wear_level_migrations += rs.wear_level_migrations;
-      sum.wear_level_swaps += rs.wear_level_swaps;
-    }
+    for (const auto& part : s.parts) ftl::AccumulateStats(sum, part.backend->stats());
     return sum;
   }
 
@@ -348,18 +332,7 @@ class Runner {
   static engine::BufferStats SumBufferStats(workload::Stack& s) {
     engine::BufferStats sum;
     auto add = [&sum](engine::Database& db) {
-      const engine::BufferStats& bs = db.buffer_pool().stats();
-      sum.fetches += bs.fetches;
-      sum.hits += bs.hits;
-      sum.misses += bs.misses;
-      sum.evictions += bs.evictions;
-      sum.flushes += bs.flushes;
-      sum.clean_diff_skips += bs.clean_diff_skips;
-      sum.ipa_flushes += bs.ipa_flushes;
-      sum.oop_flushes += bs.oop_flushes;
-      sum.ipa_fallbacks += bs.ipa_fallbacks;
-      sum.cleaner_runs += bs.cleaner_runs;
-      sum.delta_records_written += bs.delta_records_written;
+      AddStatFields(sum, db.buffer_pool().stats(), engine::kBufferStatFields);
     };
     if (s.db) add(*s.db);
     for (auto& part : s.parts) {

@@ -14,6 +14,11 @@
 //    thread; snapshots may race with writers without UB (they observe a
 //    slightly stale but consistent-per-cell view; quiesced snapshots, as
 //    taken at process exit, are exact).
+//  * Owned counts. The flash device, the FTLs, the engine and the
+//    replication and admission layers count events only in their own plain
+//    stats structs and publish them (PublishStats) when they discard them:
+//    at a stats reset and at destruction. A snapshot therefore sees an
+//    owner's counts only after that owner was reset or destroyed.
 //
 // Export: any binary linking this library writes a metrics JSON file at
 // process exit when IPA_METRICS_JSON is set; bench/tool binaries also accept
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "common/stats.h"
 #include "common/status.h"
 
 namespace ipa::metrics {
@@ -152,6 +158,17 @@ class Histogram {
  private:
   uint32_t id_;
 };
+
+/// Add every named field of an owner's stats struct to its counter,
+/// registering the name on first use. Owners call this when they discard
+/// their counts (stats reset and destruction), so each event is counted once,
+/// in the owner's struct (docs/METRICS.md, "Owned counts").
+template <typename Stats, size_t N>
+void PublishStats(const Stats& stats, const StatField<Stats> (&fields)[N]) {
+  for (const StatField<Stats>& f : fields) {
+    if (f.metric) Counter(f.metric).Add(stats.*f.field);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Trace spans: attribute simulated time to a subsystem tree

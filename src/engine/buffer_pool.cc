@@ -8,28 +8,6 @@
 
 namespace ipa::engine {
 
-namespace {
-/// Process-wide buffer-manager counters, summed over every pool instance.
-struct PoolCounters {
-  metrics::Counter fetches{"bufferpool.fetches"};
-  metrics::Counter hits{"bufferpool.hits"};
-  metrics::Counter misses{"bufferpool.misses"};
-  metrics::Counter evictions{"bufferpool.evictions"};
-  metrics::Counter flushes{"bufferpool.flushes"};
-  metrics::Counter clean_diff_skips{"bufferpool.clean_diff_skips"};
-  metrics::Counter ipa_flushes{"bufferpool.writebacks.delta"};
-  metrics::Counter oop_flushes{"bufferpool.writebacks.full"};
-  metrics::Counter ipa_fallbacks{"bufferpool.writebacks.delta_fallbacks"};
-  metrics::Counter delta_records{"bufferpool.delta_records_written"};
-  metrics::Counter cleaner_runs{"bufferpool.cleaner_runs"};
-};
-
-PoolCounters& Pm() {
-  static PoolCounters counters;
-  return counters;
-}
-}  // namespace
-
 BufferPool::BufferPool(BufferConfig config,
                        std::function<ftl::PageDevice*(TablespaceId)> device_of,
                        std::function<void(Lsn)> ensure_log_durable)
@@ -44,20 +22,26 @@ BufferPool::BufferPool(BufferConfig config,
   table_.reserve(config_.frames * 2);
 }
 
+BufferPool::~BufferPool() {
+  metrics::PublishStats(stats_, kBufferStatFields);
+}
+
+void BufferPool::ResetStats() {
+  metrics::PublishStats(stats_, kBufferStatFields);
+  stats_ = BufferStats{};
+}
+
 Result<BufferPool::Frame*> BufferPool::Fix(PageId id, bool for_format) {
   stats_.fetches++;
-  Pm().fetches.Inc();
   auto it = table_.find(id);
   if (it != table_.end()) {
     Frame& f = frames_[it->second];
     f.pins++;
     f.ref = true;
     stats_.hits++;
-    Pm().hits.Inc();
     return &f;
   }
   stats_.misses++;
-  Pm().misses.Inc();
   IPA_ASSIGN_OR_RETURN(Frame * victim, GetVictim());
   IPA_RETURN_NOT_OK(LoadFrame(victim, id, for_format));
   victim->pins = 1;
@@ -110,7 +94,6 @@ Result<BufferPool::Frame*> BufferPool::GetVictim() {
     table_.erase(f.id);
     f.valid = false;
     stats_.evictions++;
-    Pm().evictions.Inc();
     return &f;
   }
   return Status::Busy("all buffer frames pinned");
@@ -143,7 +126,6 @@ Status BufferPool::LoadFrame(Frame* frame, PageId id, bool for_format) {
 Status BufferPool::FlushFrame(Frame* frame, bool async) {
   if (!frame->dirty) return Status::OK();
   stats_.flushes++;
-  Pm().flushes.Inc();
 
   ftl::PageDevice* dev = device_of_(frame->id.tablespace());
   ftl::Lba lba = frame->id.lba();
@@ -163,7 +145,6 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
   switch (d.path) {
     case core::WritePath::kClean:
       stats_.clean_diff_skips++;
-      Pm().clean_diff_skips.Inc();
       break;
     case core::WritePath::kInPlaceAppend: {
       storage::SlottedPage view(frame->cur.data(), config_.page_size);
@@ -175,14 +156,12 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
         // Device-level rejection (program budget, ISPP...): fall back to a
         // full out-of-place write with a reset delta area.
         stats_.ipa_fallbacks++;
-        Pm().ipa_fallbacks.Inc();
         view.ResetDeltaArea();
         // A page that accumulated small deltas and is now folded back: the
         // delta-writeback stream, regardless of object classification.
         IPA_RETURN_NOT_OK(dev->WriteTagged(lba, frame->cur.data(), !async,
                                            ftl::StreamTag::kDeltaWriteback));
         stats_.oop_flushes++;
-        Pm().oop_flushes.Inc();
         if (config_.io_trace) {
           config_.io_trace->push_back(
               {IoEvent::Type::kEvictOop, frame->id.raw, config_.page_size});
@@ -191,8 +170,6 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
         IPA_RETURN_NOT_OK(s);
         stats_.ipa_flushes++;
         stats_.delta_records_written += d.plan.records;
-        Pm().ipa_flushes.Inc();
-        Pm().delta_records.Add(d.plan.records);
         if (config_.io_trace) {
           config_.io_trace->push_back(
               {IoEvent::Type::kEvictIpa, frame->id.raw, d.plan.write_len});
@@ -205,7 +182,6 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
       ensure_log_durable_(view.page_lsn());
       IPA_RETURN_NOT_OK(dev->WriteTagged(lba, frame->cur.data(), !async, tag));
       stats_.oop_flushes++;
-      Pm().oop_flushes.Inc();
       if (config_.io_trace) {
         config_.io_trace->push_back(
             {IoEvent::Type::kEvictOop, frame->id.raw, config_.page_size});
@@ -245,7 +221,6 @@ Status BufferPool::MaybeRunCleaner() {
       static_cast<double>(dirty_count_) / static_cast<double>(config_.frames);
   if (dirty_frac < config_.dirty_flush_threshold) return Status::OK();
   stats_.cleaner_runs++;
-  Pm().cleaner_runs.Inc();
   // Clean (but do not evict) the next dirty unpinned frames in clock order —
   // an approximation of Shore-MT's background cleaner picking cold pages.
   uint32_t cleaned = 0;

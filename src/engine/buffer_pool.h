@@ -69,6 +69,22 @@ struct BufferStats {
   uint64_t delta_records_written = 0;
 };
 
+/// Every BufferStats counter and the metric it is published under
+/// (docs/METRICS.md).
+inline constexpr StatField<BufferStats> kBufferStatFields[] = {
+    {&BufferStats::fetches, "bufferpool.fetches"},
+    {&BufferStats::hits, "bufferpool.hits"},
+    {&BufferStats::misses, "bufferpool.misses"},
+    {&BufferStats::evictions, "bufferpool.evictions"},
+    {&BufferStats::flushes, "bufferpool.flushes"},
+    {&BufferStats::clean_diff_skips, "bufferpool.clean_diff_skips"},
+    {&BufferStats::ipa_flushes, "bufferpool.writebacks.delta"},
+    {&BufferStats::oop_flushes, "bufferpool.writebacks.full"},
+    {&BufferStats::ipa_fallbacks, "bufferpool.writebacks.delta_fallbacks"},
+    {&BufferStats::cleaner_runs, "bufferpool.cleaner_runs"},
+    {&BufferStats::delta_records_written, "bufferpool.delta_records_written"},
+};
+
 /// Per-table update-size traces (net = tuple bytes, meta = header+slots,
 /// gross = net+meta), sampled at each flush of a previously-written page.
 struct UpdateSizeTrace {
@@ -95,6 +111,11 @@ class BufferPool {
   BufferPool(BufferConfig config,
              std::function<ftl::PageDevice*(TablespaceId)> device_of,
              std::function<void(Lsn)> ensure_log_durable);
+  /// Publishes stats() to the metrics registry.
+  ~BufferPool();
+  // A copy would publish twice.
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
 
   /// Fix a page into the pool. With `for_format` the device read is skipped
   /// and the frame content starts undefined (caller formats it).
@@ -122,7 +143,8 @@ class BufferPool {
   void DropPageNoFlush(PageId id);
 
   const BufferStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferStats{}; }
+  /// Publish stats() to the metrics registry, then zero it.
+  void ResetStats();
   const std::map<TableId, UpdateSizeTrace>& update_traces() const {
     return traces_;
   }

@@ -10,17 +10,11 @@ namespace ipa::engine {
 
 namespace {
 
-struct DbCounters {
-  metrics::Counter commits{"db.commits"};
-  metrics::Counter aborts{"db.aborts"};
-  metrics::Counter recovery_rollbacks{"db.recovery_rollbacks"};
-  metrics::Counter checkpoints{"db.checkpoints"};
-  metrics::Histogram txn_latency{"db.txn_latency_us"};
-};
-
-DbCounters& Dm() {
-  static DbCounters counters;
-  return counters;
+/// Process-wide commit latency histogram (counts are published from
+/// TxnStats instead).
+metrics::Histogram& TxnLatency() {
+  static metrics::Histogram histogram("db.txn_latency_us");
+  return histogram;
 }
 
 /// Pack the info needed to redo a page format into aux64. Bits 56-63 carry
@@ -79,6 +73,16 @@ Database::Database(ftl::NoFtl* ftl, EngineConfig config, SimClock* clock)
   pool_ = std::make_unique<BufferPool>(
       bc, [this](TablespaceId ts) { return tablespaces_[ts].device; },
       [this](Lsn lsn) { ForceLogTo(lsn); });
+}
+
+Database::~Database() {
+  metrics::PublishStats(txn_stats_, kTxnStatFields);
+  metrics::Counter("db.checkpoints").Add(checkpoints_);
+}
+
+void Database::ResetTxnStats() {
+  metrics::PublishStats(txn_stats_, kTxnStatFields);
+  txn_stats_ = TxnStats{};
 }
 
 Result<TablespaceId> Database::CreateTablespace(const std::string& name,
@@ -246,11 +250,10 @@ Status Database::CommitRecord(TxnId txn) {
   auto bt = txn_begin_time_.find(txn);
   if (bt != txn_begin_time_.end()) {
     txn_stats_.txn_latency.Add(clock_->Now() - bt->second);
-    Dm().txn_latency.Record(clock_->Now() - bt->second);
+    TxnLatency().Record(clock_->Now() - bt->second);
     txn_begin_time_.erase(bt);
   }
   txn_stats_.commits++;
-  Dm().commits.Inc();
   return Status::OK();
 }
 
@@ -284,10 +287,8 @@ Status Database::Abort(TxnId txn) {
   locks_.ReleaseAll(txn);
   txns_.erase(txn);
   txn_begin_time_.erase(txn);
-  txn_stats_.aborts++;
-  // Recovery rollbacks are not workload aborts (the caller rebalances
-  // txn_stats_); keep the process-wide counters on the same definition.
-  (in_recovery_ ? Dm().recovery_rollbacks : Dm().aborts).Inc();
+  // Recovery rollbacks are not workload aborts.
+  (in_recovery_ ? txn_stats_.recovery_rollbacks : txn_stats_.aborts)++;
   if (abort_hook_ && !in_recovery_) abort_hook_(txn, abort_lsn);
   return Status::OK();
 }
@@ -536,7 +537,6 @@ Status Database::Checkpoint() {
   }
   IPA_RETURN_NOT_OK(wal_.TruncateTo(bound));
   checkpoints_++;
-  Dm().checkpoints.Inc();
   return Status::OK();
 }
 
@@ -807,7 +807,6 @@ Status Database::Recover() {
   std::sort(loser_ids.rbegin(), loser_ids.rend());
   for (TxnId txn : loser_ids) {
     IPA_RETURN_NOT_OK(Abort(txn));
-    txn_stats_.aborts--;  // recovery rollbacks are not workload aborts
   }
   in_recovery_ = false;
   return Status::OK();

@@ -61,8 +61,17 @@ struct EngineConfig {
 
 struct TxnStats {
   uint64_t commits = 0;
-  uint64_t aborts = 0;
+  uint64_t aborts = 0;              ///< Workload aborts only.
+  uint64_t recovery_rollbacks = 0;  ///< Losers rolled back by Recover().
   LatencyStats txn_latency;  ///< Simulated txn duration begin->commit.
+};
+
+/// Every TxnStats counter and the metric it is published under
+/// (docs/METRICS.md).
+inline constexpr StatField<TxnStats> kTxnStatFields[] = {
+    {&TxnStats::commits, "db.commits"},
+    {&TxnStats::aborts, "db.aborts"},
+    {&TxnStats::recovery_rollbacks, "db.recovery_rollbacks"},
 };
 
 class Database {
@@ -71,6 +80,12 @@ class Database {
   /// CreateTablespaceOn (e.g. conventional-SSD deployments); `clock` then
   /// provides simulated time for transaction latencies (owned if null).
   Database(ftl::NoFtl* ftl, EngineConfig config, SimClock* clock = nullptr);
+  /// Publishes txn_stats() and checkpoints_taken() to the metrics registry.
+  ~Database();
+  // The buffer pool and the hooks hold this instance's address, and a copy
+  // would publish twice.
+  Database(const Database&) = delete;
+  Database& operator=(const Database&) = delete;
 
   // -- DDL --------------------------------------------------------------------
 
@@ -211,7 +226,8 @@ class Database {
   const LockManager& lock_manager() const { return locks_; }
   ftl::NoFtl& ftl() { return *ftl_; }
   const TxnStats& txn_stats() const { return txn_stats_; }
-  void ResetTxnStats() { txn_stats_ = TxnStats{}; }
+  /// Publish txn_stats() to the metrics registry, then zero it.
+  void ResetTxnStats();
   const EngineConfig& config() const { return config_; }
   ftl::RegionId region_of(TablespaceId ts) const {
     return tablespaces_[ts].region;

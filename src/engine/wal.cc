@@ -15,18 +15,11 @@ namespace {
 //   u16 offset | u64 aux64 | u16 before_len | u16 after_len |
 //   before bytes | after bytes | u32 crc (over everything before it)
 constexpr size_t kFixedHeader = 4 + 1 + 8 + 8 + 8 + 2 + 2 + 8 + 2 + 2;
-
-struct WalCounters {
-  metrics::Counter appends{"wal.appends"};
-  metrics::Counter bytes_appended{"wal.bytes_appended"};
-  metrics::Counter bytes_truncated{"wal.bytes_truncated"};
-};
-
-WalCounters& Wm() {
-  static WalCounters counters;
-  return counters;
-}
 }  // namespace
+
+Wal::~Wal() {
+  metrics::PublishStats(stats_, kWalStatFields);
+}
 
 Lsn Wal::Append(const LogRecord& rec) {
   size_t total = kFixedHeader + rec.before.size() + rec.after.size() + 4;
@@ -58,8 +51,8 @@ Lsn Wal::Append(const LogRecord& rec) {
   Lsn lsn = end_lsn_;
   buf_.insert(buf_.end(), out.begin(), out.end());
   end_lsn_ += total;
-  Wm().appends.Inc();
-  Wm().bytes_appended.Add(total);
+  stats_.appends++;
+  stats_.bytes_appended += total;
   return lsn;
 }
 
@@ -161,7 +154,7 @@ Status Wal::TruncateTo(Lsn lsn) {
   if (lsn > durable_) {
     return Status::InvalidArgument("cannot truncate past the durable LSN");
   }
-  Wm().bytes_truncated.Add(lsn - base_);
+  stats_.bytes_truncated += lsn - base_;
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(lsn - base_));
   base_ = lsn;
   return Status::OK();

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "engine/types.h"
 #include "ftl/page_device.h"
@@ -49,10 +50,29 @@ struct LogRecord {
   std::vector<uint8_t> after;
 };
 
+struct WalStats {
+  uint64_t appends = 0;
+  uint64_t bytes_appended = 0;   ///< Unlike TotalAppended(), never rolled back.
+  uint64_t bytes_truncated = 0;  ///< Prefix bytes dropped by TruncateTo().
+};
+
+/// Every WalStats counter and the metric it is published under
+/// (docs/METRICS.md).
+inline constexpr StatField<WalStats> kWalStatFields[] = {
+    {&WalStats::appends, "wal.appends"},
+    {&WalStats::bytes_appended, "wal.bytes_appended"},
+    {&WalStats::bytes_truncated, "wal.bytes_truncated"},
+};
+
 class Wal {
  public:
   explicit Wal(uint64_t capacity_bytes = 64ull << 20)
       : capacity_(capacity_bytes) {}
+  /// Publishes stats() to the metrics registry.
+  ~Wal();
+  // A copy would publish twice.
+  Wal(const Wal&) = delete;
+  Wal& operator=(const Wal&) = delete;
 
   /// Append a record; returns its LSN. The record is not durable until
   /// FlushTo()/FlushAll() covers it.
@@ -102,6 +122,8 @@ class Wal {
   /// Total bytes ever appended (for write-volume accounting).
   uint64_t TotalAppended() const { return end_lsn_; }
 
+  const WalStats& stats() const { return stats_; }
+
  private:
   /// Mirror pages covering [mirrored_, durable_) to the bound log device.
   void MirrorDurable();
@@ -117,6 +139,7 @@ class Wal {
   ftl::Lba log_base_lba_ = 0;
   uint64_t log_capacity_pages_ = 0;
   Lsn mirrored_ = 0;  ///< Durable bytes already mirrored to the device.
+  WalStats stats_;
 };
 
 }  // namespace ipa::engine

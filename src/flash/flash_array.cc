@@ -8,34 +8,6 @@
 
 namespace ipa::flash {
 
-namespace {
-
-/// Process-wide flash-layer counters (naming: docs/METRICS.md). These shadow
-/// the per-device DeviceStats so observability sees every device in the
-/// process; registration happens once, on first use.
-struct FlashCounters {
-  metrics::Counter page_reads{"flash.page_reads"};
-  metrics::Counter bytes_read{"flash.bytes_read"};
-  metrics::Counter page_programs_lsb{"flash.page_programs.lsb"};
-  metrics::Counter page_programs_msb{"flash.page_programs.msb"};
-  metrics::Counter bytes_programmed{"flash.bytes_programmed"};
-  metrics::Counter delta_programs{"flash.delta_programs"};
-  metrics::Counter delta_bytes{"flash.delta_bytes_programmed"};
-  metrics::Counter block_erases{"flash.block_erases"};
-  metrics::Counter page_refreshes{"flash.page_refreshes"};
-  metrics::Counter ispp_rejections{"flash.ispp_rejections"};
-  metrics::Counter retention_flips{"flash.bit_errors.retention"};
-  metrics::Counter interference_flips{"flash.bit_errors.interference"};
-  metrics::Counter power_loss_injections{"flash.power_loss_injections"};
-};
-
-FlashCounters& Fm() {
-  static FlashCounters counters;
-  return counters;
-}
-
-}  // namespace
-
 FlashArray::FlashArray(const Geometry& geometry, const TimingModel& timing,
                        const ErrorModel& errors, SimClock* clock)
     : geo_(geometry),
@@ -53,24 +25,8 @@ FlashArray::FlashArray(const Geometry& geometry, const TimingModel& timing,
   channel_busy_.assign(geo_.channels, 0);
 }
 
-FlashArray::~FlashArray() = default;
-
-void AccumulateStats(DeviceStats& into, const DeviceStats& from) {
-  into.page_reads += from.page_reads;
-  into.page_programs += from.page_programs;
-  into.delta_programs += from.delta_programs;
-  into.block_erases += from.block_erases;
-  into.bytes_read += from.bytes_read;
-  into.bytes_programmed += from.bytes_programmed;
-  into.delta_bytes_programmed += from.delta_bytes_programmed;
-  into.ispp_rejections += from.ispp_rejections;
-  into.interference_flips += from.interference_flips;
-  into.retention_flips += from.retention_flips;
-  into.page_refreshes += from.page_refreshes;
-  into.power_loss_injections += from.power_loss_injections;
-  into.torn_page_programs += from.torn_page_programs;
-  into.torn_delta_programs += from.torn_delta_programs;
-  into.torn_erases += from.torn_erases;
+FlashArray::~FlashArray() {
+  metrics::PublishStats(AggregateStats(), kDeviceStatFields);
 }
 
 DeviceStats FlashArray::AggregateStats() const {
@@ -80,6 +36,7 @@ DeviceStats FlashArray::AggregateStats() const {
 }
 
 void FlashArray::ResetStats() {
+  metrics::PublishStats(AggregateStats(), kDeviceStatFields);
   stats_ = DeviceStats{};
   for (auto& lane : lanes_) lane->stats_ = DeviceStats{};
 }
@@ -202,10 +159,6 @@ uint32_t FlashArray::MaxEraseCount() const {
   uint32_t mx = 0;
   for (const auto& b : blocks_) mx = std::max(mx, b.erase_count);
   return mx;
-}
-
-bool FlashArray::IsWornOut(Pbn pbn) const {
-  return blocks_[pbn].erase_count > geo_.pe_cycle_limit;
 }
 
 void FlashArray::Occupy(uint32_t chip, uint64_t pre_transfer_bytes, uint64_t op_us,
@@ -343,7 +296,6 @@ void FlashArray::MaybeInjectRetention(PageState& page) {
   if ((page.data[byte] & (1u << bit)) == 0) {
     page.data[byte] |= static_cast<uint8_t>(1u << bit);
     stats_.retention_flips++;
-    Fm().retention_flips.Inc();
   }
 }
 
@@ -374,7 +326,6 @@ void FlashArray::MaybeInjectInterference(Ppn lsb_ppn) {
       if (neighbor.data[byte] & (1u << bit)) {
         neighbor.data[byte] &= static_cast<uint8_t>(~(1u << bit));
         stats_.interference_flips++;
-        Fm().interference_flips.Inc();
         break;
       }
     }
@@ -397,8 +348,6 @@ Status FlashArray::ReadPage(Ppn ppn, uint8_t* out, IoTiming* t, bool sync) {
   DeviceStats& st = StatsFor(chip);
   st.page_reads++;
   st.bytes_read += geo_.page_size;
-  Fm().page_reads.Inc();
-  Fm().bytes_read.Add(geo_.page_size);
   return Status::OK();
 }
 
@@ -429,7 +378,6 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     for (uint32_t i = 0; i < geo_.page_size; i++) {
       if ((data[i] & page.data[i]) != data[i]) {
         StatsFor(a.chip).ispp_rejections++;
-        Fm().ispp_rejections.Inc();
         return Status::NotSupported("re-program requires 0->1 transition (ISPP)");
       }
     }
@@ -439,7 +387,6 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     for (uint32_t i = 0; i < merged_oob; i++) {
       if ((oob[i] & page.oob[i]) != oob[i]) {
         StatsFor(a.chip).ispp_rejections++;
-        Fm().ispp_rejections.Inc();
         return Status::NotSupported("OOB re-program requires 0->1 transition");
       }
     }
@@ -461,7 +408,6 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     powered_on_ = false;
     stats_.power_loss_injections++;
     stats_.torn_page_programs++;
-    Fm().power_loss_injections.Inc();
     return Status::Unavailable("power loss during page program");
   }
 
@@ -474,9 +420,8 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
   Occupy(a.chip, geo_.page_size, prog_us, 0, sync, t);
   DeviceStats& st = StatsFor(a.chip);
   st.page_programs++;
+  (lsb ? st.page_programs_lsb : st.page_programs_msb)++;
   st.bytes_programmed += geo_.page_size;
-  (lsb ? Fm().page_programs_lsb : Fm().page_programs_msb).Inc();
-  Fm().bytes_programmed.Add(geo_.page_size);
   return Status::OK();
 }
 
@@ -504,7 +449,6 @@ Status FlashArray::ProgramDelta(Ppn ppn, uint32_t offset, const uint8_t* delta,
   for (uint32_t i = 0; i < len; i++) {
     if ((delta[i] & page.data[offset + i]) != delta[i]) {
       StatsFor(a.chip).ispp_rejections++;
-      Fm().ispp_rejections.Inc();
       return Status::NotSupported("delta requires 0->1 transition (ISPP)");
     }
   }
@@ -514,7 +458,6 @@ Status FlashArray::ProgramDelta(Ppn ppn, uint32_t offset, const uint8_t* delta,
     powered_on_ = false;
     stats_.power_loss_injections++;
     stats_.torn_delta_programs++;
-    Fm().power_loss_injections.Inc();
     return Status::Unavailable("power loss during delta program");
   }
   std::memcpy(page.data.data() + offset, delta, len);
@@ -526,8 +469,6 @@ Status FlashArray::ProgramDelta(Ppn ppn, uint32_t offset, const uint8_t* delta,
   DeviceStats& st = StatsFor(a.chip);
   st.delta_programs++;
   st.delta_bytes_programmed += len;
-  Fm().delta_programs.Inc();
-  Fm().delta_bytes.Add(len);
   return Status::OK();
 }
 
@@ -543,7 +484,6 @@ Status FlashArray::ProgramOob(Ppn ppn, uint32_t offset, const uint8_t* bytes,
   for (uint32_t i = 0; i < len; i++) {
     if ((bytes[i] & page.oob[offset + i]) != bytes[i]) {
       StatsFor(ChipOf(ppn)).ispp_rejections++;
-      Fm().ispp_rejections.Inc();
       return Status::NotSupported("OOB delta requires 0->1 transition (ISPP)");
     }
     page.oob[offset + i] = bytes[i];
@@ -575,7 +515,6 @@ Status FlashArray::RefreshPage(Ppn ppn, const uint8_t* data, IoTiming* t,
   for (uint32_t i = 0; i < geo_.page_size; i++) {
     if ((data[i] & page.data[i]) != data[i]) {
       StatsFor(ChipOf(ppn)).ispp_rejections++;
-      Fm().ispp_rejections.Inc();
       return Status::NotSupported("refresh requires 0->1 transition (ISPP)");
     }
   }
@@ -585,7 +524,6 @@ Status FlashArray::RefreshPage(Ppn ppn, const uint8_t* data, IoTiming* t,
   Occupy(a.chip, geo_.page_size,
          lsb ? timing_.program_lsb_us : timing_.program_msb_us, 0, sync, t);
   StatsFor(a.chip).page_refreshes++;
-  Fm().page_refreshes.Inc();
   return Status::OK();
 }
 
@@ -645,7 +583,6 @@ Status FlashArray::EraseBlock(Pbn pbn, IoTiming* t, bool sync) {
     powered_on_ = false;
     stats_.power_loss_injections++;
     stats_.torn_erases++;
-    Fm().power_loss_injections.Inc();
     return Status::Unavailable("power loss during block erase");
   }
   blk.pages.clear();
@@ -655,7 +592,6 @@ Status FlashArray::EraseBlock(Pbn pbn, IoTiming* t, bool sync) {
   uint32_t chip = static_cast<uint32_t>(pbn / geo_.blocks_per_chip);
   Occupy(chip, 0, timing_.erase_us, 0, sync, t);
   StatsFor(chip).block_erases++;
-  Fm().block_erases.Inc();
   return Status::OK();
 }
 

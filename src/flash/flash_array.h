@@ -28,6 +28,7 @@
 
 #include "common/random.h"
 #include "common/sim_clock.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "flash/geometry.h"
 #include "flash/timing.h"
@@ -72,6 +73,8 @@ struct PowerLossPolicy {
 struct DeviceStats {
   uint64_t page_reads = 0;
   uint64_t page_programs = 0;
+  uint64_t page_programs_lsb = 0;  ///< page_programs on LSB (or SLC) pages.
+  uint64_t page_programs_msb = 0;  ///< page_programs on MLC MSB pages.
   uint64_t delta_programs = 0;
   uint64_t block_erases = 0;
   uint64_t bytes_read = 0;
@@ -103,15 +106,43 @@ struct PageState {
   bool IsErased() const { return program_count == 0; }
 };
 
+/// Every DeviceStats counter and the metric it is published under
+/// (docs/METRICS.md); page_programs is published split by page type.
+inline constexpr StatField<DeviceStats> kDeviceStatFields[] = {
+    {&DeviceStats::page_reads, "flash.page_reads"},
+    {&DeviceStats::page_programs, nullptr},
+    {&DeviceStats::page_programs_lsb, "flash.page_programs.lsb"},
+    {&DeviceStats::page_programs_msb, "flash.page_programs.msb"},
+    {&DeviceStats::delta_programs, "flash.delta_programs"},
+    {&DeviceStats::block_erases, "flash.block_erases"},
+    {&DeviceStats::bytes_read, "flash.bytes_read"},
+    {&DeviceStats::bytes_programmed, "flash.bytes_programmed"},
+    {&DeviceStats::delta_bytes_programmed, "flash.delta_bytes_programmed"},
+    {&DeviceStats::ispp_rejections, "flash.ispp_rejections"},
+    {&DeviceStats::interference_flips, "flash.bit_errors.interference"},
+    {&DeviceStats::retention_flips, "flash.bit_errors.retention"},
+    {&DeviceStats::page_refreshes, "flash.page_refreshes"},
+    {&DeviceStats::power_loss_injections, "flash.power_loss_injections"},
+    {&DeviceStats::torn_page_programs, nullptr},
+    {&DeviceStats::torn_delta_programs, nullptr},
+    {&DeviceStats::torn_erases, nullptr},
+};
+
 /// Field-wise sum of device counters (lane aggregation).
-void AccumulateStats(DeviceStats& into, const DeviceStats& from);
+inline void AccumulateStats(DeviceStats& into, const DeviceStats& from) {
+  AddStatFields(into, from, kDeviceStatFields);
+}
 
 class FlashArray {
  public:
   /// If `clock` is null the device owns a private clock.
   FlashArray(const Geometry& geometry, const TimingModel& timing,
              const ErrorModel& errors = {}, SimClock* clock = nullptr);
+  /// Publishes AggregateStats() to the metrics registry.
   ~FlashArray();
+  // Lanes hold this instance's address, and a copy would publish twice.
+  FlashArray(const FlashArray&) = delete;
+  FlashArray& operator=(const FlashArray&) = delete;
 
   const Geometry& geometry() const { return geo_; }
   const TimingModel& timing() const { return timing_; }
@@ -121,7 +152,8 @@ class FlashArray {
   const DeviceStats& stats() const { return stats_; }
   /// stats() plus every lane's counters (live totals for sharded stacks).
   DeviceStats AggregateStats() const;
-  /// Zero the device counters and every lane's counters.
+  /// Publish AggregateStats() to the metrics registry, then zero the device
+  /// counters and every lane's counters.
   void ResetStats();
 
   // -- Batched submission lanes (submit_queue.h, docs/SHARDING.md) ----------
@@ -213,8 +245,6 @@ class FlashArray {
   uint64_t TotalEraseOps() const { return stats_.block_erases; }
   /// Highest erase count across all blocks (wear skew indicator).
   uint32_t MaxEraseCount() const;
-  /// True once the block exceeded its rated P/E limit.
-  bool IsWornOut(Pbn pbn) const;
 
  private:
   struct BlockState {

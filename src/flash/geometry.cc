@@ -39,21 +39,4 @@ Geometry EmulatorSlcGeometry(uint64_t capacity_mb) {
   return g;
 }
 
-Geometry OpenSsdMlcGeometry(uint64_t capacity_mb) {
-  Geometry g;
-  g.cell_type = CellType::kMlc;
-  g.channels = 1;           // effective host-level parallelism of one request
-  g.chips_per_channel = 1;  // (Appendix D: no NCQ on the Jasmine board)
-  g.pages_per_block = 128;
-  g.page_size = 4096;
-  g.oob_size = 128;
-  g.max_programs_per_page = 4;  // N<=3 on MLC plus the initial program
-  g.pe_cycle_limit = 10000;
-  uint64_t pages = capacity_mb * 1024 * 1024 / g.page_size;
-  uint64_t blocks = pages / g.pages_per_block;
-  g.blocks_per_chip = static_cast<uint32_t>(blocks / g.total_chips());
-  if (g.blocks_per_chip == 0) g.blocks_per_chip = 1;
-  return g;
-}
-
 }  // namespace ipa::flash

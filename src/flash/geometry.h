@@ -115,8 +115,4 @@ inline uint32_t MsbPartnerOf(const Geometry& g, uint32_t lsb_page_in_block) {
 /// Preset: geometry used for the paper's 16-chip SLC flash emulator runs.
 Geometry EmulatorSlcGeometry(uint64_t capacity_mb);
 
-/// Preset: geometry approximating the OpenSSD Jasmine board (MLC, limited
-/// parallelism is configured in the timing model, not here).
-Geometry OpenSsdMlcGeometry(uint64_t capacity_mb);
-
 }  // namespace ipa::flash

@@ -41,7 +41,6 @@ class FlashLane {
   /// Operation counters for commands submitted through this lane. Not merged
   /// into FlashArray::stats(); see FlashArray::AggregateStats().
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DeviceStats{}; }
 
   /// Reservations queued since the last DrainLanes().
   size_t pending_ops() const { return pending_.size(); }

@@ -52,6 +52,11 @@ struct RegionStats {
   uint64_t scrub_refreshes = 0;         ///< Correct-and-Refresh reprograms.
   uint64_t wear_level_migrations = 0;   ///< Static wear-leveling page moves.
   uint64_t wear_level_swaps = 0;        ///< Cold-block/worn-block exchanges.
+  uint64_t trims = 0;                   ///< Trims that dropped a mapping.
+  /// Mount-scan totals (the sums of every MountScanReport).
+  uint64_t mount_pages_scanned = 0;
+  uint64_t mount_torn_bytes_dropped = 0;
+  uint64_t mount_uncorrectable_pages = 0;
   LatencyStats read_latency;
   LatencyStats write_latency;        ///< Out-of-place page writes.
   LatencyStats delta_write_latency;  ///< write_delta appends.
@@ -74,6 +79,42 @@ struct RegionStats {
                                    static_cast<double>(HostWrites());
   }
 };
+
+/// Every RegionStats counter and the metric name each backend publishes it
+/// under when it discards its stats (docs/METRICS.md): `noftl` below "ftl.",
+/// `pageftl` below "pageftl." or "streamftl."; nullptr where that backend
+/// publishes none. Both also publish the derived "map_updates".
+struct RegionStatField {
+  uint64_t RegionStats::*field;
+  const char* noftl;
+  const char* pageftl;
+};
+inline constexpr RegionStatField kRegionStatFields[] = {
+    {&RegionStats::host_reads, "host_reads", "host_reads"},
+    {&RegionStats::host_page_writes, "host_page_writes", "host_page_writes"},
+    {&RegionStats::host_delta_writes, "host_delta_writes", nullptr},
+    {&RegionStats::delta_bytes_written, "delta_bytes_written", nullptr},
+    {&RegionStats::delta_fallbacks, "delta_fallbacks", nullptr},
+    {&RegionStats::gc_page_migrations, "gc.page_migrations", "gc.page_migrations"},
+    {&RegionStats::gc_erases, "gc.erases", "gc.erases"},
+    {&RegionStats::ecc_corrected_bits, nullptr, nullptr},
+    {&RegionStats::ecc_uncorrectable, nullptr, nullptr},
+    {&RegionStats::torn_delta_bytes_dropped, nullptr, nullptr},
+    {&RegionStats::torn_pages_quarantined, "mount_scan.torn_pages_quarantined",
+     "mount.torn_pages_quarantined"},
+    {&RegionStats::scrub_refreshes, "scrub.refreshes", nullptr},
+    {&RegionStats::wear_level_migrations, "wear_level.migrations", nullptr},
+    {&RegionStats::wear_level_swaps, "wear_level.swaps", nullptr},
+    {&RegionStats::trims, "trims", "trims"},
+    {&RegionStats::mount_pages_scanned, "mount_scan.pages_scanned", "mount.pages_scanned"},
+    {&RegionStats::mount_torn_bytes_dropped, "mount_scan.torn_bytes_dropped", nullptr},
+    {&RegionStats::mount_uncorrectable_pages, "mount_scan.uncorrectable_pages", nullptr},
+};
+
+/// Field-wise sum of the counters of kRegionStatFields (latencies excluded).
+inline void AccumulateStats(RegionStats& into, const RegionStats& from) {
+  for (const RegionStatField& f : kRegionStatFields) into.*f.field += from.*f.field;
+}
 
 /// Result of a mount-time scan after power loss (FtlBackend::Mount).
 struct MountScanReport {
@@ -108,6 +149,7 @@ class FtlBackend : public PageDevice {
   virtual Status Audit() const = 0;
 
   virtual const RegionStats& stats() const = 0;
+  /// Publish stats() to the metrics registry, then zero it.
   virtual void ResetStats() = 0;
 };
 

@@ -15,33 +15,29 @@ namespace {
 constexpr uint32_t kSlotBytes = 10;
 constexpr uint32_t kSlotEccBytes = 6;  // covers deltas up to 512 bytes
 
-/// Process-wide FTL counters, summed over every region of every NoFtl in the
-/// process (per-region splits stay in RegionStats).
-struct FtlCounters {
-  metrics::Counter gc_page_migrations{"ftl.gc.page_migrations"};
-  metrics::Counter gc_erases{"ftl.gc.erases"};
-  metrics::Counter scrub_refreshes{"ftl.scrub.refreshes"};
-  metrics::Counter wear_level_migrations{"ftl.wear_level.migrations"};
-  metrics::Counter wear_level_swaps{"ftl.wear_level.swaps"};
-  metrics::Counter mount_pages_scanned{"ftl.mount_scan.pages_scanned"};
-  metrics::Counter mount_torn_quarantined{"ftl.mount_scan.torn_pages_quarantined"};
-  metrics::Counter mount_torn_bytes{"ftl.mount_scan.torn_bytes_dropped"};
-  metrics::Counter mount_uncorrectable{"ftl.mount_scan.uncorrectable_pages"};
-  metrics::Counter host_reads{"ftl.host_reads"};
-  metrics::Counter host_page_writes{"ftl.host_page_writes"};
-  metrics::Counter host_delta_writes{"ftl.host_delta_writes"};
-  metrics::Counter delta_bytes_written{"ftl.delta_bytes_written"};
-  metrics::Counter delta_fallbacks{"ftl.delta_fallbacks"};
-  metrics::Counter map_updates{"ftl.map_updates"};
-  metrics::Counter trims{"ftl.trims"};
-  metrics::Histogram read_latency{"ftl.read_latency_us"};
-  metrics::Histogram write_latency{"ftl.write_latency_us"};
-  metrics::Histogram delta_write_latency{"ftl.delta_write_latency_us"};
+/// Process-wide latency histograms, summed over every region of every NoFtl
+/// in the process (counts are published from RegionStats instead).
+struct FtlLatency {
+  metrics::Histogram read{"ftl.read_latency_us"};
+  metrics::Histogram write{"ftl.write_latency_us"};
+  metrics::Histogram delta_write{"ftl.delta_write_latency_us"};
 };
 
-FtlCounters& Fm() {
-  static FtlCounters counters;
-  return counters;
+FtlLatency& Latency() {
+  static FtlLatency histograms;
+  return histograms;
+}
+
+/// Add one region's counters to the registry under "ftl." Every mapping
+/// change is a host page write, a GC or wear-level migration, a mount-scan
+/// quarantine or a trim, so map_updates is their sum.
+void Publish(const RegionStats& s) {
+  for (const RegionStatField& f : kRegionStatFields) {
+    if (f.noftl) metrics::Counter(std::string("ftl.") + f.noftl).Add(s.*f.field);
+  }
+  metrics::Counter("ftl.map_updates")
+      .Add(s.host_page_writes + s.gc_page_migrations + s.wear_level_migrations +
+           s.torn_pages_quarantined + s.trims);
 }
 
 /// True for a slot whose offset/len no appended delta could have written:
@@ -71,22 +67,21 @@ bool CoverDeltaArea(const uint8_t* oob, const flash::Geometry& g, uint32_t delta
 }
 }  // namespace
 
-const char* IpaModeName(IpaMode m) {
-  switch (m) {
-    case IpaMode::kOff: return "off";
-    case IpaMode::kSlc: return "SLC";
-    case IpaMode::kPSlc: return "pSLC";
-    case IpaMode::kOddMlc: return "odd-MLC";
-  }
-  return "?";
-}
-
 NoFtl::NoFtl(flash::FlashArray* device) : device_(device) {
   const auto& g = device_->geometry();
   device_free_.resize(g.total_chips());
   for (flash::Pbn b = 0; b < g.total_blocks(); b++) {
     device_free_[b / g.blocks_per_chip].push_back(b);
   }
+}
+
+NoFtl::~NoFtl() {
+  for (const Region& reg : regions_) Publish(reg.stats);
+}
+
+void NoFtl::ResetStats(RegionId r) {
+  Publish(regions_[r].stats);
+  regions_[r].stats = RegionStats{};
 }
 
 Result<RegionId> NoFtl::CreateRegion(const RegionConfig& config) {
@@ -184,14 +179,9 @@ BlockManager::Hooks NoFtl::GcHooks(RegionId r) {
     IPA_RETURN_NOT_OK(device_->ProgramPage(to, page, oob_src, oob_src ? g.oob_size : 0,
                                            nullptr, false));
     reg.stats.gc_page_migrations++;
-    Fm().gc_page_migrations.Inc();
-    Fm().map_updates.Inc();
     return Status::OK();
   };
-  h.erased = [this, r] {
-    regions_[r].stats.gc_erases++;
-    Fm().gc_erases.Inc();
-  };
+  h.erased = [this, r] { regions_[r].stats.gc_erases++; };
   h.gc_span = []() -> metrics::SpanSite& {
     static metrics::SpanSite site("ftl.gc");
     return site;
@@ -225,7 +215,6 @@ Status NoFtl::ScrubRegion(RegionId r, bool refresh_all) {
       if (s.IsNotSupported()) continue;  // interference-cleared bit: skip
       IPA_RETURN_NOT_OK(s);
       reg.stats.scrub_refreshes++;
-      Fm().scrub_refreshes.Inc();
     }
   }
   return Status::OK();
@@ -292,12 +281,9 @@ Status NoFtl::WearLevelRegion(RegionId r, uint32_t max_spread) {
                                            false));
     bm.Relocate(lba, dst);
     reg.stats.wear_level_migrations++;
-    Fm().wear_level_migrations.Inc();
-    Fm().map_updates.Inc();
   }
   IPA_RETURN_NOT_OK(bm.EraseAndFree(cold));
   reg.stats.wear_level_swaps++;
-  Fm().wear_level_swaps.Inc();
   return Status::OK();
 }
 
@@ -445,19 +431,19 @@ Status NoFtl::MountScan(RegionId r, MountScanReport* report) {
       flash::Ppn ppn = reg.blocks.PhysicalOf(lba);
       if (ppn == flash::kInvalidPpn) continue;
       rep.pages_scanned++;
-      Fm().mount_pages_scanned.Inc();
+      reg.stats.mount_pages_scanned++;
       IPA_RETURN_NOT_OK(device_->ReadPage(ppn, buf.data(), nullptr, false));
       Status s = VerifyEcc(reg, ppn, buf.data());
       if (s.IsCorruption()) {
         rep.uncorrectable_pages++;  // beyond DBMS-side repair; WAL redo rewrites
-        Fm().mount_uncorrectable.Inc();
+        reg.stats.mount_uncorrectable_pages++;
         continue;
       }
       IPA_RETURN_NOT_OK(s);
       uint32_t dropped = ScrubUncoveredDeltaBytes(reg, ppn, buf.data());
       if (dropped == 0) continue;
       rep.torn_bytes_dropped += dropped;
-      Fm().mount_torn_bytes.Add(dropped);
+      reg.stats.mount_torn_bytes_dropped += dropped;
       // Quarantine: the torn bytes sit in flash cells that already took
       // charge, so the page can never absorb a clean append there again.
       // Rewrite the scrubbed image (with its OOB, preserving valid delta
@@ -471,8 +457,6 @@ Status NoFtl::MountScan(RegionId r, MountScanReport* report) {
       reg.blocks.Map(lba, new_ppn);
       reg.stats.torn_pages_quarantined++;
       rep.torn_pages_quarantined++;
-      Fm().mount_torn_quarantined.Inc();
-      Fm().map_updates.Inc();
     }
   }
   if (report) *report = rep;
@@ -496,8 +480,7 @@ Status NoFtl::ReadPage(RegionId r, Lba lba, uint8_t* out) {
   flash::IoTiming t;
   IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
   reg.stats.read_latency.Add(t.LatencyUs());
-  Fm().host_reads.Inc();
-  Fm().read_latency.Record(t.LatencyUs());
+  Latency().read.Record(t.LatencyUs());
   if (reg.config.manage_ecc) {
     IPA_RETURN_NOT_OK(VerifyEcc(reg, ppn, out));
     // Never serve torn (power-loss-interrupted) delta bytes to the host.
@@ -522,9 +505,7 @@ Status NoFtl::WritePage(RegionId r, Lba lba, const uint8_t* data, bool sync) {
 
   reg.stats.host_page_writes++;
   reg.stats.write_latency.Add(t.LatencyUs());
-  Fm().host_page_writes.Inc();
-  Fm().map_updates.Inc();
-  Fm().write_latency.Record(t.LatencyUs());
+  Latency().write.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -542,7 +523,6 @@ Status NoFtl::WriteDelta(RegionId r, Lba lba, uint32_t offset, const uint8_t* by
   // A refused append is a fallback: the caller writes the page instead.
   auto fallback = [&](Status refusal) {
     reg.stats.delta_fallbacks++;
-    Fm().delta_fallbacks.Inc();
     return refusal;
   };
   const auto& g = device_->geometry();
@@ -582,9 +562,7 @@ Status NoFtl::WriteDelta(RegionId r, Lba lba, uint32_t offset, const uint8_t* by
   reg.stats.host_delta_writes++;
   reg.stats.delta_bytes_written += len;
   reg.stats.delta_write_latency.Add(t.LatencyUs());
-  Fm().host_delta_writes.Inc();
-  Fm().delta_bytes_written.Add(len);
-  Fm().delta_write_latency.Record(t.LatencyUs());
+  Latency().delta_write.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -613,10 +591,7 @@ uint32_t NoFtl::DeltaAppendsRemaining(RegionId r, Lba lba) const {
 Status NoFtl::Trim(RegionId r, Lba lba) {
   Region& reg = regions_[r];
   if (lba >= reg.config.logical_pages) return Status::InvalidArgument("lba out of range");
-  if (reg.blocks.Unmap(lba)) {
-    Fm().trims.Inc();
-    Fm().map_updates.Inc();
-  }
+  if (reg.blocks.Unmap(lba)) reg.stats.trims++;
   return Status::OK();
 }
 

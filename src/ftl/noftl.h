@@ -42,8 +42,6 @@ namespace ipa::ftl {
 /// IPA capability of a region (see file header).
 enum class IpaMode { kOff, kSlc, kPSlc, kOddMlc };
 
-const char* IpaModeName(IpaMode m);
-
 /// CREATE REGION ... parameters (Figure 3).
 struct RegionConfig {
   std::string name = "default";
@@ -75,7 +73,10 @@ class NoFtl {
  public:
   /// The device must outlive the NoFtl instance.
   explicit NoFtl(flash::FlashArray* device);
-  // Region devices and GC hooks hold this instance's address.
+  /// Publishes every region's stats to the metrics registry.
+  ~NoFtl();
+  // Region devices and GC hooks hold this instance's address, and a copy
+  // would publish twice.
   NoFtl(const NoFtl&) = delete;
   NoFtl& operator=(const NoFtl&) = delete;
 
@@ -84,7 +85,8 @@ class NoFtl {
 
   const RegionConfig& region_config(RegionId r) const { return regions_[r].config; }
   const RegionStats& region_stats(RegionId r) const { return regions_[r].stats; }
-  void ResetStats(RegionId r) { regions_[r].stats = RegionStats{}; }
+  /// Publish region `r`'s stats to the metrics registry, then zero them.
+  void ResetStats(RegionId r);
   size_t region_count() const { return regions_.size(); }
 
   flash::FlashArray& device() { return *device_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "common/bytes.h"
@@ -15,52 +14,23 @@ namespace {
 constexpr uint32_t kStreamOffset = 22;
 constexpr uint32_t kEntryCrcOffset = 23;
 
-/// Process-wide counters, summed over every PageFtl instance of one metric
-/// prefix (per-instance splits stay in RegionStats). The per-stream
-/// counters exist only under the "streamftl" prefix.
-struct FtlCounters {
-  FtlCounters(const std::string& p, bool per_stream)
-      : host_reads(p + ".host_reads"),
-        host_page_writes(p + ".host_page_writes"),
-        gc_page_migrations(p + ".gc.page_migrations"),
-        gc_erases(p + ".gc.erases"),
-        trims(p + ".trims"),
-        map_updates(p + ".map_updates"),
-        mount_pages_scanned(p + ".mount.pages_scanned"),
-        mount_torn_quarantined(p + ".mount.torn_pages_quarantined"),
-        read_latency(p + ".read_latency_us"),
-        write_latency(p + ".write_latency_us") {
-    if (!per_stream) return;
-    stream_spills.emplace(p + ".stream_spills");
-    for (uint32_t s = 0; s < kNumStreams; s++) {
-      std::string tag = StreamTagName(static_cast<StreamTag>(s));
-      std::replace(tag.begin(), tag.end(), '-', '_');
-      stream_writes.emplace_back(p + ".writes." + tag);
-    }
-  }
-
-  metrics::Counter host_reads;
-  metrics::Counter host_page_writes;
-  metrics::Counter gc_page_migrations;
-  metrics::Counter gc_erases;
-  metrics::Counter trims;
-  metrics::Counter map_updates;
-  metrics::Counter mount_pages_scanned;
-  metrics::Counter mount_torn_quarantined;
-  metrics::Histogram read_latency;
-  metrics::Histogram write_latency;
-  std::optional<metrics::Counter> stream_spills;
-  std::vector<metrics::Counter> stream_writes;  ///< Indexed by StreamTag.
+/// Process-wide latency histograms, summed over every PageFtl instance of
+/// one metric prefix (counts are published from RegionStats instead).
+struct FtlLatency {
+  explicit FtlLatency(const std::string& p)
+      : read(p + ".read_latency_us"), write(p + ".write_latency_us") {}
+  metrics::Histogram read;
+  metrics::Histogram write;
 };
 
-// Each prefix registers its metrics (and span sites) on first use, so a run
-// that never touches one flavor exports none of its names.
-FtlCounters& Counters(bool per_stream) {
+// Each prefix registers its histograms (and span sites) on first use, so a
+// run that never touches one flavor exports none of its names.
+FtlLatency& Latency(bool per_stream) {
   if (per_stream) {
-    static FtlCounters streams("streamftl", true);
+    static FtlLatency streams("streamftl");
     return streams;
   }
-  static FtlCounters single("pageftl", false);
+  static FtlLatency single("pageftl");
   return single;
 }
 
@@ -88,6 +58,33 @@ PageFtl::PageFtl(flash::FlashArray* device, const PageFtlConfig& config,
     : device_(device),
       config_(config),
       blocks_(device, std::move(blocks), pbns, GcHooks()) {}
+
+PageFtl::~PageFtl() {
+  PublishStats();
+  if (!per_stream()) return;
+  metrics::Counter("streamftl.stream_spills").Add(stream_spills_);
+  for (uint32_t s = 0; s < kNumStreams; s++) {
+    std::string tag = StreamTagName(static_cast<StreamTag>(s));
+    std::replace(tag.begin(), tag.end(), '-', '_');
+    metrics::Counter("streamftl.writes." + tag).Add(stream_writes_[s]);
+  }
+}
+
+void PageFtl::ResetStats() {
+  PublishStats();
+  stats_ = RegionStats{};
+}
+
+// Every mapping change is a host page write, a GC migration or a trim (a
+// quarantined page is left unmapped), so map_updates is their sum.
+void PageFtl::PublishStats() const {
+  std::string p = std::string(backend_name()) + ".";
+  for (const RegionStatField& f : kRegionStatFields) {
+    if (f.pageftl) metrics::Counter(p + f.pageftl).Add(stats_.*f.field);
+  }
+  metrics::Counter(p + "map_updates")
+      .Add(stats_.host_page_writes + stats_.gc_page_migrations + stats_.trims);
+}
 
 Result<std::unique_ptr<PageFtl>> PageFtl::Create(flash::FlashArray* device,
                                                  const PageFtlConfig& config) {
@@ -141,19 +138,10 @@ BlockManager::Hooks PageFtl::GcHooks() {
     StreamTag stream = per_stream() ? StreamTag::kGcRelocation : StreamTag::kUntagged;
     IPA_RETURN_NOT_OK(ProgramMapped(to, lba, stream, page, nullptr, false));
     stats_.gc_page_migrations++;
-    FtlCounters& m = Counters(per_stream());
-    m.gc_page_migrations.Inc();
-    m.map_updates.Inc();
     return Status::OK();
   };
-  h.erased = [this] {
-    stats_.gc_erases++;
-    Counters(per_stream()).gc_erases.Inc();
-  };
-  h.spilled = [this] {
-    stream_spills_++;
-    Counters(per_stream()).stream_spills->Inc();
-  };
+  h.erased = [this] { stats_.gc_erases++; };
+  h.spilled = [this] { stream_spills_++; };
   h.gc_span = [this]() -> metrics::SpanSite& { return GcSpan(per_stream()); };
   return h;
 }
@@ -208,9 +196,7 @@ Status PageFtl::ReadPage(Lba lba, uint8_t* out) {
   flash::IoTiming t;
   IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
   stats_.read_latency.Add(t.LatencyUs());
-  FtlCounters& m = Counters(per_stream());
-  m.host_reads.Inc();
-  m.read_latency.Record(t.LatencyUs());
+  Latency(per_stream()).read.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -234,12 +220,9 @@ Status PageFtl::WriteTagged(Lba lba, const uint8_t* data, bool sync,
   blocks_.Map(lba, ppn);
 
   stats_.host_page_writes++;
+  stream_writes_[static_cast<uint8_t>(tag)]++;
   stats_.write_latency.Add(t.LatencyUs());
-  FtlCounters& m = Counters(per_stream());
-  m.host_page_writes.Inc();
-  if (per_stream()) m.stream_writes[static_cast<uint8_t>(tag)].Inc();
-  m.map_updates.Inc();
-  m.write_latency.Record(t.LatencyUs());
+  Latency(per_stream()).write.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -265,11 +248,7 @@ StreamTag PageFtl::StreamOf(Lba lba) const {
 
 Status PageFtl::Trim(Lba lba) {
   if (lba >= config_.logical_pages) return Status::InvalidArgument("lba out of range");
-  if (blocks_.Unmap(lba)) {
-    FtlCounters& m = Counters(per_stream());
-    m.trims.Inc();
-    m.map_updates.Inc();
-  }
+  if (blocks_.Unmap(lba)) stats_.trims++;
   return Status::OK();
 }
 
@@ -280,7 +259,6 @@ Status PageFtl::Trim(Lba lba) {
 Status PageFtl::Mount(MountScanReport* report) {
   metrics::ScopedSpan span(MountSpan(per_stream()), &device_->clock());
   const auto& g = device_->geometry();
-  FtlCounters& m = Counters(per_stream());
   MountScanReport rep;
 
   // Discard all RAM mapping state; media is the only source of truth. Every
@@ -301,7 +279,7 @@ Status PageFtl::Mount(MountScanReport* report) {
     for (uint32_t page = 0; page < g.pages_per_block; page++) {
       flash::Ppn ppn = blocks_.PageOf(b, page);
       rep.pages_scanned++;
-      m.mount_pages_scanned.Inc();
+      stats_.mount_pages_scanned++;
       IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob.data(), kOobEntryBytes));
 
       Lba lba;
@@ -323,7 +301,6 @@ Status PageFtl::Mount(MountScanReport* report) {
         if (Crc32c(buf.data(), g.page_size) != data_crc) {
           rep.torn_pages_quarantined++;
           stats_.torn_pages_quarantined++;
-          m.mount_torn_quarantined.Inc();
           continue;
         }
         max_seq = std::max(max_seq, seq);

@@ -68,6 +68,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,7 +105,10 @@ class PageFtl : public FtlBackend {
   /// must outlive the PageFtl and must not be shared with another FTL.
   static Result<std::unique_ptr<PageFtl>> Create(flash::FlashArray* device,
                                                  const PageFtlConfig& config);
-  // The block manager's GC hooks hold this instance's address.
+  /// Publishes stats() and the per-stream counters to the metrics registry.
+  ~PageFtl() override;
+  // The block manager's GC hooks hold this instance's address, and a copy
+  // would publish twice.
   PageFtl(const PageFtl&) = delete;
   PageFtl& operator=(const PageFtl&) = delete;
 
@@ -131,7 +135,7 @@ class PageFtl : public FtlBackend {
   Status Mount(MountScanReport* report = nullptr) override;
   Status Audit() const override;
   const RegionStats& stats() const override { return stats_; }
-  void ResetStats() override { stats_ = RegionStats{}; }
+  void ResetStats() override;
 
   // -- Maintenance / introspection --------------------------------------------
   /// Run one GC pass unconditionally (fuzzer maintenance op). OK when no
@@ -151,6 +155,11 @@ class PageFtl : public FtlBackend {
   /// Writes that had to borrow another stream's frontier under space
   /// pressure (this instance; always 0 for single-stream policies).
   uint64_t stream_spills() const { return stream_spills_; }
+  /// Host writes per stream tag (this instance; all kUntagged for
+  /// single-stream policies).
+  uint64_t stream_writes(StreamTag tag) const {
+    return stream_writes_[static_cast<uint8_t>(tag)];
+  }
 
  private:
   PageFtl(flash::FlashArray* device, const PageFtlConfig& config,
@@ -161,6 +170,8 @@ class PageFtl : public FtlBackend {
   }
   /// GC copies get a fresh OOB entry, and so a fresh sequence number.
   BlockManager::Hooks GcHooks();
+  /// Add stats_ to the registry under backend_name() (docs/METRICS.md).
+  void PublishStats() const;
 
   /// Program `data` to `ppn` with a fresh reverse-map OOB entry for `lba`.
   Status ProgramMapped(flash::Ppn ppn, Lba lba, StreamTag stream,
@@ -175,6 +186,7 @@ class PageFtl : public FtlBackend {
   BlockManager blocks_;
   uint64_t write_seq_ = 0;  ///< Monotonic, consumed per program attempt.
   uint64_t stream_spills_ = 0;
+  std::array<uint64_t, kNumStreams> stream_writes_{};
   RegionStats stats_;
 };
 

@@ -6,20 +6,14 @@
 
 namespace ipa::net {
 
-namespace {
-metrics::Counter& AdmittedCounter() {
-  static metrics::Counter c("serve.admitted");
-  return c;
-}
-metrics::Counter& ShedCounter() {
-  static metrics::Counter c("serve.shed");
-  return c;
-}
-}  // namespace
-
 AdmissionController::AdmissionController(uint32_t partitions, Config cfg)
     : cfg_(cfg), depth_(partitions) {
   if (cfg_.inflight_budget == 0) cfg_.inflight_budget = 1;
+}
+
+AdmissionController::~AdmissionController() {
+  metrics::Counter("serve.admitted").Add(admitted());
+  metrics::Counter("serve.shed").Add(shed());
 }
 
 bool AdmissionController::TryAdmit(uint32_t part) {
@@ -28,12 +22,10 @@ bool AdmissionController::TryAdmit(uint32_t part) {
   // load+store (rather than a CAS loop) cannot overshoot the budget.
   if (d.load(std::memory_order_relaxed) >= cfg_.inflight_budget) {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    ShedCounter().Inc();
     return false;
   }
   d.fetch_add(1, std::memory_order_relaxed);
   admitted_.fetch_add(1, std::memory_order_relaxed);
-  AdmittedCounter().Inc();
   return true;
 }
 

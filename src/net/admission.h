@@ -32,6 +32,11 @@ class AdmissionController {
   };
 
   AdmissionController(uint32_t partitions, Config cfg);
+  /// Publishes admitted() and shed() to the metrics registry.
+  ~AdmissionController();
+  // A copy would publish twice.
+  AdmissionController(const AdmissionController&) = delete;
+  AdmissionController& operator=(const AdmissionController&) = delete;
 
   uint32_t partitions() const { return static_cast<uint32_t>(depth_.size()); }
   const Config& config() const { return cfg_; }

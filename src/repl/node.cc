@@ -10,32 +10,6 @@ namespace ipa::repl {
 
 namespace {
 
-/// Process-wide replication counters (common/metrics.h); per-instance
-/// equivalents live in ReplStats.
-struct ReplMetrics {
-  metrics::Counter ship_frames{"repl.ship.frames"};
-  metrics::Counter ship_bytes{"repl.ship.bytes"};
-  metrics::Counter ship_delta_ops{"repl.ship.delta_ops"};
-  metrics::Counter ship_full_ops{"repl.ship.full_ops"};
-  metrics::Counter ship_foldbacks{"repl.ship.foldbacks"};
-  metrics::Counter ship_abort_marks{"repl.ship.abort_marks"};
-  metrics::Counter apply_frames{"repl.apply.frames"};
-  metrics::Counter apply_ops{"repl.apply.ops"};
-  metrics::Counter apply_duplicates{"repl.apply.duplicates"};
-  metrics::Counter apply_rejected_torn{"repl.apply.rejected_torn"};
-  metrics::Counter apply_gaps{"repl.apply.gaps"};
-  metrics::Counter apply_lww_skips{"repl.apply.lww_skips"};
-  metrics::Counter snapshots_built{"repl.snapshot.built"};
-  metrics::Counter snapshots_applied{"repl.snapshot.applied"};
-  metrics::Counter snapshot_items{"repl.snapshot.items"};
-  metrics::Counter promotions{"repl.promotions"};
-};
-
-ReplMetrics& Rm() {
-  static ReplMetrics m;
-  return m;
-}
-
 constexpr uint32_t kMetaMagic = 0x4D4C5052;  // "RPLM"
 constexpr uint32_t kMetaVvCap = 8;
 constexpr size_t kMetaRowBytes = 16 + kMetaVvCap * 16;
@@ -72,6 +46,7 @@ Result<std::unique_ptr<ReplNode>> ReplNode::Attach(
 ReplNode::~ReplNode() {
   db_->SetCommitHook({});
   db_->SetAbortHook({});
+  metrics::PublishStats(stats_, kReplStatFields);
 }
 
 Status ReplNode::Bootstrap() {
@@ -143,7 +118,6 @@ void ReplNode::OnCommit(const engine::Database::CommitEvent& ev) {
         op.kind = ChangeKind::kFull;
         op.bytes = rec.after;
         stats_.full_ops++;
-        Rm().ship_full_ops.Inc();
         break;
       case engine::LogType::kUpdate:
         if (!cfg_.full_images && rec.after.size() <= ipa_budget_) {
@@ -153,7 +127,6 @@ void ReplNode::OnCommit(const engine::Database::CommitEvent& ev) {
           op.offset = rec.offset;
           op.bytes = rec.after;
           stats_.delta_ops++;
-          Rm().ship_delta_ops.Inc();
         } else {
           // Foldback: ship the full image, like the out-of-place page write
           // the engine falls back to when a diff exceeds the budget.
@@ -162,10 +135,8 @@ void ReplNode::OnCommit(const engine::Database::CommitEvent& ev) {
           op.kind = ChangeKind::kFull;
           op.bytes = std::move(img.value());
           stats_.full_ops++;
-          Rm().ship_full_ops.Inc();
           if (!cfg_.full_images) {
             stats_.foldbacks++;
-            Rm().ship_foldbacks.Inc();
           }
         }
         break;
@@ -204,8 +175,6 @@ void ReplNode::OnCommit(const engine::Database::CommitEvent& ev) {
   std::vector<uint8_t> wire = EncodeFrame(f, cfg_.compress_wire);
   stats_.frames_emitted++;
   stats_.bytes_emitted += wire.size();
-  Rm().ship_frames.Inc();
-  Rm().ship_bytes.Add(wire.size());
   outbound_.push_back(std::move(wire));
 }
 
@@ -221,9 +190,6 @@ void ReplNode::OnAbort(engine::TxnId /*txn*/, engine::Lsn abort_lsn) {
   stats_.frames_emitted++;
   stats_.abort_marks++;
   stats_.bytes_emitted += wire.size();
-  Rm().ship_frames.Inc();
-  Rm().ship_abort_marks.Inc();
-  Rm().ship_bytes.Add(wire.size());
   outbound_.push_back(std::move(wire));
 }
 
@@ -282,7 +248,6 @@ Result<std::vector<std::vector<uint8_t>>> ReplNode::BuildSnapshot() {
           item.ops.push_back(std::move(op));
           out.push_back(EncodeFrame(item, cfg_.compress_wire));
           stats_.snapshot_items++;
-          Rm().snapshot_items.Inc();
           return true;
         }));
   }
@@ -296,7 +261,6 @@ Result<std::vector<std::vector<uint8_t>>> ReplNode::BuildSnapshot() {
   end.vv.Advance(cfg_.writer, snap);
   out.push_back(EncodeFrame(end));
   stats_.snapshots_built++;
-  Rm().snapshots_built.Inc();
   return out;
 }
 
@@ -328,7 +292,6 @@ Status ReplNode::ApplyOp(engine::TxnId txn, const ChangeOp& op,
   const Entry* cur = Find(*staged, key);
   if (cur != nullptr && LwwSkips(*cur, op)) {
     stats_.lww_skips++;
-    Rm().apply_lww_skips.Inc();
     return Status::OK();
   }
 
@@ -376,7 +339,6 @@ Status ReplNode::ApplyOp(engine::TxnId txn, const ChangeOp& op,
   (*staged)[key] = next;
   IPA_RETURN_NOT_OK(PersistMapRow(txn, key, &(*staged)[key]));
   stats_.ops_applied++;
-  Rm().apply_ops.Inc();
   return Status::OK();
 }
 
@@ -464,7 +426,6 @@ Result<ReplNode::Apply> ReplNode::ApplyFrame(std::span<const uint8_t> wire) {
   auto decoded = DecodeFrame(wire);
   if (!decoded.ok()) {
     stats_.torn_rejected++;
-    Rm().apply_rejected_torn.Inc();
     return Apply::kRejectedTorn;
   }
   Frame f = std::move(decoded.value());
@@ -476,7 +437,6 @@ Result<ReplNode::Apply> ReplNode::ApplyFrame(std::span<const uint8_t> wire) {
   uint64_t have = vv_.Of(f.writer);
   if (f.lsn <= have) {
     stats_.duplicates++;
-    Rm().apply_duplicates.Inc();
     return Apply::kDuplicate;
   }
   if (f.prev_lsn == kUnknownLsn || f.prev_lsn > have) {
@@ -485,7 +445,6 @@ Result<ReplNode::Apply> ReplNode::ApplyFrame(std::span<const uint8_t> wire) {
     // fine — it means the predecessor frame is already covered (e.g. by a
     // snapshot whose LSN lands between two frames of the tail).
     stats_.gap_rejected++;
-    Rm().apply_gaps.Inc();
     return Apply::kNeedCatchup;
   }
 
@@ -506,7 +465,6 @@ Result<ReplNode::Apply> ReplNode::ApplyFrame(std::span<const uint8_t> wire) {
   }
   IPA_RETURN_NOT_OK(CommitApply(txn, std::move(staged), std::move(vv)));
   stats_.frames_applied++;
-  Rm().apply_frames.Inc();
   return Apply::kApplied;
 }
 
@@ -522,7 +480,6 @@ Status ReplNode::ApplySnapshot(
     auto d = DecodeFrame(wire);
     if (!d.ok()) {
       stats_.torn_rejected++;
-      Rm().apply_rejected_torn.Inc();
       return d.status();
     }
     fs.push_back(std::move(d.value()));
@@ -546,7 +503,6 @@ Status ReplNode::ApplySnapshot(
   uint64_t snap_version = begin.prev_lsn;
   if (snap <= vv_.Of(begin.writer)) {
     stats_.duplicates++;
-    Rm().apply_duplicates.Inc();
     return Status::OK();  // already caught up past this snapshot
   }
 
@@ -593,7 +549,6 @@ Status ReplNode::ApplySnapshot(
   if (!s.ok()) return AbortApply(txn, s);
   IPA_RETURN_NOT_OK(CommitApply(txn, std::move(staged), std::move(vv)));
   stats_.snapshots_applied++;
-  Rm().snapshots_applied.Inc();
   return Status::OK();
 }
 
@@ -616,7 +571,6 @@ Status ReplNode::Promote(const std::vector<std::vector<uint8_t>>& pending) {
     version_floor_ = std::max(version_floor_, e.version);
   }
   stats_.promotions++;
-  Rm().promotions.Inc();
   return Status::OK();
 }
 

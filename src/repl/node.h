@@ -76,6 +76,28 @@ struct ReplStats {
   uint64_t promotions = 0;
 };
 
+/// Every ReplStats counter and the metric it is published under
+/// (docs/METRICS.md).
+inline constexpr StatField<ReplStats> kReplStatFields[] = {
+    {&ReplStats::frames_emitted, "repl.ship.frames"},
+    {&ReplStats::bytes_emitted, "repl.ship.bytes"},
+    {&ReplStats::delta_ops, "repl.ship.delta_ops"},
+    {&ReplStats::full_ops, "repl.ship.full_ops"},
+    {&ReplStats::foldbacks, "repl.ship.foldbacks"},
+    {&ReplStats::abort_marks, "repl.ship.abort_marks"},
+    {&ReplStats::frames_applied, "repl.apply.frames"},
+    {&ReplStats::ops_applied, "repl.apply.ops"},
+    {&ReplStats::duplicates, "repl.apply.duplicates"},
+    {&ReplStats::torn_rejected, "repl.apply.rejected_torn"},
+    {&ReplStats::gap_rejected, "repl.apply.gaps"},
+    {&ReplStats::lww_skips, "repl.apply.lww_skips"},
+    {&ReplStats::missing_skips, nullptr},
+    {&ReplStats::snapshots_built, "repl.snapshot.built"},
+    {&ReplStats::snapshots_applied, "repl.snapshot.applied"},
+    {&ReplStats::snapshot_items, "repl.snapshot.items"},
+    {&ReplStats::promotions, "repl.promotions"},
+};
+
 class ReplNode {
  public:
   /// A tuple's origin identity: (origin writer, rid on that writer).
@@ -89,8 +111,10 @@ class ReplNode {
   static Result<std::unique_ptr<ReplNode>> Attach(
       engine::Database* db, engine::TablespaceId ts,
       std::vector<engine::TableId> tables, ReplConfig cfg);
+  /// Uninstalls the hooks and publishes stats() to the metrics registry.
   ~ReplNode();
 
+  // The hooks hold this instance's address, and a copy would publish twice.
   ReplNode(const ReplNode&) = delete;
   ReplNode& operator=(const ReplNode&) = delete;
 

@@ -5,16 +5,6 @@
 
 namespace ipa::workload {
 
-const char* BackendName(Backend b) {
-  switch (b) {
-    case Backend::kNoFtl: return "noftl";
-    case Backend::kPageFtlGreedy: return "pageftl-greedy";
-    case Backend::kPageFtlCostBenefit: return "pageftl-cb";
-    case Backend::kStreamFtl: return "streamftl";
-  }
-  return "?";
-}
-
 ftl::GcPolicy PageFtlPolicy(Backend b) {
   switch (b) {
     case Backend::kPageFtlGreedy: return ftl::GcPolicy::kGreedy;

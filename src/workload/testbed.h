@@ -40,8 +40,6 @@ enum class Backend {
   kStreamFtl,          ///< Stream-aware page-mapping FTL, warm/cold GC.
 };
 
-const char* BackendName(Backend b);
-
 /// GC policy of a page-mapping backend (any Backend but kNoFtl).
 ftl::GcPolicy PageFtlPolicy(Backend b);
 
