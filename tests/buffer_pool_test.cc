@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "engine/buffer_pool.h"
+#include "published.h"
 #include "storage/slotted_page.h"
 #include "workload/testbed.h"
 
@@ -136,6 +137,7 @@ TEST(BufferPoolTest, BaseImageDiffDrivesIpaPath) {
 }
 
 TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
+  uint64_t published = Published("bufferpool.clean_diff_skips");
   PoolFixture fx(8);
   PageId p(0, 4);
   fx.Seed(p);
@@ -146,6 +148,8 @@ TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
   ASSERT_TRUE(fx.pool->FlushAll().ok());
   EXPECT_EQ(fx.pool->stats().clean_diff_skips, 1u);
   EXPECT_EQ(fx.stack->backend_stats().HostWrites(), writes_before);
+  fx.pool.reset();
+  EXPECT_EQ(Published("bufferpool.clean_diff_skips") - published, 1u);
 }
 
 TEST(BufferPoolTest, CleanerRespectsThreshold) {
@@ -188,12 +192,11 @@ TEST(BufferPoolTest, MinRecLsnTracksOldestDirty) {
   EXPECT_EQ(fx.pool->MinRecLsn(), kInvalidLsn);
 }
 
-TEST(BufferPoolTest, FallbackWhenDeviceBudgetExhausted) {
-  // Device allows initial program + 1 append only; the second small-update
-  // flush must fall back to an out-of-place write.
-  storage::Scheme scheme{.n = 3, .m = 4, .v = 12};
-  workload::StackSpec spec = RegionSpec(scheme, 256);
-  spec.geometry.max_programs_per_page = 2;
+/// Writes page 0 of `spec`'s region with one tuple, then flushes two
+/// one-byte updates of it: the first appends in place, the second must go
+/// out of place. The content must survive either way. Returns the pool's
+/// stats; the pool and the stack are destroyed on return.
+BufferStats FlushTwoSmallUpdates(const workload::StackSpec& spec, storage::Scheme scheme) {
   std::unique_ptr<workload::Stack> stack = workload::Build(spec).value();
   BufferConfig bc;
   bc.frames = 8;
@@ -206,28 +209,52 @@ TEST(BufferPoolTest, FallbackWhenDeviceBudgetExhausted) {
   std::vector<uint8_t> tuple(64, 0x11);
   (void)view.Insert(tuple);
   pool.Unfix(f, true);
-  ASSERT_TRUE(pool.FlushAll().ok());  // initial out-of-place write
+  EXPECT_TRUE(pool.FlushAll().ok());  // initial out-of-place write
 
   for (int round = 0; round < 2; round++) {
     auto f2 = pool.Fix(p).value();
     storage::SlottedPage v2(f2->cur.data(), 4096);
     uint8_t val = static_cast<uint8_t>(0x20 + round);
-    ASSERT_TRUE(v2.UpdateInPlace(0, static_cast<uint32_t>(round), {&val, 1}).ok());
+    EXPECT_TRUE(v2.UpdateInPlace(0, static_cast<uint32_t>(round), {&val, 1}).ok());
     pool.Unfix(f2, true);
-    ASSERT_TRUE(pool.FlushAll().ok());
+    EXPECT_TRUE(pool.FlushAll().ok());
   }
-  // Round 0 appended (program #2); round 1 hit the budget -> out-of-place.
   EXPECT_EQ(pool.stats().ipa_flushes, 1u);
   EXPECT_EQ(pool.stats().oop_flushes, 2u);  // initial + fallback
-  // Content intact either way.
   pool.DropAllNoFlush();
   auto f3 = pool.Fix(p).value();
   storage::SlottedPage v3(f3->cur.data(), 4096);
   auto t = v3.Read(0);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t.value()[0], 0x20);
-  EXPECT_EQ(t.value()[1], 0x21);
+  EXPECT_TRUE(t.ok());
+  if (t.ok()) {
+    EXPECT_EQ(t.value()[0], 0x20);
+    EXPECT_EQ(t.value()[1], 0x21);
+  }
   pool.Unfix(f3, false);
+  return pool.stats();
+}
+
+TEST(BufferPoolTest, FallbackWhenDeviceBudgetExhausted) {
+  // Device allows initial program + 1 append only, so the pool plans the
+  // second small-update flush out of place without asking the device.
+  storage::Scheme scheme{.n = 3, .m = 4, .v = 12};
+  workload::StackSpec spec = RegionSpec(scheme, 256);
+  spec.geometry.max_programs_per_page = 2;
+  EXPECT_EQ(FlushTwoSmallUpdates(spec, scheme).ipa_fallbacks, 0u);
+}
+
+TEST(BufferPoolTest, FallbackWhenDeviceRefusesAppend) {
+  // A managed-ECC region whose 64-byte OOB area holds ECC_initial and one
+  // 10-byte delta slot: the page still has program budget, so the pool
+  // plans the second append, the device refuses it, and the flush falls
+  // back to a full page write.
+  storage::Scheme scheme{.n = 3, .m = 4, .v = 12};
+  workload::StackSpec spec = RegionSpec(scheme, 256);
+  spec.geometry.oob_size = 64;
+  std::get<ftl::RegionConfig>(spec.regions[0].ftl).manage_ecc = true;
+  uint64_t published = Published("bufferpool.writebacks.delta_fallbacks");
+  EXPECT_EQ(FlushTwoSmallUpdates(spec, scheme).ipa_fallbacks, 1u);
+  EXPECT_EQ(Published("bufferpool.writebacks.delta_fallbacks") - published, 1u);
 }
 
 // Regression: a simulated crash (DropAllNoFlush) must also reset the

@@ -9,6 +9,7 @@
 
 #include "flash/flash_array.h"
 #include "flash/submit_queue.h"
+#include "published.h"
 
 namespace ipa::flash {
 namespace {
@@ -97,13 +98,17 @@ TEST(FlashArrayTest, ProgramReadRoundTrip) {
 
 TEST(FlashArrayTest, IsppRejectsZeroToOne) {
   Geometry g = SmallSlc();
-  FlashArray dev(g, SlcTiming());
-  std::vector<uint8_t> zeros(g.page_size, 0x00);
-  ASSERT_TRUE(dev.ProgramPage(0, zeros.data()).ok());
-  std::vector<uint8_t> ones(g.page_size, 0x01);  // needs 0 -> 1: illegal
-  Status s = dev.ProgramPage(0, ones.data());
-  EXPECT_TRUE(s.IsNotSupported());
-  EXPECT_EQ(dev.stats().ispp_rejections, 1u);
+  uint64_t published = Published("flash.ispp_rejections");
+  {
+    FlashArray dev(g, SlcTiming());
+    std::vector<uint8_t> zeros(g.page_size, 0x00);
+    ASSERT_TRUE(dev.ProgramPage(0, zeros.data()).ok());
+    std::vector<uint8_t> ones(g.page_size, 0x01);  // needs 0 -> 1: illegal
+    Status s = dev.ProgramPage(0, ones.data());
+    EXPECT_TRUE(s.IsNotSupported());
+    EXPECT_EQ(dev.stats().ispp_rejections, 1u);
+  }
+  EXPECT_EQ(Published("flash.ispp_rejections") - published, 1u);
 }
 
 TEST(FlashArrayTest, IsppAllowsOneToZeroReprogram) {
@@ -288,25 +293,31 @@ TEST(FlashArrayTest, InterferenceHitsOnlyErasedRegionsOfMsbNeighbors) {
   Geometry g = SmallMlc();
   ErrorModel e;
   e.interference_flip_per_delta = 1.0;
-  FlashArray dev(g, MlcTiming(), e);
-  // Program pages 0..7 in order: body 0x00, tail erased.
-  std::vector<uint8_t> page(g.page_size, 0x00);
-  std::memset(page.data() + 384, 0xFF, g.page_size - 384);
-  for (uint32_t p = 0; p < 8; p++) {
-    ASSERT_TRUE(dev.ProgramPage(p, page.data()).ok());
-  }
-  // Delta append on LSB page 2 (wordline 1); neighbors: MSB pages on WL0/WL2.
-  uint8_t d[4] = {0, 0, 0, 0};
-  ASSERT_TRUE(dev.ProgramDelta(2, 384, d, 4).ok());
-  EXPECT_GT(dev.stats().interference_flips, 0u);
-  // Verify no programmed body byte of any page was damaged.
-  std::vector<uint8_t> buf(g.page_size);
-  for (uint32_t p = 0; p < 8; p++) {
-    ASSERT_TRUE(dev.ReadPage(p, buf.data()).ok());
-    for (uint32_t i = 0; i < 384; i++) {
-      ASSERT_EQ(buf[i], 0x00) << "page " << p << " body byte " << i;
+  uint64_t published = Published("flash.bit_errors.interference");
+  uint64_t flips = 0;
+  {
+    FlashArray dev(g, MlcTiming(), e);
+    // Program pages 0..7 in order: body 0x00, tail erased.
+    std::vector<uint8_t> page(g.page_size, 0x00);
+    std::memset(page.data() + 384, 0xFF, g.page_size - 384);
+    for (uint32_t p = 0; p < 8; p++) {
+      ASSERT_TRUE(dev.ProgramPage(p, page.data()).ok());
+    }
+    // Delta append on LSB page 2 (wordline 1); neighbors: MSB pages on WL0/WL2.
+    uint8_t d[4] = {0, 0, 0, 0};
+    ASSERT_TRUE(dev.ProgramDelta(2, 384, d, 4).ok());
+    flips = dev.stats().interference_flips;
+    EXPECT_GT(flips, 0u);
+    // Verify no programmed body byte of any page was damaged.
+    std::vector<uint8_t> buf(g.page_size);
+    for (uint32_t p = 0; p < 8; p++) {
+      ASSERT_TRUE(dev.ReadPage(p, buf.data()).ok());
+      for (uint32_t i = 0; i < 384; i++) {
+        ASSERT_EQ(buf[i], 0x00) << "page " << p << " body byte " << i;
+      }
     }
   }
+  EXPECT_EQ(Published("flash.bit_errors.interference") - published, flips);
 }
 
 TEST(FlashArrayTest, InvalidAddressesRejected) {
@@ -510,7 +521,9 @@ TEST(FlashLaneTest, AggregateStatsSumsLaneCounters) {
   EXPECT_EQ(a->stats().page_programs, 1u);       // chip 0 routed to the lane
   EXPECT_EQ(dev.stats().page_programs, 1u);      // chip 1 on the shared path
   EXPECT_EQ(dev.AggregateStats().page_programs, 2u);
-  dev.ResetStats();
+  uint64_t published = Published("flash.page_programs.lsb");
+  dev.ResetStats();  // publishes the lane's program with the device's
+  EXPECT_EQ(Published("flash.page_programs.lsb") - published, 2u);
   EXPECT_EQ(a->stats().page_programs, 0u);
   EXPECT_EQ(dev.AggregateStats().page_programs, 0u);
 }

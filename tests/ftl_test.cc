@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ftl/noftl.h"
+#include "published.h"
 
 namespace ipa::ftl {
 namespace {
@@ -188,27 +189,31 @@ TEST(NoFtlTest, PSlcUsesOnlyLsbPages) {
 }
 
 TEST(NoFtlTest, OddMlcFallsBackOnMsbPages) {
-  Fixture f(SmallMlc(), IpaMode::kOddMlc, 64);
-  const auto& g = f.dev.geometry();
+  uint64_t published = Published("ftl.delta_fallbacks");
   uint32_t lsb_ok = 0, msb_rejected = 0;
-  uint8_t d[2] = {0x21, 0x43};
-  for (ftl::Lba lba = 0; lba < 32; lba++) {
-    auto page = PageOf(512, static_cast<uint8_t>(lba), f.delta_off);
-    ASSERT_TRUE(f.ftl.WritePage(f.region, lba, page.data()).ok());
-    flash::Ppn ppn = f.ftl.PhysicalOf(f.region, lba);
-    bool lsb = flash::IsLsbPage(g, static_cast<uint32_t>(ppn % g.pages_per_block));
-    Status s = f.ftl.WriteDelta(f.region, lba, f.delta_off, d, 2);
-    if (lsb) {
-      EXPECT_TRUE(s.ok()) << "lba " << lba;
-      lsb_ok++;
-    } else {
-      EXPECT_TRUE(s.IsNotSupported()) << "lba " << lba;
-      msb_rejected++;
+  {
+    Fixture f(SmallMlc(), IpaMode::kOddMlc, 64);
+    const auto& g = f.dev.geometry();
+    uint8_t d[2] = {0x21, 0x43};
+    for (ftl::Lba lba = 0; lba < 32; lba++) {
+      auto page = PageOf(512, static_cast<uint8_t>(lba), f.delta_off);
+      ASSERT_TRUE(f.ftl.WritePage(f.region, lba, page.data()).ok());
+      flash::Ppn ppn = f.ftl.PhysicalOf(f.region, lba);
+      bool lsb = flash::IsLsbPage(g, static_cast<uint32_t>(ppn % g.pages_per_block));
+      Status s = f.ftl.WriteDelta(f.region, lba, f.delta_off, d, 2);
+      if (lsb) {
+        EXPECT_TRUE(s.ok()) << "lba " << lba;
+        lsb_ok++;
+      } else {
+        EXPECT_TRUE(s.IsNotSupported()) << "lba " << lba;
+        msb_rejected++;
+      }
     }
+    EXPECT_EQ(f.ftl.region_stats(f.region).delta_fallbacks, msb_rejected);
   }
   EXPECT_GT(lsb_ok, 0u);
   EXPECT_GT(msb_rejected, 0u);
-  EXPECT_EQ(f.ftl.region_stats(f.region).delta_fallbacks, msb_rejected);
+  EXPECT_EQ(Published("ftl.delta_fallbacks") - published, msb_rejected);
 }
 
 TEST(NoFtlTest, ManagedEccDetectsAndFixesSingleBitErrors) {
@@ -366,45 +371,54 @@ TEST(NoFtlTest, ManagedEccRefusesDeltaLongerThanOneSlotCovers) {
 // Checking its ECC would read past the end of the OOB area; the read path
 // and the audit must report the slot as damaged instead.
 TEST(NoFtlTest, ManagedEccRejectsSlotLongerThanItsEcc) {
-  // 4 KiB pages with a 128-byte OOB area and the delta area at byte 3998:
-  // ECC_initial takes OOB bytes 0..47, and slots 0..7 take 48..127.
-  flash::Geometry g = SmallSlc();
-  g.page_size = 4096;
-  g.oob_size = 128;
-  g.max_programs_per_page = 8;
-  constexpr uint32_t kDeltaOff = 3998;
-  constexpr uint32_t kSlot7 = 48 + 7 * 10;
-  flash::FlashArray dev(g, flash::SlcTiming());
-  NoFtl ftl(&dev);
-  RegionConfig rc;
-  rc.logical_pages = 8;
-  rc.ipa_mode = IpaMode::kSlc;
-  rc.delta_area_offset = kDeltaOff;
-  rc.manage_ecc = true;
-  auto r = ftl.CreateRegion(rc);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  RegionId region = r.value();
+  uint64_t published = Published("ftl.mount_scan.uncorrectable_pages");
+  {
+    // 4 KiB pages with a 128-byte OOB area and the delta area at byte 3998:
+    // ECC_initial takes OOB bytes 0..47, and slots 0..7 take 48..127.
+    flash::Geometry g = SmallSlc();
+    g.page_size = 4096;
+    g.oob_size = 128;
+    g.max_programs_per_page = 8;
+    constexpr uint32_t kDeltaOff = 3998;
+    constexpr uint32_t kSlot7 = 48 + 7 * 10;
+    flash::FlashArray dev(g, flash::SlcTiming());
+    NoFtl ftl(&dev);
+    RegionConfig rc;
+    rc.logical_pages = 8;
+    rc.ipa_mode = IpaMode::kSlc;
+    rc.delta_area_offset = kDeltaOff;
+    rc.manage_ecc = true;
+    auto r = ftl.CreateRegion(rc);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    RegionId region = r.value();
 
-  std::vector<uint8_t> page = PageOf(g.page_size, 0x6E, kDeltaOff);
-  ASSERT_TRUE(ftl.WritePage(region, 0, page.data()).ok());
-  for (uint32_t i = 0; i < 7; i++) {  // slots 0..6 cover the 98-byte delta area
-    std::vector<uint8_t> delta(14, static_cast<uint8_t>(i));
-    ASSERT_TRUE(ftl.WriteDelta(region, 0, kDeltaOff + 14 * i, delta.data(), 14).ok());
+    std::vector<uint8_t> page = PageOf(g.page_size, 0x6E, kDeltaOff);
+    ASSERT_TRUE(ftl.WritePage(region, 0, page.data()).ok());
+    for (uint32_t i = 0; i < 7; i++) {  // slots 0..6 cover the 98-byte delta area
+      std::vector<uint8_t> delta(14, static_cast<uint8_t>(i));
+      ASSERT_TRUE(ftl.WriteDelta(region, 0, kDeltaOff + 14 * i, delta.data(), 14).ok());
+    }
+    std::vector<uint8_t> out(g.page_size);
+    ASSERT_TRUE(ftl.ReadPage(region, 0, out.data()).ok());
+    ASSERT_TRUE(ftl.AuditRegion(region).ok());
+
+    const uint8_t entry[4] = {0x00, 0x00, 0x58, 0x02};  // offset 0, len 600
+    ASSERT_TRUE(dev.ProgramOob(ftl.PhysicalOf(region, 0), kSlot7, entry, 4).ok());
+    Status s = ftl.ReadPage(region, 0, out.data());
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(s.message(), "damaged delta ECC slot");
+    EXPECT_EQ(ftl.region_stats(region).ecc_uncorrectable, 1u);
+    Status audit = ftl.AuditRegion(region);
+    EXPECT_TRUE(audit.IsCorruption()) << audit.ToString();
+    EXPECT_NE(audit.message().find("damaged OOB slot"), std::string::npos)
+        << audit.ToString();
+    // The mount scan leaves such a page to WAL redo, and counts it.
+    MountScanReport rep;
+    ASSERT_TRUE(ftl.MountScan(region, &rep).ok());
+    EXPECT_EQ(rep.uncorrectable_pages, 1u);
+    EXPECT_EQ(ftl.region_stats(region).mount_uncorrectable_pages, 1u);
   }
-  std::vector<uint8_t> out(g.page_size);
-  ASSERT_TRUE(ftl.ReadPage(region, 0, out.data()).ok());
-  ASSERT_TRUE(ftl.AuditRegion(region).ok());
-
-  const uint8_t entry[4] = {0x00, 0x00, 0x58, 0x02};  // offset 0, len 600
-  ASSERT_TRUE(dev.ProgramOob(ftl.PhysicalOf(region, 0), kSlot7, entry, 4).ok());
-  Status s = ftl.ReadPage(region, 0, out.data());
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(s.message(), "damaged delta ECC slot");
-  EXPECT_EQ(ftl.region_stats(region).ecc_uncorrectable, 1u);
-  Status audit = ftl.AuditRegion(region);
-  EXPECT_TRUE(audit.IsCorruption()) << audit.ToString();
-  EXPECT_NE(audit.message().find("damaged OOB slot"), std::string::npos)
-      << audit.ToString();
+  EXPECT_EQ(Published("ftl.mount_scan.uncorrectable_pages") - published, 1u);
 }
 
 TEST(NoFtlTest, MountScanCleanRegionFindsNothing) {

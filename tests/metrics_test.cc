@@ -1,8 +1,9 @@
 // Tests for the unified observability layer (src/common/metrics.h): sharded
 // counter merge under concurrent writers, snapshot determinism independent of
 // thread count, trace-span time attribution, the stable JSON schema
-// round-trip, and the CompareSnapshots regression check that backs
-// tools/bench_compare. LatencyStats percentile edge cases ride along since
+// round-trip, the CompareSnapshots regression check that backs
+// tools/bench_compare, and the owners that publish their stats structs when
+// they discard them. LatencyStats percentile edge cases ride along since
 // bench tables lean on them.
 
 #include <gtest/gtest.h>
@@ -11,11 +12,20 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/stats.h"
+#include "engine/database.h"
+#include "flash/flash_array.h"
+#include "ftl/noftl.h"
+#include "ftl/page_ftl.h"
+#include "net/admission.h"
+#include "repl/node.h"
+#include "workload/testbed.h"
+#include "workload/tpcb.h"
 
 namespace ipa::metrics {
 namespace {
@@ -352,6 +362,100 @@ TEST_F(MetricsTest, TypeCollisionRoutesToDeadCell) {
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->type, Type::kCounter);
   EXPECT_EQ(m->value, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Owned counts: each owner publishes its stats struct when it discards it
+// ---------------------------------------------------------------------------
+
+// An owner that publishes in its destructor must be neither copyable nor
+// movable: a copy, or a moved-from shell, would publish the counts twice.
+template <typename T>
+constexpr bool kPinned = !std::is_copy_constructible_v<T> && !std::is_copy_assignable_v<T> &&
+                         !std::is_move_constructible_v<T> && !std::is_move_assignable_v<T>;
+static_assert(kPinned<flash::FlashArray>);
+static_assert(kPinned<ftl::NoFtl>);
+static_assert(kPinned<ftl::PageFtl>);
+static_assert(kPinned<engine::BufferPool>);
+static_assert(kPinned<engine::Database>);
+static_assert(kPinned<engine::Wal>);
+static_assert(kPinned<repl::ReplNode>);
+static_assert(kPinned<net::AdmissionController>);
+
+// The bench harness's measurement phase: a TPC-B stack is reset after its
+// warm-up (bench/harness.cc) and destroyed after the run. Every published
+// counter must then hold exactly the struct value read before the reset plus
+// the value read before destruction: no event lost, none counted twice.
+TEST_F(MetricsTest, OwnersPublishEachCountOnceAtResetAndDestruction) {
+  workload::TpcbConfig wc;
+  wc.accounts_per_branch = 1000;
+  workload::Tpcb sizing(nullptr, wc, workload::SingleTablespace(0));
+  workload::TestbedConfig tc;
+  tc.db_pages = sizing.EstimatedPages(4096);
+  tc.scheme = {.n = 2, .m = 4, .v = 12};
+  tc.growth_headroom = 8.0;  // room for the history table until GC starts
+  auto built = workload::MakeTestbed(tc);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::unique_ptr<workload::Testbed> bed = std::move(built).value();
+  workload::Tpcb tpcb(bed->db.get(), wc, bed->ts_map());
+  ASSERT_TRUE(tpcb.Load().ok());
+  ASSERT_TRUE(bed->db->Checkpoint().ok());
+  ASSERT_TRUE(workload::RunTransactions(tpcb, 4000).ok());
+
+  const ftl::RegionStats region0 = bed->backend_stats();
+  const engine::BufferStats buffer0 = bed->db->buffer_pool().stats();
+  const engine::TxnStats txn0 = bed->db->txn_stats();
+  bed->ResetBackendStats();
+  bed->db->buffer_pool().ResetStats();
+  bed->db->ResetTxnStats();
+  // Reset published what it discarded; the live owners hold the rest.
+  EXPECT_EQ(Registry::Instance().TakeSnapshot().Counter("db.commits"), txn0.commits);
+  EXPECT_EQ(Registry::Instance().TakeSnapshot().Find("flash.page_reads"), nullptr);
+
+  ASSERT_TRUE(workload::RunTransactions(tpcb, 3000).ok());
+  ASSERT_TRUE(bed->db->Checkpoint().ok());
+  const ftl::RegionStats region1 = bed->backend_stats();
+  const engine::BufferStats buffer1 = bed->db->buffer_pool().stats();
+  const engine::TxnStats txn1 = bed->db->txn_stats();
+  const engine::WalStats wal = bed->db->wal().stats();
+  const uint64_t checkpoints = bed->db->checkpoints_taken();
+  const flash::DeviceStats dev = bed->dev->AggregateStats();
+  bed.reset();
+
+  Snapshot snap = Registry::Instance().TakeSnapshot();
+  auto expect = [&snap](const std::string& name, uint64_t want) {
+    const MetricValue* m = snap.Find(name);
+    ASSERT_NE(m, nullptr) << name << " was not published";
+    EXPECT_EQ(m->value, want) << name;
+  };
+  for (const auto& f : flash::kDeviceStatFields) {
+    if (f.metric) expect(f.metric, dev.*f.field);
+  }
+  for (const auto& f : ftl::kRegionStatFields) {
+    if (f.noftl) expect(std::string("ftl.") + f.noftl, region0.*f.field + region1.*f.field);
+  }
+  auto map_updates = [](const ftl::RegionStats& s) {
+    return s.host_page_writes + s.gc_page_migrations + s.wear_level_migrations +
+           s.torn_pages_quarantined + s.trims;
+  };
+  expect("ftl.map_updates", map_updates(region0) + map_updates(region1));
+  for (const auto& f : engine::kBufferStatFields) {
+    expect(f.metric, buffer0.*f.field + buffer1.*f.field);
+  }
+  for (const auto& f : engine::kTxnStatFields) expect(f.metric, txn0.*f.field + txn1.*f.field);
+  for (const auto& f : engine::kWalStatFields) expect(f.metric, wal.*f.field);
+  expect("db.checkpoints", checkpoints);
+
+  // Both sides of the reset reached both write paths, GC and the cleaner.
+  for (const ftl::RegionStats* s : {&region0, &region1}) {
+    EXPECT_GT(s->host_page_writes, 0u);
+    EXPECT_GT(s->host_delta_writes, 0u);
+    EXPECT_GT(s->gc_page_migrations, 0u);
+    EXPECT_GT(s->gc_erases, 0u);
+  }
+  EXPECT_GT(buffer0.cleaner_runs, 0u);
+  EXPECT_GT(buffer1.cleaner_runs, 0u);
+  EXPECT_GT(wal.bytes_truncated, 0u);
 }
 
 // LatencyStats (common/stats.h) percentile edge cases: the bench tables rely

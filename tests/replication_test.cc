@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "published.h"
 #include "repl/changeset.h"
 #include "repl/node.h"
 #include "workload/testbed.h"
@@ -166,6 +167,7 @@ TEST(ChangesetCodec, EveryByteFlipRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, ShipAndConverge) {
+  uint64_t published = Published("repl.ship.foldbacks");
   Node p(ReplConfig{.writer = 1, .writable = true});
   Node r(ReplConfig{.writer = 2});
 
@@ -197,6 +199,10 @@ TEST(Replication, ShipAndConverge) {
   EXPECT_EQ(pm.size(), 19u);
   EXPECT_EQ(pm, r.Logical());
   EXPECT_EQ(r.node->version_vector().Of(1), p.node->last_emitted_lsn());
+
+  uint64_t foldbacks = p.node->stats().foldbacks;
+  p.node.reset();
+  EXPECT_EQ(Published("repl.ship.foldbacks") - published, foldbacks);
 }
 
 TEST(Replication, AbortMarkKeepsChainContiguous) {
@@ -252,6 +258,7 @@ TEST(Replication, DuplicatedShipmentIsIdempotent) {
 }
 
 TEST(Replication, TornShipmentRejectedWithoutStateChange) {
+  uint64_t published = Published("repl.apply.rejected_torn");
   Node p(ReplConfig{.writer = 1, .writable = true});
   Node r(ReplConfig{.writer = 2});
 
@@ -292,6 +299,9 @@ TEST(Replication, TornShipmentRejectedWithoutStateChange) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value(), ReplNode::Apply::kApplied);
   EXPECT_EQ(r.Logical(), p.Logical());
+
+  r.node.reset();
+  EXPECT_EQ(Published("repl.apply.rejected_torn") - published, 2u);
 }
 
 TEST(Replication, LostShipmentReportsGap) {
@@ -448,6 +458,7 @@ TEST(Replication, SnapshotOverwritesStaleTupleAfterPrimaryRestart) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, PromotePreservesShippedLosesUnshipped) {
+  uint64_t published = Published("repl.promotions");
   Node p(ReplConfig{.writer = 1, .writable = true});
   Node r(ReplConfig{.writer = 2});
 
@@ -480,6 +491,9 @@ TEST(Replication, PromotePreservesShippedLosesUnshipped) {
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().writer, 2u);
   EXPECT_EQ(d.value().ops.size(), 1u);
+
+  r.node.reset();
+  EXPECT_EQ(Published("repl.promotions") - published, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +503,7 @@ TEST(Replication, PromotePreservesShippedLosesUnshipped) {
 TEST(Replication, LwwMergeIsOrderIndependent) {
   // The two-primary drill: A and B both writable, shipping full images; C and
   // D are observers applying the cross-traffic in opposite orders.
+  uint64_t published = Published("repl.apply.lww_skips");
   Node a(ReplConfig{.writer = 1, .writable = true, .full_images = true});
   Node b(ReplConfig{.writer = 2, .writable = true, .full_images = true});
   Node c(ReplConfig{.writer = 3});
@@ -546,9 +561,13 @@ TEST(Replication, LwwMergeIsOrderIndependent) {
   // deterministic (version, writer) comparison, not by arrival order.
   EXPECT_TRUE(ma.begin()->second == Tuple(48, 100) ||
               ma.begin()->second == Tuple(48, 200));
-  EXPECT_GE(a.node->stats().lww_skips + b.node->stats().lww_skips +
-                c.node->stats().lww_skips + d.node->stats().lww_skips,
-            1u);
+  uint64_t lww_skips = 0;
+  for (Node* n : {&a, &b, &c, &d}) {
+    lww_skips += n->node->stats().lww_skips;
+    n->node.reset();
+  }
+  EXPECT_GE(lww_skips, 1u);
+  EXPECT_EQ(Published("repl.apply.lww_skips") - published, lww_skips);
 }
 
 TEST(Replication, LwwDeleteVsUpdateConverges) {
