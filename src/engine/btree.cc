@@ -91,6 +91,7 @@ struct NodeView {
 Result<PageId> Btree::NewNode(bool leaf) {
   IPA_ASSIGN_OR_RETURN(PageId id, db_->AllocateIndexPage(table_));
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(id));
+  db_->buffer_pool().WillModify(frame);
   NodeView node(frame->cur.data(), db_->config().page_size);
   node.set_leaf(leaf);
   node.set_count(0);
@@ -124,6 +125,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
 
     // Re-fix: insert the new separator.
     IPA_ASSIGN_OR_RETURN(frame, db_->buffer_pool().Fix(node_id));
+    db_->buffer_pool().WillModify(frame);
     NodeView parent(frame->cur.data(), db_->config().page_size);
     uint16_t pos = parent.LowerBound(child_split.sep_key);
     parent.InsertAt(pos, child_split.sep_key, child_split.right.raw);
@@ -143,6 +145,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
       db_->buffer_pool().Unfix(frame, true);
       return rf.status();
     }
+    db_->buffer_pool().WillModify(rf.value());
     NodeView right(rf.value()->cur.data(), db_->config().page_size);
     uint16_t total = parent.count();
     uint16_t mid = total / 2;
@@ -163,6 +166,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
   }
 
   // Leaf.
+  db_->buffer_pool().WillModify(frame);
   uint16_t pos = node.LowerBound(key);
   if (pos < node.count() && node.key(pos) == key) {
     node.set(pos, key, value);  // overwrite
@@ -185,6 +189,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
     db_->buffer_pool().Unfix(frame, true);
     return rf.status();
   }
+  db_->buffer_pool().WillModify(rf.value());
   NodeView right(rf.value()->cur.data(), db_->config().page_size);
   uint16_t total = node.count();
   uint16_t mid = total / 2;
@@ -212,6 +217,7 @@ Status Btree::Insert(uint64_t key, uint64_t value) {
   IPA_ASSIGN_OR_RETURN(PageId new_root, NewNode(/*leaf=*/false));
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame,
                        db_->buffer_pool().Fix(new_root));
+  db_->buffer_pool().WillModify(frame);
   NodeView root(frame->cur.data(), db_->config().page_size);
   root.set_link(root_.raw);
   root.InsertAt(0, split.sep_key, split.right.raw);
@@ -255,6 +261,7 @@ Status Btree::Remove(uint64_t key) {
       db_->buffer_pool().Unfix(frame, false);
       return Status::NotFound("key not in index");
     }
+    db_->buffer_pool().WillModify(frame);
     node.RemoveAt(pos);
     db_->buffer_pool().Unfix(frame, true);
     return Status::OK();

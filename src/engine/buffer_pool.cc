@@ -39,6 +39,7 @@ Result<BufferPool::Frame*> BufferPool::Fix(PageId id, bool for_format) {
     f.pins++;
     f.ref = true;
     stats_.hits++;
+    if (for_format) WillModify(&f);
     return &f;
   }
   stats_.misses++;
@@ -48,6 +49,12 @@ Result<BufferPool::Frame*> BufferPool::Fix(PageId id, bool for_format) {
   victim->ref = true;
   table_[id] = static_cast<uint32_t>(victim - frames_.data());
   return victim;
+}
+
+void BufferPool::WillModify(Frame* frame) {
+  if (frame->base_valid) return;
+  std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
+  frame->base_valid = true;
 }
 
 void BufferPool::Unfix(Frame* frame, bool dirtied, Lsn rec_lsn) {
@@ -107,8 +114,10 @@ Status BufferPool::LoadFrame(Frame* frame, PageId id, bool for_format) {
   if (for_format) {
     std::memset(frame->cur.data(), 0, config_.page_size);
     std::memset(frame->base.data(), 0, config_.page_size);
+    frame->base_valid = true;
     return Status::OK();
   }
+  frame->base_valid = false;
   ftl::PageDevice* dev = device_of_(id.tablespace());
   IPA_RETURN_NOT_OK(dev->ReadPage(id.lba(), frame->cur.data()));
   if (config_.io_trace) {
@@ -116,15 +125,17 @@ Status BufferPool::LoadFrame(Frame* frame, PageId id, bool for_format) {
         {IoEvent::Type::kFetch, id.raw, config_.page_size});
   }
   // Re-create the up-to-date version: apply any delta-records found on the
-  // physical page (Section 6.2). The base image is the post-apply state, so
-  // a later flush diffs only the changes made since this fetch.
+  // physical page (Section 6.2). WillModify() takes the base image from this
+  // post-apply state, so a later flush diffs only the changes made since.
   storage::ApplyDeltaRecords(frame->cur.data(), config_.page_size);
-  std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
   return Status::OK();
 }
 
 Status BufferPool::FlushFrame(Frame* frame, bool async) {
   if (!frame->dirty) return Status::OK();
+  if (!frame->base_valid) {
+    return Status::Internal("dirty frame was changed without WillModify");
+  }
   stats_.flushes++;
 
   ftl::PageDevice* dev = device_of_(frame->id.tablespace());
@@ -190,7 +201,14 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
     }
   }
 
-  std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
+  // A fixed frame's holder may change it again without another
+  // WillModify(), so it keeps the image just written as its base; an unfixed
+  // frame copies it at its next WillModify().
+  if (frame->pins > 0) {
+    std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
+  } else {
+    frame->base_valid = false;
+  }
   frame->dirty = false;
   UntrackRecLsn(frame->rec_lsn);
   frame->rec_lsn = kInvalidLsn;

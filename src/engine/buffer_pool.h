@@ -13,6 +13,12 @@
 // append vs out-of-place write. On fetch, delta-records found on the page
 // are applied before the page is handed out (Section 6.2 "The page is
 // fetched into the DB buffer").
+//
+// The base image is kept only for frames fixed for writing: a fetch leaves
+// it unmaterialized, and every writer calls WillModify() before its first
+// change, which copies the working image into base. A dirty frame whose base
+// was never materialized fails its flush with Internal rather than being
+// diffed against a stale image.
 
 #pragma once
 
@@ -103,7 +109,10 @@ class BufferPool {
     bool ref = false;           ///< Clock reference bit.
     Lsn rec_lsn = kInvalidLsn;  ///< LSN that first dirtied the frame.
     std::vector<uint8_t> cur;   ///< Working image.
-    std::vector<uint8_t> base;  ///< Image as it exists on flash (deltas applied).
+    /// Image as it exists on flash (deltas applied); meaningful only while
+    /// base_valid.
+    std::vector<uint8_t> base;
+    bool base_valid = false;
   };
 
   /// `device_of` maps a tablespace id to the PageDevice backing it (a NoFTL
@@ -118,14 +127,22 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Fix a page into the pool. With `for_format` the device read is skipped
-  /// and the frame content starts undefined (caller formats it).
+  /// and the frame content starts undefined (caller formats it); the frame's
+  /// base is valid on return, so the caller need not call WillModify().
   Result<Frame*> Fix(PageId id, bool for_format = false);
+
+  /// Declare that the caller is about to change the fixed `frame`'s working
+  /// image. Every writer calls it before its first change: the first call
+  /// after a fetch or an unpinned flush copies cur into base.
+  void WillModify(Frame* frame);
 
   /// Release a fix. `dirtied` marks the frame dirty; `rec_lsn` is the log
   /// record that dirtied it (ignored unless dirtied).
   void Unfix(Frame* frame, bool dirtied, Lsn rec_lsn = kInvalidLsn);
 
-  /// Flush one frame (IPA decision path). Clears dirty on success.
+  /// Flush one frame (IPA decision path). Clears dirty on success. Fails
+  /// with Internal, writing nothing, when the frame is dirty but its base was
+  /// never materialized (a change made without WillModify()).
   Status FlushFrame(Frame* frame, bool async);
 
   /// Flush every dirty frame. With `async` the writes are background

@@ -294,9 +294,11 @@ Status Database::Abort(TxnId txn) {
 }
 
 Status Database::WithPage(
-    PageId id, const std::function<Status(storage::SlottedPage&, bool* dirtied,
-                                          Lsn* rec_lsn)>& fn) {
+    PageId id, bool for_write,
+    const std::function<Status(storage::SlottedPage&, bool* dirtied,
+                               Lsn* rec_lsn)>& fn) {
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(id));
+  if (for_write) pool_->WillModify(frame);
   storage::SlottedPage view(frame->cur.data(), config_.page_size);
   bool dirtied = false;
   Lsn rec_lsn = kInvalidLsn;
@@ -363,8 +365,8 @@ Result<Rid> Database::Insert(TxnId txn, TableId table,
 
   Rid rid;
   rid.page = target;
-  Status s = WithPage(target, [&](storage::SlottedPage& view, bool* dirtied,
-                                  Lsn* rec_lsn) -> Status {
+  Status s = WithPage(target, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                      Lsn* rec_lsn) -> Status {
     auto slot = view.Insert(tuple);
     if (!slot.ok()) return slot.status();
     rid.slot = slot.value();
@@ -389,7 +391,7 @@ Result<std::vector<uint8_t>> Database::Read(TxnId txn, Rid rid, bool for_update)
       txn, rid.Pack(), for_update ? LockMode::kExclusive : LockMode::kShared));
   std::vector<uint8_t> out;
   IPA_RETURN_NOT_OK(WithPage(
-      rid.page, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
         auto tuple = view.Read(rid.slot);
         if (!tuple.ok()) return tuple.status();
         out.assign(tuple.value().begin(), tuple.value().end());
@@ -402,8 +404,8 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
                         std::span<const uint8_t> bytes) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(bytes.size()) + 8);
-  return WithPage(rid.page, [&](storage::SlottedPage& view, bool* dirtied,
-                                Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                    Lsn* rec_lsn) -> Status {
     auto tuple = view.Read(rid.slot);
     if (!tuple.ok()) return tuple.status();
     if (offset + bytes.size() > tuple.value().size()) {
@@ -429,8 +431,8 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
 Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(tuple.size()) + 8);
-  return WithPage(rid.page, [&](storage::SlottedPage& view, bool* dirtied,
-                                Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                    Lsn* rec_lsn) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     std::vector<uint8_t> before(old.value().begin(), old.value().end());
@@ -456,8 +458,8 @@ Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple
 Status Database::Delete(TxnId txn, Rid rid) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, 12);
-  return WithPage(rid.page, [&](storage::SlottedPage& view, bool* dirtied,
-                                Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                    Lsn* rec_lsn) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     Lsn lsn = Log(LogRecord{.type = LogType::kDelete,
@@ -477,11 +479,11 @@ Result<Rid> Database::Move(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   IPA_RETURN_NOT_OK(Delete(txn, rid));
   TableId table = 0;
   // Identify the table from the page header.
-  IPA_RETURN_NOT_OK(WithPage(rid.page, [&](storage::SlottedPage& view, bool*,
-                                           Lsn*) -> Status {
-    table = view.table_id();
-    return Status::OK();
-  }));
+  IPA_RETURN_NOT_OK(WithPage(
+      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+        table = view.table_id();
+        return Status::OK();
+      }));
   return Insert(txn, table, tuple);
 }
 
@@ -587,8 +589,8 @@ Result<TableId> Database::TableOfPage(PageId id) const {
 
 Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn, bool /*undo*/) {
   // Redo application (undo goes through UndoRecord, which emits CLRs).
-  return WithPage(rec.page, [&](storage::SlottedPage& view, bool* dirtied,
-                                Lsn* rec_lsn) -> Status {
+  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                    Lsn* rec_lsn) -> Status {
     switch (rec.type) {
       case LogType::kUpdate:
         IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.after));
@@ -667,8 +669,8 @@ Status Database::UndoRecord(TxnId txn, const LogRecord& rec, Lsn /*rec_lsn*/) {
   }
   Lsn lsn = Log(std::move(clr), txn);
   // Apply the compensation physically (same action the CLR would redo).
-  return WithPage(rec.page, [&](storage::SlottedPage& view, bool* dirtied,
-                                Lsn* rec_lsn2) -> Status {
+  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
+                                                    Lsn* rec_lsn2) -> Status {
     switch (rec.type) {
       case LogType::kUpdate:
         IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.before));
@@ -702,11 +704,11 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
     if (mapped) {
       // Page reached flash; redo only if its LSN predates the format.
       bool need = false;
-      IPA_RETURN_NOT_OK(WithPage(rec.page, [&](storage::SlottedPage& view, bool*,
-                                               Lsn*) -> Status {
-        need = view.page_lsn() < lsn;
-        return Status::OK();
-      }));
+      IPA_RETURN_NOT_OK(WithPage(
+          rec.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+            need = view.page_lsn() < lsn;
+            return Status::OK();
+          }));
       if (!need) return Status::OK();
     }
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame,
@@ -719,11 +721,11 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
   }
   // Ordinary page record: redo iff the page version predates it.
   bool need = false;
-  IPA_RETURN_NOT_OK(WithPage(rec.page, [&](storage::SlottedPage& view, bool*,
-                                           Lsn*) -> Status {
-    need = view.page_lsn() < lsn;
-    return Status::OK();
-  }));
+  IPA_RETURN_NOT_OK(WithPage(
+      rec.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+        need = view.page_lsn() < lsn;
+        return Status::OK();
+      }));
   if (!need) return Status::OK();
   return ApplyToPage(rec, lsn, /*undo=*/false);
 }

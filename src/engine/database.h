@@ -286,7 +286,9 @@ class Database {
   void TraceUpdate(PageId page, uint32_t log_bytes);
   Status AllocatePage(TableId table, PageId* out, TxnId txn);
   /// Fix the page of `rid` and run `fn` on it; handles unfix + dirty marking.
-  Status WithPage(PageId id,
+  /// `for_write` declares that `fn` may change the page
+  /// (BufferPool::WillModify).
+  Status WithPage(PageId id, bool for_write,
                   const std::function<Status(storage::SlottedPage&, bool* dirtied,
                                              Lsn* rec_lsn)>& fn);
   Status MaybeReclaimLog();

@@ -1,5 +1,5 @@
 // Unit tests for the buffer pool: caching, eviction, pinning, the base-image
-// contract, the eager cleaner, and flush-path statistics.
+// contract (WillModify), the eager cleaner, and flush-path statistics.
 
 #include <gtest/gtest.h>
 
@@ -118,6 +118,7 @@ TEST(BufferPoolTest, BaseImageDiffDrivesIpaPath) {
 
   // Fetch, small in-place change, flush -> must be an IPA append.
   auto f = fx.pool->Fix(p).value();
+  fx.pool->WillModify(f);
   storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
   uint8_t v = 0x99;
   ASSERT_TRUE(view.UpdateInPlace(0, 5, {&v, 1}).ok());
@@ -143,6 +144,7 @@ TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
   fx.Seed(p);
   fx.pool->DropAllNoFlush();
   auto f = fx.pool->Fix(p).value();
+  fx.pool->WillModify(f);
   fx.pool->Unfix(f, /*dirtied=*/true);  // marked dirty, nothing changed
   uint64_t writes_before = fx.stack->backend_stats().HostWrites();
   ASSERT_TRUE(fx.pool->FlushAll().ok());
@@ -150,6 +152,80 @@ TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
   EXPECT_EQ(fx.stack->backend_stats().HostWrites(), writes_before);
   fx.pool.reset();
   EXPECT_EQ(Published("bufferpool.clean_diff_skips") - published, 1u);
+}
+
+TEST(BufferPoolTest, ChangeWithoutWillModifyFailsFlushAndWritesNothing) {
+  PoolFixture fx(8);
+  PageId p(0, 5);
+  fx.Seed(p);  // flushed while unfixed: the frame's base is stale
+  for (bool refetch : {false, true}) {
+    SCOPED_TRACE(refetch ? "after a fetch" : "after an unfixed flush");
+    if (refetch) fx.pool->DropAllNoFlush();
+    auto f = fx.pool->Fix(p).value();
+    storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+    uint8_t v = 0x77;
+    ASSERT_TRUE(view.UpdateInPlace(0, 0, {&v, 1}).ok());
+    fx.pool->Unfix(f, true);
+    uint64_t writes_before = fx.stack->backend_stats().HostWrites();
+    uint64_t flushes_before = fx.pool->stats().flushes;
+    Status s = fx.pool->FlushAll();
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+    EXPECT_EQ(fx.stack->backend_stats().HostWrites(), writes_before);
+    EXPECT_EQ(fx.pool->stats().flushes, flushes_before);
+    EXPECT_EQ(fx.pool->dirty_count(), 1u);
+  }
+}
+
+TEST(BufferPoolTest, FlushOfFixedFrameKeepsItsBase) {
+  PoolFixture fx(8, 0.5, /*record_update_sizes=*/true);
+  PageId p(0, 6);
+  fx.Seed(p);
+  fx.pool->DropAllNoFlush();
+  // Two fixes: the frame stays fixed across the first flush.
+  auto f = fx.pool->Fix(p).value();
+  ASSERT_EQ(fx.pool->Fix(p).value(), f);
+  fx.pool->WillModify(f);
+  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  uint8_t v = 0x31;
+  ASSERT_TRUE(view.UpdateInPlace(0, 0, {&v, 1}).ok());
+  fx.pool->Unfix(f, true);
+  ASSERT_TRUE(fx.pool->FlushAll().ok());
+  // The holder changes one more byte without another WillModify: the flush
+  // diffs against what the first flush wrote, so only that byte is new.
+  v = 0x32;
+  ASSERT_TRUE(view.UpdateInPlace(0, 1, {&v, 1}).ok());
+  fx.pool->Unfix(f, true);
+  ASSERT_TRUE(fx.pool->FlushAll().ok());
+  EXPECT_EQ(fx.pool->stats().ipa_flushes, 2u);
+  const UpdateSizeTrace& t = fx.pool->update_traces().at(1);
+  EXPECT_EQ(t.net.Points(), (std::vector<std::pair<uint32_t, uint64_t>>{{1, 2}}));
+
+  fx.pool->DropAllNoFlush();
+  auto f2 = fx.pool->Fix(p).value();
+  auto tuple = storage::SlottedPage(f2->cur.data(), PoolFixture::kPageSize).Read(0);
+  ASSERT_TRUE(tuple.ok());
+  EXPECT_EQ(tuple.value()[0], 0x31);
+  EXPECT_EQ(tuple.value()[1], 0x32);
+  fx.pool->Unfix(f2, false);
+}
+
+TEST(BufferPoolTest, FormatFixOfResidentFrameLeavesBaseValid) {
+  PoolFixture fx(8);
+  PageId p(0, 7);
+  fx.Seed(p);  // resident, flushed while unfixed: base stale
+  auto f = fx.pool->Fix(p, /*for_format=*/true).value();
+  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  view.Initialize(p.raw, 2, fx.scheme);
+  fx.pool->Unfix(f, true);
+  ASSERT_TRUE(fx.pool->FlushAll().ok());
+  EXPECT_EQ(fx.pool->dirty_count(), 0u);
+
+  fx.pool->DropAllNoFlush();
+  auto f2 = fx.pool->Fix(p).value();
+  storage::SlottedPage view2(f2->cur.data(), PoolFixture::kPageSize);
+  EXPECT_EQ(view2.table_id(), 2u);
+  EXPECT_EQ(view2.slot_count(), 0u);
+  fx.pool->Unfix(f2, false);
 }
 
 TEST(BufferPoolTest, CleanerRespectsThreshold) {
@@ -213,6 +289,7 @@ BufferStats FlushTwoSmallUpdates(const workload::StackSpec& spec, storage::Schem
 
   for (int round = 0; round < 2; round++) {
     auto f2 = pool.Fix(p).value();
+    pool.WillModify(f2);
     storage::SlottedPage v2(f2->cur.data(), 4096);
     uint8_t val = static_cast<uint8_t>(0x20 + round);
     EXPECT_TRUE(v2.UpdateInPlace(0, static_cast<uint32_t>(round), {&val, 1}).ok());
@@ -267,6 +344,7 @@ TEST(BufferPoolTest, DropAllNoFlushResetsAdvisorTraces) {
 
   // Dirty the already-mapped page and flush so a trace sample is recorded.
   auto f = fx.pool->Fix(p).value();
+  fx.pool->WillModify(f);
   storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
   uint8_t val = 0x42;
   ASSERT_TRUE(view.UpdateInPlace(0, 0, {&val, 1}).ok());
