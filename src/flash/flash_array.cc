@@ -393,7 +393,6 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
   }
 
   if (initial) {
-    page.data.assign(geo_.page_size, 0xFF);
     blk.highest_programmed =
         std::max(blk.highest_programmed, static_cast<int32_t>(a.page));
   }
@@ -403,6 +402,7 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     // whatever already ran is on media.
     bool oob_first = merged_oob > 0 && power_rng_.Chance(0.5);
     if (oob_first) MergeOob(page, oob, merged_oob);
+    if (initial) page.data.assign(geo_.page_size, 0xFF);
     ApplyTornProgram(page.data.data(), data, geo_.page_size);
     page.program_count++;
     powered_on_ = false;
@@ -411,7 +411,9 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     return Status::Unavailable("power loss during page program");
   }
 
-  std::memcpy(page.data.data(), data, geo_.page_size);
+  // An erased page ANDed with `data` is `data`, and a re-program passed the
+  // ISPP check, so the page stores exactly `data`.
+  page.data.assign(data, data + geo_.page_size);
   page.program_count++;
   MergeOob(page, oob, merged_oob);
 
@@ -585,8 +587,13 @@ Status FlashArray::EraseBlock(Pbn pbn, IoTiming* t, bool sync) {
     stats_.torn_erases++;
     return Status::Unavailable("power loss during block erase");
   }
-  blk.pages.clear();
-  blk.pages.shrink_to_fit();
+  // Erased pages keep their buffers' capacity, so reprogramming them
+  // allocates nothing.
+  for (PageState& page : blk.pages) {
+    page.data.clear();
+    page.oob.clear();
+    page.program_count = 0;
+  }
   blk.erase_count++;
   blk.highest_programmed = -1;
   uint32_t chip = static_cast<uint32_t>(pbn / geo_.blocks_per_chip);

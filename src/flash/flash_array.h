@@ -98,6 +98,8 @@ struct IoTiming {
 };
 
 /// State of one physical flash page (exposed for tests / introspection).
+/// An erase empties `data` and `oob` but keeps their capacity, so the next
+/// program of the page allocates nothing.
 struct PageState {
   std::vector<uint8_t> data;  ///< Empty vector == erased (reads as 0xFF).
   std::vector<uint8_t> oob;   ///< Empty == erased OOB.

@@ -195,15 +195,29 @@ TEST(FlashArrayTest, MlcRequiresInOrderInitialPrograms) {
 TEST(FlashArrayTest, EraseResetsBlockAndCountsWear) {
   Geometry g = SmallSlc();
   FlashArray dev(g, SlcTiming());
-  std::vector<uint8_t> page(g.page_size, 0x00);
-  ASSERT_TRUE(dev.ProgramPage(0, page.data()).ok());
+  std::vector<uint8_t> page = Pattern(g.page_size, 3);
+  std::vector<uint8_t> oob(g.oob_size, 0x00);
+  ASSERT_TRUE(dev.ProgramPage(0, page.data(), oob.data(), g.oob_size).ok());
   ASSERT_TRUE(dev.EraseBlock(0).ok());
   std::vector<uint8_t> buf(g.page_size);
   ASSERT_TRUE(dev.ReadPage(0, buf.data()).ok());
   for (uint8_t b : buf) EXPECT_EQ(b, 0xFF);
+  ASSERT_TRUE(dev.ReadOob(0, buf.data(), g.oob_size).ok());
+  for (uint32_t i = 0; i < g.oob_size; i++) EXPECT_EQ(buf[i], 0xFF);
+  EXPECT_TRUE(dev.page_state(0).data.empty());
+  EXPECT_TRUE(dev.page_state(0).oob.empty());
+  EXPECT_TRUE(dev.page_state(0).IsErased());
+  EXPECT_TRUE(dev.AuditState().ok());
   EXPECT_EQ(dev.EraseCount(0), 1u);
-  // Page is reprogrammable after erase.
-  EXPECT_TRUE(dev.ProgramPage(0, page.data()).ok());
+  // Page is reprogrammable after erase and stores exactly the new bytes,
+  // including the 1 bits the old image had cleared.
+  std::vector<uint8_t> next = Pattern(g.page_size, 200);
+  ASSERT_TRUE(dev.ProgramPage(0, next.data()).ok());
+  ASSERT_TRUE(dev.ReadPage(0, buf.data()).ok());
+  EXPECT_EQ(buf, next);
+  EXPECT_EQ(dev.page_state(0).data, next);
+  EXPECT_TRUE(dev.page_state(0).oob.empty());
+  EXPECT_TRUE(dev.AuditState().ok());
 }
 
 TEST(FlashArrayTest, OobFollowsIsppRules) {
