@@ -5,12 +5,16 @@
 // logically; the lock manager enforces S/X conflicts between open
 // transactions and returns Busy on conflict (no blocking — the caller
 // aborts or retries, a timeout-free deadlock policy).
+//
+// The lock table allocates nothing once warm: a released lock entry and a
+// finished transaction's key list go to free lists as node handles, and the
+// next Acquire reuses them with the capacity of their sharer and key
+// vectors.
 
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -38,11 +42,20 @@ class LockManager {
 
  private:
   struct Entry {
-    std::unordered_set<TxnId> sharers;
+    /// Room for two sharers from the start, so a recycled entry seldom
+    /// grows whatever key it was last used for.
+    Entry() { sharers.reserve(2); }
+    std::vector<TxnId> sharers;  ///< Few at a time, so a vector beats a set.
     TxnId xholder = kInvalidTxn;
   };
-  std::unordered_map<uint64_t, Entry> locks_;
-  std::unordered_map<TxnId, std::vector<uint64_t>> held_;
+  using LockTable = std::unordered_map<uint64_t, Entry>;
+  using HeldTable = std::unordered_map<TxnId, std::vector<uint64_t>>;
+
+  LockTable locks_;
+  HeldTable held_;
+  /// Released nodes, each emptied, waiting for reuse.
+  std::vector<LockTable::node_type> free_locks_;
+  std::vector<HeldTable::node_type> free_held_;
   uint64_t acquires_ = 0;
 };
 
