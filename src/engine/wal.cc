@@ -23,8 +23,10 @@ Wal::~Wal() {
 
 Lsn Wal::Append(const LogRecord& rec) {
   size_t total = kFixedHeader + rec.before.size() + rec.after.size() + 4;
-  std::vector<uint8_t> out(total);
-  uint8_t* p = out.data();
+  size_t at = buf_.size();
+  buf_.resize(at + total);
+  uint8_t* const start = buf_.data() + at;
+  uint8_t* p = start;
   EncodeU32(p, static_cast<uint32_t>(total));
   p += 4;
   *p++ = static_cast<uint8_t>(rec.type);
@@ -45,11 +47,10 @@ Lsn Wal::Append(const LogRecord& rec) {
     std::memcpy(p, rec.after.data(), rec.after.size());
     p += rec.after.size();
   }
-  uint32_t crc = Crc32c(out.data(), total - 4);
+  uint32_t crc = Crc32c(start, total - 4);
   EncodeU32(p, crc);
 
   Lsn lsn = end_lsn_;
-  buf_.insert(buf_.end(), out.begin(), out.end());
   end_lsn_ += total;
   stats_.appends++;
   stats_.bytes_appended += total;

@@ -75,7 +75,9 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   /// Append a record; returns its LSN. The record is not durable until
-  /// FlushTo()/FlushAll() covers it.
+  /// FlushTo()/FlushAll() covers it. The record is encoded in place at the
+  /// end of the log buffer, so an append allocates only when the buffer
+  /// grows past its capacity (TruncateTo keeps that capacity).
   Lsn Append(const LogRecord& rec);
 
   /// Ensure everything up to and including `lsn` is durable (WAL rule).
