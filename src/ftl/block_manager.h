@@ -83,7 +83,8 @@ class BlockManager {
     std::string label;
     uint64_t logical_pages = 0;
     GcPolicy policy = GcPolicy::kGreedy;
-    /// GC runs while fewer free blocks remain.
+    /// GC runs while fewer free blocks remain, and always while fewer than
+    /// two do (host writes leave the last one to GC).
     uint32_t gc_free_block_threshold = 3;
     /// Physical pages per usable page: 2 when pSLC uses LSB pages only.
     uint32_t page_stride = 1;

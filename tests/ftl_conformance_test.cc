@@ -3,7 +3,8 @@
 // honor the same host-visible contract — fresh pages read erased, writes
 // round-trip, trim drops the mapping, out-of-range LBAs are rejected, data
 // survives GC pressure (including power cuts at evenly spaced flash ops of a
-// storm whose GC migrates valid pages) and power cycles, Mount() is
+// storm whose GC migrates valid pages, and the lowest GC trigger level) and
+// power cycles, Mount() is
 // idempotent, a torn write resolves to old-or-new, and Audit() holds after
 // every step. Backend-specific behavior (write_delta availability) is probed
 // through the capability API, never assumed. The stream-aware backend
@@ -52,7 +53,7 @@ bool IsNoFtl(Kind kind) {
 
 /// One backend over its own private device: the fuzz stacks' geometry, with
 /// no engine.
-std::unique_ptr<workload::Stack> MakeStack(Kind kind) {
+std::unique_ptr<workload::Stack> MakeStack(Kind kind, uint32_t gc_free_block_threshold = 3) {
   bool mlc = kind == Kind::kNoFtlPSlc || kind == Kind::kNoFtlOddMlc;
   workload::StackSpec spec =
       workload::SmallSpec(mlc ? flash::CellType::kMlc : flash::CellType::kSlc);
@@ -64,6 +65,7 @@ std::unique_ptr<workload::Stack> MakeStack(Kind kind) {
         .ipa_mode = kind == Kind::kNoFtlPSlc     ? ftl::IpaMode::kPSlc
                     : kind == Kind::kNoFtlOddMlc ? ftl::IpaMode::kOddMlc
                                                  : ftl::IpaMode::kSlc,
+        .gc_free_block_threshold = gc_free_block_threshold,
         .manage_ecc = true};
     r.scheme = {.n = 2, .m = 4, .v = 12};
   } else {
@@ -72,7 +74,8 @@ std::unique_ptr<workload::Stack> MakeStack(Kind kind) {
         .logical_pages = kLogicalPages,
         .gc_policy = kind == Kind::kPageFtlGreedy ? ftl::GcPolicy::kGreedy
                      : kind == Kind::kStreamFtl   ? ftl::GcPolicy::kStreamWarmCold
-                                                  : ftl::GcPolicy::kCostBenefit};
+                                                  : ftl::GcPolicy::kCostBenefit,
+        .gc_free_block_threshold = gc_free_block_threshold};
   }
   spec.regions.push_back(std::move(r));
   auto s = workload::Build(spec);
@@ -245,6 +248,30 @@ TEST_P(FtlConformance, GcStormPreservesAllData) {
   EXPECT_GT(b().stats().gc_page_migrations, 0u)
       << "GC never migrated a valid page";
   EXPECT_TRUE(b().Audit().ok());
+}
+
+// Host writes leave the last free block to GC, so GC must start while one
+// more is free even when gc_free_block_threshold is 1; otherwise the first
+// time the device fills, host writes find no block and GC never runs.
+TEST_P(FtlConformance, GcThresholdOfOneSurvivesSustainedOverwrites) {
+  std::unique_ptr<workload::Stack> s = MakeStack(GetParam(), /*gc_free_block_threshold=*/1);
+  std::vector<uint64_t> tag;
+  ASSERT_NO_FATAL_FAILURE(Fill(*s, &tag));
+  for (uint64_t round = 1; round < 40; round++) {
+    for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
+      uint64_t t = round * kLogicalPages + lba;
+      ASSERT_TRUE(s->backend->WritePage(lba, ImageOf(*s, t).data(), true).ok())
+          << "round " << round << " lba " << lba;
+      tag[lba] = t;
+    }
+  }
+  std::vector<uint8_t> buf(s->backend->page_size());
+  for (ftl::Lba lba = 0; lba < kLogicalPages; lba++) {
+    ASSERT_TRUE(s->backend->ReadPage(lba, buf.data()).ok());
+    EXPECT_EQ(buf, ImageOf(*s, tag[lba])) << lba;
+  }
+  EXPECT_GT(s->backend->stats().gc_erases, 0u);
+  EXPECT_TRUE(s->backend->Audit().ok());
 }
 
 // Power-cut sweep over a shorter storm. A dry run counts the storm's
