@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -23,60 +22,18 @@ const char* TypeName(Type t) {
 }
 
 // ---------------------------------------------------------------------------
-// HistogramValue
+// Registry: per-thread shards of relaxed-atomic counter cells
 // ---------------------------------------------------------------------------
 
-uint64_t HistogramValue::PercentileUpperBound(double p) const {
-  if (count == 0) return 0;
-  uint64_t target =
-      static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count)));
-  if (target == 0) target = 1;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; i++) {
-    seen += buckets[i];
-    // Bucket i holds values with bit_width == i, i.e. [2^(i-1), 2^i - 1];
-    // bucket 64 is unbounded above (shifting by 64 would be UB anyway).
-    if (seen >= target) {
-      if (i == 0) return 0;
-      return i >= 64 ? UINT64_MAX : (1ull << i) - 1;
-    }
-  }
-  return max;
-}
-
-void HistogramValue::Merge(const HistogramValue& other) {
-  count += other.count;
-  sum += other.sum;
-  max = std::max(max, other.max);
-  for (size_t i = 0; i < kBuckets; i++) buckets[i] += other.buckets[i];
-}
-
-// ---------------------------------------------------------------------------
-// Registry: per-thread shards of relaxed-atomic cells
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct HistCells {
-  std::atomic<uint64_t> count{0};
-  std::atomic<uint64_t> sum{0};
-  std::atomic<uint64_t> max{0};
-  std::atomic<uint64_t> buckets[HistogramValue::kBuckets] = {};
-};
-
-}  // namespace
-
-/// One thread's private cells. All arrays are allocated at full registry
-/// capacity up front so a snapshot never races a container resize; a cell is
-/// written by its owning thread only and read (relaxed) by snapshotters.
+/// One thread's private counter cells. The array is allocated at full
+/// registry capacity up front so a snapshot never races a container resize;
+/// a cell is written by its owning thread only and read (relaxed) by
+/// snapshotters.
 struct ThreadShard {
   std::unique_ptr<std::atomic<uint64_t>[]> counters;
-  std::unique_ptr<HistCells[]> hists;
   Registry::Impl* impl = nullptr;
 
-  ThreadShard()
-      : counters(new std::atomic<uint64_t>[Registry::kMaxCounters]),
-        hists(new HistCells[Registry::kMaxHistograms]) {
+  ThreadShard() : counters(new std::atomic<uint64_t>[Registry::kMaxCounters]) {
     for (uint32_t i = 0; i < Registry::kMaxCounters; i++) {
       counters[i].store(0, std::memory_order_relaxed);
     }
@@ -103,8 +60,9 @@ struct Registry::Impl {
   std::vector<ThreadShard*> live_shards;
   /// Accumulated cells of exited threads (plain integers; merged under mu).
   std::vector<uint64_t> retired_counters = std::vector<uint64_t>(kMaxCounters, 0);
-  std::vector<HistogramValue> retired_hists =
-      std::vector<HistogramValue>(kMaxHistograms);
+  /// One merged histogram per interned histogram name, indexed by its id
+  /// (guarded by mu). The dead-cell id has none: its samples are dropped.
+  std::vector<LatencyStats> hists;
 
   std::unique_ptr<std::atomic<int64_t>[]> gauges{
       new std::atomic<int64_t>[kMaxGauges]};
@@ -119,16 +77,6 @@ struct Registry::Impl {
     std::lock_guard<std::mutex> lock(mu);
     for (uint32_t i = 0; i < kMaxCounters; i++) {
       retired_counters[i] += shard->counters[i].load(std::memory_order_relaxed);
-    }
-    for (uint32_t i = 0; i < kMaxHistograms; i++) {
-      const HistCells& c = shard->hists[i];
-      HistogramValue& r = retired_hists[i];
-      r.count += c.count.load(std::memory_order_relaxed);
-      r.sum += c.sum.load(std::memory_order_relaxed);
-      r.max = std::max(r.max, c.max.load(std::memory_order_relaxed));
-      for (size_t b = 0; b < HistogramValue::kBuckets; b++) {
-        r.buckets[b] += c.buckets[b].load(std::memory_order_relaxed);
-      }
     }
     live_shards.erase(
         std::remove(live_shards.begin(), live_shards.end(), shard),
@@ -233,8 +181,8 @@ uint32_t Registry::Intern(std::string_view name, Type type) {
     if (it->second.type == type) return it->second.index;
     // A name interned under one type must never hand its index to another
     // type's accessor (the id spaces have different capacities, so a counter
-    // index can be out of bounds for the histogram shard arrays). Route the
-    // mismatched registration to the requested type's dead cell instead.
+    // index can be out of bounds for the gauge array). Route the mismatched
+    // registration to the requested type's dead cell instead.
     if (!impl_->type_mismatch_warned) {
       impl_->type_mismatch_warned = true;
       std::fprintf(stderr,
@@ -263,6 +211,7 @@ uint32_t Registry::Intern(std::string_view name, Type type) {
   uint32_t index = next++;
   impl_->defs.emplace(std::string(name),
                       Impl::Def{std::string(name), type, index});
+  if (type == Type::kHistogram) impl_->hists.emplace_back();
   return index;
 }
 
@@ -281,22 +230,9 @@ void Registry::SetGauge(uint32_t id, int64_t v) {
   impl_->gauges[id].store(v, std::memory_order_relaxed);
 }
 
-void Registry::RecordHistogram(uint32_t id, uint64_t v) {
-  ShardTls& tls = g_shard_tls;
-  if (!tls.shard) {
-    tls.shard = new ThreadShard();
-    tls.shard->impl = impl_;
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->live_shards.push_back(tls.shard);
-  }
-  HistCells& c = tls.shard->hists[id];
-  c.count.fetch_add(1, std::memory_order_relaxed);
-  c.sum.fetch_add(v, std::memory_order_relaxed);
-  // Single writer per shard: a plain read-check-store max is race-free.
-  if (v > c.max.load(std::memory_order_relaxed)) {
-    c.max.store(v, std::memory_order_relaxed);
-  }
-  c.buckets[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
+void Registry::MergeHistogram(uint32_t id, const LatencyStats& h) {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  if (id < impl_->hists.size()) impl_->hists[id].Merge(h);
 }
 
 Snapshot Registry::TakeSnapshot() {
@@ -319,20 +255,9 @@ Snapshot Registry::TakeSnapshot() {
       case Type::kGauge:
         m.gauge = impl_->gauges[def.index].load(std::memory_order_relaxed);
         break;
-      case Type::kHistogram: {
-        HistogramValue h = impl_->retired_hists[def.index];
-        for (ThreadShard* s : impl_->live_shards) {
-          const HistCells& c = s->hists[def.index];
-          h.count += c.count.load(std::memory_order_relaxed);
-          h.sum += c.sum.load(std::memory_order_relaxed);
-          h.max = std::max(h.max, c.max.load(std::memory_order_relaxed));
-          for (size_t b = 0; b < HistogramValue::kBuckets; b++) {
-            h.buckets[b] += c.buckets[b].load(std::memory_order_relaxed);
-          }
-        }
-        m.hist = h;
+      case Type::kHistogram:
+        m.hist = impl_->hists[def.index];
         break;
-      }
     }
     snap.metrics.push_back(std::move(m));
   }
@@ -346,23 +271,13 @@ Snapshot Registry::TakeSnapshot() {
 void Registry::ResetForTest() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::fill(impl_->retired_counters.begin(), impl_->retired_counters.end(), 0);
-  std::fill(impl_->retired_hists.begin(), impl_->retired_hists.end(),
-            HistogramValue{});
+  for (LatencyStats& h : impl_->hists) h.Reset();
   for (uint32_t i = 0; i < kMaxGauges; i++) {
     impl_->gauges[i].store(0, std::memory_order_relaxed);
   }
   for (ThreadShard* s : impl_->live_shards) {
     for (uint32_t i = 0; i < kMaxCounters; i++) {
       s->counters[i].store(0, std::memory_order_relaxed);
-    }
-    for (uint32_t i = 0; i < kMaxHistograms; i++) {
-      HistCells& c = s->hists[i];
-      c.count.store(0, std::memory_order_relaxed);
-      c.sum.store(0, std::memory_order_relaxed);
-      c.max.store(0, std::memory_order_relaxed);
-      for (size_t b = 0; b < HistogramValue::kBuckets; b++) {
-        c.buckets[b].store(0, std::memory_order_relaxed);
-      }
     }
   }
 }
@@ -441,18 +356,19 @@ std::string Snapshot::ToJson() const {
         out += buf;
         break;
       case Type::kHistogram: {
+        const LatencyStats& h = *m.hist;
         std::snprintf(buf, sizeof(buf),
                       ", \"count\": %llu, \"sum\": %llu, \"max\": %llu",
-                      static_cast<unsigned long long>(m.hist.count),
-                      static_cast<unsigned long long>(m.hist.sum),
-                      static_cast<unsigned long long>(m.hist.max));
+                      static_cast<unsigned long long>(h.count()),
+                      static_cast<unsigned long long>(h.sum()),
+                      static_cast<unsigned long long>(h.MaxMicros()));
         out += buf;
         out += ", \"buckets\": [";
         bool first = true;
-        for (size_t b = 0; b < HistogramValue::kBuckets; b++) {
-          if (m.hist.buckets[b] == 0) continue;
+        for (size_t b = 0; b < LatencyStats::kBuckets; b++) {
+          if (h.bucket(b) == 0) continue;
           std::snprintf(buf, sizeof(buf), "%s[%zu, %llu]", first ? "" : ", ", b,
-                        static_cast<unsigned long long>(m.hist.buckets[b]));
+                        static_cast<unsigned long long>(h.bucket(b)));
           out += buf;
           first = false;
         }
@@ -555,10 +471,11 @@ Status ParseInt(Cursor& c, int64_t* out) {
   c.SkipWs();
   size_t start = c.pos;
   if (c.pos < c.s.size() && c.s[c.pos] == '-') c.pos++;
+  size_t digits = c.pos;
   while (c.pos < c.s.size() && std::isdigit(static_cast<unsigned char>(c.s[c.pos]))) {
     c.pos++;
   }
-  if (c.pos == start) return ParseError("expected number");
+  if (c.pos == digits) return ParseError("expected number");
   *out = std::strtoll(std::string(c.s.substr(start, c.pos - start)).c_str(),
                       nullptr, 10);
   return Status::OK();
@@ -576,7 +493,7 @@ Status ParseU64(Cursor& c, uint64_t* out) {
   return Status::OK();
 }
 
-Status ParseBuckets(Cursor& c, HistogramValue* h) {
+Status ParseBuckets(Cursor& c, std::vector<std::pair<size_t, uint64_t>>* buckets) {
   if (!c.Eat('[')) return ParseError("expected bucket array");
   if (c.Eat(']')) return Status::OK();
   do {
@@ -586,8 +503,8 @@ Status ParseBuckets(Cursor& c, HistogramValue* h) {
     if (!c.Eat(',')) return ParseError("expected ',' in bucket pair");
     IPA_RETURN_NOT_OK(ParseU64(c, &count));
     if (!c.Eat(']')) return ParseError("expected ']' after bucket pair");
-    if (index >= HistogramValue::kBuckets) return ParseError("bucket out of range");
-    h->buckets[index] = count;
+    if (index >= LatencyStats::kBuckets) return ParseError("bucket out of range");
+    buckets->emplace_back(index, count);
   } while (c.Eat(','));
   if (!c.Eat(']')) return ParseError("expected ']' after buckets");
   return Status::OK();
@@ -598,6 +515,8 @@ Status ParseMetric(Cursor& c, MetricValue* m) {
   std::string type_name;
   int64_t signed_value = 0;
   uint64_t unsigned_value = 0;
+  uint64_t count = 0, sum = 0, max = 0;
+  std::vector<std::pair<size_t, uint64_t>> buckets;
   do {
     std::string key;
     IPA_RETURN_NOT_OK(ParseString(c, &key));
@@ -610,13 +529,13 @@ Status ParseMetric(Cursor& c, MetricValue* m) {
       IPA_RETURN_NOT_OK(ParseInt(c, &signed_value));
       unsigned_value = static_cast<uint64_t>(signed_value);
     } else if (key == "count") {
-      IPA_RETURN_NOT_OK(ParseU64(c, &m->hist.count));
+      IPA_RETURN_NOT_OK(ParseU64(c, &count));
     } else if (key == "sum") {
-      IPA_RETURN_NOT_OK(ParseU64(c, &m->hist.sum));
+      IPA_RETURN_NOT_OK(ParseU64(c, &sum));
     } else if (key == "max") {
-      IPA_RETURN_NOT_OK(ParseU64(c, &m->hist.max));
+      IPA_RETURN_NOT_OK(ParseU64(c, &max));
     } else if (key == "buckets") {
-      IPA_RETURN_NOT_OK(ParseBuckets(c, &m->hist));
+      IPA_RETURN_NOT_OK(ParseBuckets(c, &buckets));
     } else {
       return ParseError("unknown metric key");
     }
@@ -631,6 +550,7 @@ Status ParseMetric(Cursor& c, MetricValue* m) {
     m->gauge = signed_value;
   } else if (type_name == "histogram") {
     m->type = Type::kHistogram;
+    m->hist = LatencyStats::FromParts(count, sum, max, buckets);
   } else {
     return ParseError("unknown metric type");
   }
@@ -735,19 +655,21 @@ CompareReport CompareSnapshots(const Snapshot& baseline, const Snapshot& current
         break;
       case Type::kHistogram: {
         double tol = options.histogram_tolerance;
-        if (RelDiff(static_cast<double>(b.hist.count),
-                    static_cast<double>(cur->hist.count)) > tol) {
+        const LatencyStats& bh = *b.hist;
+        const LatencyStats& ch = *cur->hist;
+        if (RelDiff(static_cast<double>(bh.count()),
+                    static_cast<double>(ch.count())) > tol) {
           report.diffs.push_back(DiffLine(b.name, "histogram count",
-                                          static_cast<double>(b.hist.count),
-                                          static_cast<double>(cur->hist.count)));
-        } else if (RelDiff(b.hist.Mean(), cur->hist.Mean()) > tol) {
+                                          static_cast<double>(bh.count()),
+                                          static_cast<double>(ch.count())));
+        } else if (RelDiff(bh.MeanMicros(), ch.MeanMicros()) > tol) {
           report.diffs.push_back(
-              DiffLine(b.name, "histogram mean", b.hist.Mean(), cur->hist.Mean()));
-        } else if (RelDiff(static_cast<double>(b.hist.max),
-                           static_cast<double>(cur->hist.max)) > tol) {
+              DiffLine(b.name, "histogram mean", bh.MeanMicros(), ch.MeanMicros()));
+        } else if (RelDiff(static_cast<double>(bh.MaxMicros()),
+                           static_cast<double>(ch.MaxMicros())) > tol) {
           report.diffs.push_back(DiffLine(b.name, "histogram max",
-                                          static_cast<double>(b.hist.max),
-                                          static_cast<double>(cur->hist.max)));
+                                          static_cast<double>(bh.MaxMicros()),
+                                          static_cast<double>(ch.MaxMicros())));
         }
         break;
       }

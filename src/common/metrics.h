@@ -4,21 +4,24 @@
 //
 // Design constraints (see docs/METRICS.md):
 //  * Cheap hot path. A metric name is interned exactly once (at handle
-//    construction); every update is an index into a per-thread shard — no
-//    map lookup, no lock, no shared cache line between writer threads.
-//  * Deterministic snapshots. Counter and histogram cells are merged by
-//    unordered summation, so a snapshot is bit-identical however many
-//    worker threads (IPA_JOBS) produced the increments — matching the
+//    construction); every counter update is an index into a per-thread
+//    shard — no map lookup, no lock, no shared cache line between writer
+//    threads.
+//  * Deterministic snapshots. Counter cells and published histograms are
+//    merged by unordered summation, so a snapshot is bit-identical however
+//    many worker threads (IPA_JOBS) produced the increments — matching the
 //    parallel-runner determinism contract from bench/parallel_runner.h.
-//  * Concurrent-safe. Cells are relaxed atomics written by exactly one
-//    thread; snapshots may race with writers without UB (they observe a
-//    slightly stale but consistent-per-cell view; quiesced snapshots, as
-//    taken at process exit, are exact).
+//  * Concurrent-safe. Counter cells are relaxed atomics written by exactly
+//    one thread; snapshots may race with writers without UB (they observe
+//    a slightly stale but consistent-per-cell view; quiesced snapshots, as
+//    taken at process exit, are exact). Histograms merge under the
+//    registry mutex.
 //  * Owned counts. The flash device, the FTLs, the engine and the
-//    replication and admission layers count events only in their own plain
-//    stats structs and publish them (PublishStats) when they discard them:
-//    at a stats reset and at destruction. A snapshot therefore sees an
-//    owner's counts only after that owner was reset or destroyed.
+//    replication, admission and serving layers count events and latencies
+//    only in their own plain stats structs and publish them (PublishStats,
+//    PublishHistogram) when they discard them: at a stats reset and at
+//    destruction. A snapshot therefore sees an owner's counts only after
+//    that owner was reset or destroyed.
 //
 // Export: any binary linking this library writes a metrics JSON file at
 // process exit when IPA_METRICS_JSON is set; bench/tool binaries also accept
@@ -29,9 +32,9 @@
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,34 +49,14 @@ enum class Type : uint8_t { kCounter, kGauge, kHistogram };
 
 const char* TypeName(Type t);
 
-/// Merged histogram cells: power-of-two buckets (bucket 0 holds value 0,
-/// bucket i holds values in [2^(i-1), 2^i)), plus count/sum/max. Values are
-/// simulated microseconds on every latency metric.
-struct HistogramValue {
-  static constexpr size_t kBuckets = 65;  // bit_width(uint64) in [0, 64]
-
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  std::array<uint64_t, kBuckets> buckets{};
-
-  double Mean() const {
-    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  /// Upper bound (exclusive) of the bucket holding the p-th percentile
-  /// sample, p in [0,100]; 0 when empty.
-  uint64_t PercentileUpperBound(double p) const;
-  void Merge(const HistogramValue& other);
-};
-
 /// One metric in a snapshot. Exactly one of `value` (counter), `gauge` or
-/// `hist` is meaningful, selected by `type`.
+/// `hist` is meaningful, selected by `type`; only a histogram holds `hist`.
 struct MetricValue {
   std::string name;
   Type type = Type::kCounter;
   uint64_t value = 0;  ///< Counter.
   int64_t gauge = 0;   ///< Gauge.
-  HistogramValue hist;
+  std::optional<LatencyStats> hist;  ///< Histogram, in simulated microseconds.
 };
 
 /// A point-in-time merged view of every registered metric, sorted by name
@@ -114,7 +97,7 @@ class Registry {
   // -- internal (used by the typed handles; not part of the public API) -----
   std::atomic<uint64_t>* CounterCell(uint32_t id);
   void SetGauge(uint32_t id, int64_t v);
-  void RecordHistogram(uint32_t id, uint64_t v);
+  void MergeHistogram(uint32_t id, const LatencyStats& h);
 
  private:
   friend struct ThreadShard;
@@ -148,17 +131,6 @@ class Gauge {
   uint32_t id_;
 };
 
-/// Log-bucketed value distribution (latencies in simulated microseconds).
-class Histogram {
- public:
-  explicit Histogram(std::string_view name)
-      : id_(Registry::Instance().Intern(name, Type::kHistogram)) {}
-  void Record(uint64_t v) { Registry::Instance().RecordHistogram(id_, v); }
-
- private:
-  uint32_t id_;
-};
-
 /// Add every named field of an owner's stats struct to its counter,
 /// registering the name on first use. Owners call this when they discard
 /// their counts (stats reset and destruction), so each event is counted once,
@@ -168,6 +140,13 @@ void PublishStats(const Stats& stats, const StatField<Stats> (&fields)[N]) {
   for (const StatField<Stats>& f : fields) {
     if (f.metric) Counter(f.metric).Add(stats.*f.field);
   }
+}
+
+/// Merge an owner's latency histogram into histogram `name`, registering the
+/// name on first use. Owners call this where they publish their counters.
+inline void PublishHistogram(std::string_view name, const LatencyStats& stats) {
+  Registry& r = Registry::Instance();
+  r.MergeHistogram(r.Intern(name, Type::kHistogram), stats);
 }
 
 // ---------------------------------------------------------------------------

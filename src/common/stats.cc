@@ -5,6 +5,19 @@
 
 namespace ipa {
 
+LatencyStats LatencyStats::FromParts(
+    uint64_t count, uint64_t sum, uint64_t max,
+    const std::vector<std::pair<size_t, uint64_t>>& buckets) {
+  LatencyStats h;
+  h.count_ = count;
+  h.sum_ = sum;
+  h.max_ = max;
+  for (const auto& [i, n] : buckets) {
+    (i < kLinearBuckets ? h.linear_[i] : h.log_[i - kLinearBuckets]) = n;
+  }
+  return h;
+}
+
 void LatencyStats::Add(uint64_t micros) {
   count_++;
   sum_ += micros;

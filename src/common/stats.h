@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ipa {
@@ -31,26 +32,41 @@ void AddStatFields(Stats& into, const Stats& from, const StatField<Stats> (&fiel
 
 /// Accumulates latency samples (simulated microseconds) and reports mean and
 /// selected percentiles. Stores a bounded histogram with 1us buckets below
-/// 1ms and logarithmic buckets above, so memory stays constant.
+/// 1ms and logarithmic buckets above, so memory stays constant. It is also
+/// the metrics registry's histogram type (docs/METRICS.md).
 class LatencyStats {
  public:
+  static constexpr size_t kLinearBuckets = 1000;  // 0..999us, 1us each
+  static constexpr size_t kLogBuckets = 64;       // >=1ms, power-of-two
+  /// Bucket i < kLinearBuckets holds i us; kLinearBuckets + j holds
+  /// [2^j ms, 2^(j+1) ms).
+  static constexpr size_t kBuckets = kLinearBuckets + kLogBuckets;
+
+  /// Rebuilds a histogram from its exported parts (metrics JSON import):
+  /// `buckets` holds (bucket index < kBuckets, samples) pairs.
+  static LatencyStats FromParts(uint64_t count, uint64_t sum, uint64_t max,
+                                const std::vector<std::pair<size_t, uint64_t>>& buckets);
+
   void Add(uint64_t micros);
   void Merge(const LatencyStats& other);
   void Reset();
 
   uint64_t count() const { return count_; }
+  uint64_t sum() const { return sum_; }
   double MeanMicros() const {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
   double MeanMillis() const { return MeanMicros() / 1000.0; }
   uint64_t MaxMicros() const { return max_; }
+  /// Samples in bucket i < kBuckets.
+  uint64_t bucket(size_t i) const {
+    return i < kLinearBuckets ? linear_[i] : log_[i - kLinearBuckets];
+  }
 
   /// p in [0,100]; approximate via the internal histogram.
   uint64_t PercentileMicros(double p) const;
 
  private:
-  static constexpr size_t kLinearBuckets = 1000;   // 0..999us, 1us each
-  static constexpr size_t kLogBuckets = 64;        // >=1ms, power-of-two
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t max_ = 0;

@@ -10,11 +10,10 @@ namespace ipa::engine {
 
 namespace {
 
-/// Process-wide commit latency histogram (counts are published from
-/// TxnStats instead).
-metrics::Histogram& TxnLatency() {
-  static metrics::Histogram histogram("db.txn_latency_us");
-  return histogram;
+/// Add a TxnStats's counters and commit latencies to the registry.
+void Publish(const TxnStats& s) {
+  metrics::PublishStats(s, kTxnStatFields);
+  metrics::PublishHistogram("db.txn_latency_us", s.txn_latency);
 }
 
 /// Pack the info needed to redo a page format into aux64. Bits 56-63 carry
@@ -76,12 +75,12 @@ Database::Database(ftl::NoFtl* ftl, EngineConfig config, SimClock* clock)
 }
 
 Database::~Database() {
-  metrics::PublishStats(txn_stats_, kTxnStatFields);
+  Publish(txn_stats_);
   metrics::Counter("db.checkpoints").Add(checkpoints_);
 }
 
 void Database::ResetTxnStats() {
-  metrics::PublishStats(txn_stats_, kTxnStatFields);
+  Publish(txn_stats_);
   txn_stats_ = TxnStats{};
 }
 
@@ -250,7 +249,6 @@ Status Database::CommitRecord(TxnId txn) {
   auto bt = txn_begin_time_.find(txn);
   if (bt != txn_begin_time_.end()) {
     txn_stats_.txn_latency.Add(clock_->Now() - bt->second);
-    TxnLatency().Record(clock_->Now() - bt->second);
     txn_begin_time_.erase(bt);
   }
   txn_stats_.commits++;

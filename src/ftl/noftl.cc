@@ -15,22 +15,9 @@ namespace {
 constexpr uint32_t kSlotBytes = 10;
 constexpr uint32_t kSlotEccBytes = 6;  // covers deltas up to 512 bytes
 
-/// Process-wide latency histograms, summed over every region of every NoFtl
-/// in the process (counts are published from RegionStats instead).
-struct FtlLatency {
-  metrics::Histogram read{"ftl.read_latency_us"};
-  metrics::Histogram write{"ftl.write_latency_us"};
-  metrics::Histogram delta_write{"ftl.delta_write_latency_us"};
-};
-
-FtlLatency& Latency() {
-  static FtlLatency histograms;
-  return histograms;
-}
-
-/// Add one region's counters to the registry under "ftl." Every mapping
-/// change is a host page write, a GC or wear-level migration, a mount-scan
-/// quarantine or a trim, so map_updates is their sum.
+/// Add one region's counters and latency histograms to the registry under
+/// "ftl." Every mapping change is a host page write, a GC or wear-level
+/// migration, a mount-scan quarantine or a trim, so map_updates is their sum.
 void Publish(const RegionStats& s) {
   for (const RegionStatField& f : kRegionStatFields) {
     if (f.noftl) metrics::Counter(std::string("ftl.") + f.noftl).Add(s.*f.field);
@@ -38,6 +25,9 @@ void Publish(const RegionStats& s) {
   metrics::Counter("ftl.map_updates")
       .Add(s.host_page_writes + s.gc_page_migrations + s.wear_level_migrations +
            s.torn_pages_quarantined + s.trims);
+  metrics::PublishHistogram("ftl.read_latency_us", s.read_latency);
+  metrics::PublishHistogram("ftl.write_latency_us", s.write_latency);
+  metrics::PublishHistogram("ftl.delta_write_latency_us", s.delta_write_latency);
 }
 
 /// True for a slot whose offset/len no appended delta could have written:
@@ -480,7 +470,6 @@ Status NoFtl::ReadPage(RegionId r, Lba lba, uint8_t* out) {
   flash::IoTiming t;
   IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
   reg.stats.read_latency.Add(t.LatencyUs());
-  Latency().read.Record(t.LatencyUs());
   if (reg.config.manage_ecc) {
     IPA_RETURN_NOT_OK(VerifyEcc(reg, ppn, out));
     // Never serve torn (power-loss-interrupted) delta bytes to the host.
@@ -505,7 +494,6 @@ Status NoFtl::WritePage(RegionId r, Lba lba, const uint8_t* data, bool sync) {
 
   reg.stats.host_page_writes++;
   reg.stats.write_latency.Add(t.LatencyUs());
-  Latency().write.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -562,7 +550,6 @@ Status NoFtl::WriteDelta(RegionId r, Lba lba, uint32_t offset, const uint8_t* by
   reg.stats.host_delta_writes++;
   reg.stats.delta_bytes_written += len;
   reg.stats.delta_write_latency.Add(t.LatencyUs());
-  Latency().delta_write.Record(t.LatencyUs());
   return Status::OK();
 }
 

@@ -14,26 +14,8 @@ namespace {
 constexpr uint32_t kStreamOffset = 22;
 constexpr uint32_t kEntryCrcOffset = 23;
 
-/// Process-wide latency histograms, summed over every PageFtl instance of
-/// one metric prefix (counts are published from RegionStats instead).
-struct FtlLatency {
-  explicit FtlLatency(const std::string& p)
-      : read(p + ".read_latency_us"), write(p + ".write_latency_us") {}
-  metrics::Histogram read;
-  metrics::Histogram write;
-};
-
-// Each prefix registers its histograms (and span sites) on first use, so a
-// run that never touches one flavor exports none of its names.
-FtlLatency& Latency(bool per_stream) {
-  if (per_stream) {
-    static FtlLatency streams("streamftl");
-    return streams;
-  }
-  static FtlLatency single("pageftl");
-  return single;
-}
-
+// Each prefix registers its span sites on first use, so a run that never
+// touches one flavor exports none of its names.
 metrics::SpanSite& GcSpan(bool per_stream) {
   if (per_stream) {
     static metrics::SpanSite streams("streamftl.gc");
@@ -84,6 +66,8 @@ void PageFtl::PublishStats() const {
   }
   metrics::Counter(p + "map_updates")
       .Add(stats_.host_page_writes + stats_.gc_page_migrations + stats_.trims);
+  metrics::PublishHistogram(p + "read_latency_us", stats_.read_latency);
+  metrics::PublishHistogram(p + "write_latency_us", stats_.write_latency);
 }
 
 Result<std::unique_ptr<PageFtl>> PageFtl::Create(flash::FlashArray* device,
@@ -196,7 +180,6 @@ Status PageFtl::ReadPage(Lba lba, uint8_t* out) {
   flash::IoTiming t;
   IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
   stats_.read_latency.Add(t.LatencyUs());
-  Latency(per_stream()).read.Record(t.LatencyUs());
   return Status::OK();
 }
 
@@ -222,7 +205,6 @@ Status PageFtl::WriteTagged(Lba lba, const uint8_t* data, bool sync,
   stats_.host_page_writes++;
   stream_writes_[static_cast<uint8_t>(tag)]++;
   stats_.write_latency.Add(t.LatencyUs());
-  Latency(per_stream()).write.Record(t.LatencyUs());
   return Status::OK();
 }
 

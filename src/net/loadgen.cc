@@ -14,11 +14,6 @@ namespace {
 /// never <= any arrival time, so the request stays counted as inflight.
 constexpr SimTime kUnforced = ~0ull;
 
-metrics::Histogram& RequestHist() {
-  static metrics::Histogram h("serve.request_us");
-  return h;
-}
-
 /// Partition-count-independent preload value length (SplitMix64 of the key),
 /// so every sharding layout preloads byte-identical tuples.
 uint32_t PreloadLen(const LoadgenConfig& cfg, uint64_t key) {
@@ -222,7 +217,6 @@ void ServeSim::Accumulate(const std::vector<Outcome>& outcomes,
         uint64_t lat = o.resp - o.at;
         r->completed++;
         r->lat.Add(lat);
-        RequestHist().Record(lat);
         break;
       }
       case RStatus::kRetry:
@@ -303,6 +297,7 @@ Result<PhaseResult> ServeSim::RunClosedLoop(const std::string& name,
   r.offered_tps = r.sim_us == 0 ? 0.0
                                 : static_cast<double>(r.issued) /
                                       (static_cast<double>(r.sim_us) / 1e6);
+  metrics::PublishHistogram("serve.request_us", r.lat);
   return r;
 }
 
@@ -394,6 +389,7 @@ Result<PhaseResult> ServeSim::RunOpenLoop(const std::string& name,
   r.sim_us = std::max<uint64_t>(t1 - t0, duration_us);
   r.offered_tps = static_cast<double>(arrivals.size() + r.dropped_arrivals) /
                   (static_cast<double>(duration_us) / 1e6);
+  metrics::PublishHistogram("serve.request_us", r.lat);
   return r;
 }
 

@@ -106,6 +106,9 @@ class ServeSim {
   /// on-flash state. Call once before the first phase.
   Status Preload();
 
+  // A phase that succeeds publishes its PhaseResult::lat to the metrics
+  // histogram `serve.request_us` before returning.
+
   /// Closed loop: run until ~`target_completed` requests finished.
   Result<PhaseResult> RunClosedLoop(const std::string& name,
                                     uint64_t target_completed);

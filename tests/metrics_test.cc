@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -23,6 +25,7 @@
 #include "ftl/noftl.h"
 #include "ftl/page_ftl.h"
 #include "net/admission.h"
+#include "published.h"
 #include "repl/node.h"
 #include "workload/testbed.h"
 #include "workload/tpcb.h"
@@ -36,33 +39,40 @@ class MetricsTest : public ::testing::Test {
   void TearDown() override { Registry::Instance().ResetForTest(); }
 };
 
+LatencyStats Latencies(std::initializer_list<uint64_t> samples) {
+  LatencyStats h;
+  for (uint64_t v : samples) h.Add(v);
+  return h;
+}
+
 TEST_F(MetricsTest, CounterGaugeHistogramBasics) {
   Counter c("test.basics.counter");
   Gauge g("test.basics.gauge");
-  Histogram h("test.basics.hist");
 
   c.Inc();
   c.Add(41);
   g.Set(-7);
-  h.Record(0);
-  h.Record(1);
-  h.Record(1000);
+  PublishHistogram("test.basics.hist", Latencies({0, 1}));
+  PublishHistogram("test.basics.hist", Latencies({1000}));  // merges
 
   Snapshot snap = Registry::Instance().TakeSnapshot();
   EXPECT_EQ(snap.Counter("test.basics.counter"), 42u);
+  EXPECT_FALSE(snap.Find("test.basics.counter")->hist.has_value());
 
   const MetricValue* gv = snap.Find("test.basics.gauge");
   ASSERT_NE(gv, nullptr);
   EXPECT_EQ(gv->type, Type::kGauge);
   EXPECT_EQ(gv->gauge, -7);
+  EXPECT_FALSE(gv->hist.has_value());
 
   const MetricValue* hv = snap.Find("test.basics.hist");
   ASSERT_NE(hv, nullptr);
   EXPECT_EQ(hv->type, Type::kHistogram);
-  EXPECT_EQ(hv->hist.count, 3u);
-  EXPECT_EQ(hv->hist.sum, 1001u);
-  EXPECT_EQ(hv->hist.max, 1000u);
-  EXPECT_DOUBLE_EQ(hv->hist.Mean(), 1001.0 / 3.0);
+  ASSERT_TRUE(hv->hist.has_value());
+  EXPECT_EQ(hv->hist->count(), 3u);
+  EXPECT_EQ(hv->hist->sum(), 1001u);
+  EXPECT_EQ(hv->hist->MaxMicros(), 1000u);
+  EXPECT_DOUBLE_EQ(hv->hist->MeanMicros(), 1001.0 / 3.0);
 }
 
 TEST_F(MetricsTest, ReinternedHandleSharesCell) {
@@ -74,33 +84,42 @@ TEST_F(MetricsTest, ReinternedHandleSharesCell) {
   EXPECT_EQ(snap.Counter("test.shared.cell"), 10u);
 }
 
-// Shard merge under concurrent writers: every thread writes through its own
-// thread-local shard, threads retire at join, and the snapshot must see the
-// exact global sum. Runs under the `tsan` ctest label.
+// Shard merge under concurrent writers: every thread counts through its own
+// thread-local shard and publishes its histogram every 1000 samples, threads
+// retire at join, and the snapshot must see the exact global sum. Runs under
+// the `tsan` ctest label.
 TEST_F(MetricsTest, ConcurrentWritersMergeExactly) {
   constexpr int kThreads = 8;
   constexpr uint64_t kIncrements = 20000;
   Counter c("test.concurrent.counter");
-  Histogram h("test.concurrent.hist");
 
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (int t = 0; t < kThreads; t++) {
     pool.emplace_back([&, t] {
       Counter local("test.concurrent.counter");  // re-intern on purpose
+      LatencyStats h;
       for (uint64_t i = 0; i < kIncrements; i++) {
         (i % 2 ? c : local).Inc();
-        h.Record(static_cast<uint64_t>(t) * kIncrements + i);
+        h.Add(static_cast<uint64_t>(t) * kIncrements + i);
+        if ((i + 1) % 1000 == 0) {
+          PublishHistogram("test.concurrent.hist", h);
+          h.Reset();
+        }
       }
     });
   }
   for (auto& th : pool) th.join();
 
+  constexpr uint64_t kSamples = kThreads * kIncrements;
   Snapshot snap = Registry::Instance().TakeSnapshot();
-  EXPECT_EQ(snap.Counter("test.concurrent.counter"), kThreads * kIncrements);
+  EXPECT_EQ(snap.Counter("test.concurrent.counter"), kSamples);
   const MetricValue* hv = snap.Find("test.concurrent.hist");
   ASSERT_NE(hv, nullptr);
-  EXPECT_EQ(hv->hist.count, kThreads * kIncrements);
+  ASSERT_TRUE(hv->hist.has_value());
+  EXPECT_EQ(hv->hist->count(), kSamples);
+  EXPECT_EQ(hv->hist->sum(), kSamples * (kSamples - 1) / 2);  // 0..kSamples-1
+  EXPECT_EQ(hv->hist->MaxMicros(), kSamples - 1);
 }
 
 // A snapshot taken while writer threads are still live (shards not yet
@@ -127,15 +146,16 @@ TEST_F(MetricsTest, SnapshotJsonIndependentOfThreadCount) {
   auto run = [](unsigned jobs) {
     Registry::Instance().ResetForTest();
     Counter c("test.determinism.counter");
-    Histogram h("test.determinism.hist");
     constexpr uint64_t kTotal = 24000;
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < jobs; t++) {
       pool.emplace_back([&, t] {
+        LatencyStats h;
         for (uint64_t i = t; i < kTotal; i += jobs) {
           c.Add(3);
-          h.Record(i);
+          h.Add(i);
         }
+        PublishHistogram("test.determinism.hist", h);
       });
     }
     for (auto& th : pool) th.join();
@@ -181,16 +201,26 @@ TEST_F(MetricsTest, SpanWithoutClockCountsCallsOnly) {
 TEST_F(MetricsTest, JsonRoundTripPreservesSnapshot) {
   Counter c("test.roundtrip.counter");
   Gauge g("test.roundtrip.gauge");
-  Histogram h("test.roundtrip.hist");
   c.Add(123456789);
   g.Set(-42);
-  for (uint64_t v : {0ull, 1ull, 7ull, 4096ull, 1ull << 40}) h.Record(v);
+  // Samples below 1 ms land in 1 us buckets, the rest in power-of-two ms ones.
+  const LatencyStats h = Latencies({0, 1, 7, 7, 999, 4096, 1ull << 40});
+  PublishHistogram("test.roundtrip.hist", h);
 
   Snapshot snap = Registry::Instance().TakeSnapshot();
+  std::string json = snap.ToJson();
+  // 4096 us is in [4 ms, 8 ms): bucket 1000 + 2.
+  EXPECT_NE(json.find("\"buckets\": [[0, 1], [1, 1], [7, 2], [999, 1], [1002, 1], "),
+            std::string::npos)
+      << json;
   Snapshot parsed;
-  ASSERT_TRUE(ParseSnapshotJson(snap.ToJson(), &parsed).ok());
+  ASSERT_TRUE(ParseSnapshotJson(json, &parsed).ok());
   EXPECT_EQ(parsed.metrics.size(), snap.metrics.size());
-  EXPECT_EQ(parsed.ToJson(), snap.ToJson());
+  EXPECT_EQ(parsed.ToJson(), json);
+  const MetricValue* hv = parsed.Find("test.roundtrip.hist");
+  ASSERT_NE(hv, nullptr);
+  ASSERT_TRUE(hv->hist.has_value());
+  EXPECT_EQ(Describe(*hv->hist), Describe(h));
 
   CompareReport rep = CompareSnapshots(snap, parsed);
   EXPECT_TRUE(rep.ok()) << (rep.diffs.empty() ? "" : rep.diffs[0]);
@@ -227,15 +257,42 @@ TEST_F(MetricsTest, ParseRejectsGarbageAndWrongSchema) {
       ParseSnapshotJson("{\"schema\": \"something-else\", \"metrics\": []}",
                         &out)
           .ok());
+
+  auto parse_metric = [&out](const std::string& metric) {
+    return ParseSnapshotJson(
+        "{\"schema\": \"ipa-metrics-v1\", \"metrics\": [" + metric + "]}", &out);
+  };
+  // A number needs a digit: a lone '-' must not read as 0.
+  EXPECT_TRUE(parse_metric(R"({"name": "c", "type": "counter", "value": 0})").ok());
+  EXPECT_FALSE(parse_metric(R"({"name": "c", "type": "counter", "value": -})").ok());
+  EXPECT_FALSE(parse_metric(R"({"name": "g", "type": "gauge", "value": -})").ok());
+  // Bucket indexes stop at LatencyStats::kBuckets.
+  auto histogram = [](size_t bucket) {
+    return R"({"name": "h", "type": "histogram", "count": 1, "sum": 1, "max": 1, )"
+           R"("buckets": [[)" + std::to_string(bucket) + ", 1]]}";
+  };
+  EXPECT_TRUE(parse_metric(histogram(LatencyStats::kBuckets - 1)).ok());
+  EXPECT_EQ(out.metrics[0].hist->bucket(LatencyStats::kBuckets - 1), 1u);
+  EXPECT_FALSE(parse_metric(histogram(LatencyStats::kBuckets)).ok());
+}
+
+/// `h` with its sum and max replaced, as a doctored snapshot file carries it.
+LatencyStats WithSumAndMax(const LatencyStats& h, uint64_t sum, uint64_t max) {
+  std::vector<std::pair<size_t, uint64_t>> buckets;
+  for (size_t b = 0; b < LatencyStats::kBuckets; b++) {
+    if (h.bucket(b) != 0) buckets.emplace_back(b, h.bucket(b));
+  }
+  return LatencyStats::FromParts(h.count(), sum, max, buckets);
 }
 
 // The regression check behind tools/bench_compare: deterministic metrics
 // diff exactly, histograms within a relative tolerance.
 TEST_F(MetricsTest, CompareDetectsInjectedRegression) {
   Counter c("test.compare.counter");
-  Histogram h("test.compare.hist");
   c.Add(100);
-  for (uint64_t i = 0; i < 1000; i++) h.Record(i);
+  LatencyStats h;
+  for (uint64_t i = 0; i < 1000; i++) h.Add(i);
+  PublishHistogram("test.compare.hist", h);
   Snapshot baseline = Registry::Instance().TakeSnapshot();
 
   Snapshot same = baseline;
@@ -254,7 +311,9 @@ TEST_F(MetricsTest, CompareDetectsInjectedRegression) {
   // Histogram drift inside the tolerance passes, outside fails.
   Snapshot drift = baseline;
   for (MetricValue& m : drift.metrics) {
-    if (m.name == "test.compare.hist") m.hist.sum += m.hist.sum / 50;  // +2%
+    if (m.name == "test.compare.hist") {
+      m.hist = WithSumAndMax(*m.hist, h.sum() + h.sum() / 50, h.MaxMicros());  // +2%
+    }
   }
   EXPECT_TRUE(CompareSnapshots(baseline, drift, {.histogram_tolerance = 0.05})
                   .ok());
@@ -264,7 +323,7 @@ TEST_F(MetricsTest, CompareDetectsInjectedRegression) {
   // A latency-max regression alone (count and mean unchanged) is a diff.
   Snapshot worse_max = baseline;
   for (MetricValue& m : worse_max.metrics) {
-    if (m.name == "test.compare.hist") m.hist.max *= 2;
+    if (m.name == "test.compare.hist") m.hist = WithSumAndMax(*m.hist, h.sum(), 2 * h.MaxMicros());
   }
   CompareReport max_rep = CompareSnapshots(baseline, worse_max);
   EXPECT_FALSE(max_rep.ok());
@@ -312,38 +371,6 @@ TEST_F(MetricsTest, CompareHandlesMissingNewAndIgnoredMetrics) {
   EXPECT_TRUE(CompareSnapshots(baseline, noisy, opts).ok());
 }
 
-TEST_F(MetricsTest, HistogramValueMergeAndPercentiles) {
-  HistogramValue a, b;
-  a.count = 2;
-  a.sum = 10;
-  a.max = 8;
-  a.buckets[4] = 2;  // two samples in [8, 15]
-  b.count = 1;
-  b.sum = 100;
-  b.max = 100;
-  b.buckets[7] = 1;  // one sample in [64, 127]
-  a.Merge(b);
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.sum, 110u);
-  EXPECT_EQ(a.max, 100u);
-  // p50 lands in the [8,15] bucket, p100 in the [64,127] bucket.
-  EXPECT_EQ(a.PercentileUpperBound(50), 15u);
-  EXPECT_EQ(a.PercentileUpperBound(100), 127u);
-
-  HistogramValue empty;
-  EXPECT_DOUBLE_EQ(empty.Mean(), 0.0);
-  EXPECT_EQ(empty.PercentileUpperBound(99), 0u);
-
-  // The last bucket (bit_width 64) is unbounded above; its upper bound must
-  // saturate instead of computing 1<<64.
-  HistogramValue top;
-  top.count = 1;
-  top.sum = UINT64_MAX;
-  top.max = UINT64_MAX;
-  top.buckets[64] = 1;
-  EXPECT_EQ(top.PercentileUpperBound(100), UINT64_MAX);
-}
-
 // A name interned under one type must not hand that type's index to another
 // type's accessor: the id spaces have different capacities, so doing so reads
 // or writes out of bounds. The mismatched handle routes to a dead cell and
@@ -352,16 +379,24 @@ TEST_F(MetricsTest, TypeCollisionRoutesToDeadCell) {
   Counter c("test.typeclash.metric");
   c.Add(5);
 
-  Histogram clash("test.typeclash.metric");
-  clash.Record(123);  // dead cell: must not corrupt anything
+  // Dead cells: must not corrupt anything.
+  PublishHistogram("test.typeclash.metric", Latencies({123}));
   Gauge gclash("test.typeclash.metric");
   gclash.Set(-1);
+
+  // And the other way round: a histogram keeps its samples.
+  PublishHistogram("test.typeclash.hist", Latencies({7}));
+  Counter("test.typeclash.hist").Add(9);
 
   Snapshot snap = Registry::Instance().TakeSnapshot();
   const MetricValue* m = snap.Find("test.typeclash.metric");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->type, Type::kCounter);
   EXPECT_EQ(m->value, 5u);
+  const MetricValue* h = snap.Find("test.typeclash.hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->type, Type::kHistogram);
+  EXPECT_EQ(Describe(*h->hist), Describe(Latencies({7})));
 }
 
 // ---------------------------------------------------------------------------
@@ -384,8 +419,9 @@ static_assert(kPinned<net::AdmissionController>);
 
 // The bench harness's measurement phase: a TPC-B stack is reset after its
 // warm-up (bench/harness.cc) and destroyed after the run. Every published
-// counter must then hold exactly the struct value read before the reset plus
-// the value read before destruction: no event lost, none counted twice.
+// counter and latency histogram must then hold exactly the struct value read
+// before the reset plus the value read before destruction: no event or
+// sample lost, none counted twice.
 TEST_F(MetricsTest, OwnersPublishEachCountOnceAtResetAndDestruction) {
   workload::TpcbConfig wc;
   wc.accounts_per_branch = 1000;
@@ -414,12 +450,35 @@ TEST_F(MetricsTest, OwnersPublishEachCountOnceAtResetAndDestruction) {
 
   ASSERT_TRUE(workload::RunTransactions(tpcb, 3000).ok());
   ASSERT_TRUE(bed->db->Checkpoint().ok());
+  // The warm buffer pool serves every read since the reset: read a page
+  // through the FTL so that both sides of the reset have read latencies.
+  std::vector<uint8_t> page(bed->backend->page_size());
+  ASSERT_TRUE(bed->backend->ReadPage(0, page.data()).ok());
   const ftl::RegionStats region1 = bed->backend_stats();
   const engine::BufferStats buffer1 = bed->db->buffer_pool().stats();
   const engine::TxnStats txn1 = bed->db->txn_stats();
   const engine::WalStats wal = bed->db->wal().stats();
   const uint64_t checkpoints = bed->db->checkpoints_taken();
   const flash::DeviceStats dev = bed->dev->AggregateStats();
+
+  // Each latency histogram, with the struct histograms read before the reset
+  // and before destruction.
+  struct Latency {
+    const char* metric;
+    const LatencyStats& before_reset;
+    const LatencyStats& after_reset;
+  };
+  const Latency latencies[] = {
+      {"ftl.read_latency_us", region0.read_latency, region1.read_latency},
+      {"ftl.write_latency_us", region0.write_latency, region1.write_latency},
+      {"ftl.delta_write_latency_us", region0.delta_write_latency,
+       region1.delta_write_latency},
+      {"db.txn_latency_us", txn0.txn_latency, txn1.txn_latency},
+  };
+  // The live owners still hold every sample since the reset.
+  for (const Latency& l : latencies) {
+    EXPECT_EQ(Describe(PublishedHistogram(l.metric)), Describe(l.before_reset)) << l.metric;
+  }
   bed.reset();
 
   Snapshot snap = Registry::Instance().TakeSnapshot();
@@ -445,6 +504,14 @@ TEST_F(MetricsTest, OwnersPublishEachCountOnceAtResetAndDestruction) {
   for (const auto& f : engine::kTxnStatFields) expect(f.metric, txn0.*f.field + txn1.*f.field);
   for (const auto& f : engine::kWalStatFields) expect(f.metric, wal.*f.field);
   expect("db.checkpoints", checkpoints);
+  for (const Latency& l : latencies) {
+    LatencyStats want = l.before_reset;
+    want.Merge(l.after_reset);
+    EXPECT_EQ(Describe(PublishedHistogram(l.metric)), Describe(want)) << l.metric;
+    // Both sides of the reset took samples.
+    EXPECT_GT(l.before_reset.count(), 0u) << l.metric;
+    EXPECT_GT(l.after_reset.count(), 0u) << l.metric;
+  }
 
   // Both sides of the reset reached both write paths, GC and the cleaner.
   for (const ftl::RegionStats* s : {&region0, &region1}) {
@@ -496,7 +563,17 @@ TEST(LatencyStatsTest, PercentileEdgeCases) {
   m.Merge(one);
   m.Merge(log);
   EXPECT_EQ(m.count(), 3u);
+  EXPECT_EQ(m.sum(), 55017u);
   EXPECT_EQ(m.MaxMicros(), 50000u);
+  EXPECT_DOUBLE_EQ(m.MeanMicros(), 55017.0 / 3.0);
+
+  // The largest sample's percentile is its power-of-two bucket's lower
+  // bound, which must not overflow (a wrapped product would be small).
+  LatencyStats top;
+  top.Add(UINT64_MAX);
+  EXPECT_EQ(top.MaxMicros(), UINT64_MAX);
+  EXPECT_EQ(top.sum(), UINT64_MAX);
+  EXPECT_GT(top.PercentileMicros(100), UINT64_MAX / 2);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the serving layer above the sharded engine (src/net/): the KV
 // service's autocommit and interactive-transaction paths, partition-home
 // enforcement, admission control, the deterministic load generator's
-// threaded-vs-sequential bit-identity contract, overload shedding, and
-// index rebuild after a mid-request power cut.
+// threaded-vs-sequential bit-identity contract, the latencies its phases
+// publish, overload shedding, and index rebuild after a mid-request power
+// cut.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "net/admission.h"
 #include "net/kv_service.h"
 #include "net/loadgen.h"
+#include "published.h"
 #include "workload/testbed.h"
 
 namespace ipa::net {
@@ -346,6 +348,18 @@ TEST(ServeSim, ThreadedMatchesSequentialBitForBit) {
   EXPECT_GT(threaded.closed.completed, 0u);
   EXPECT_EQ(threaded.closed.errors, 0u);
   EXPECT_EQ(threaded.open.errors, 0u);
+}
+
+// Each phase publishes its whole PhaseResult::lat to serve.request_us once,
+// however many rounds its closed loop ran.
+TEST(ServeSim, PhasesPublishTheirLatencies) {
+  LatencyStats want = PublishedHistogram("serve.request_us");
+  SimOut out = RunSim(/*threaded=*/false);
+  EXPECT_GT(out.closed.lat.count(), 0u);
+  EXPECT_GT(out.open.lat.count(), 0u);
+  want.Merge(out.closed.lat);
+  want.Merge(out.open.lat);
+  EXPECT_EQ(Describe(PublishedHistogram("serve.request_us")), Describe(want));
 }
 
 TEST(ServeSim, OverloadShedsWithoutErrors) {

@@ -2,7 +2,8 @@
 // backend) beyond the FtlBackend conformance suite
 // (tests/ftl_conformance_test.cc): per-stream frontier segregation, the
 // GC-relocation restream, warm/cold victim selection, mount-time rebuild of
-// stream labels, and per-device counter conservation.
+// stream labels, per-device counter conservation, and the counters and
+// latency histograms it publishes at destruction.
 
 #include <memory>
 #include <string>
@@ -260,6 +261,8 @@ TEST(StreamFtl, DeviceCountersBalanceFtlCauses) {
 
 TEST(StreamFtl, SustainedMultiStreamPressureStaysLive) {
   uint64_t published = Published("streamftl.stream_spills");
+  LatencyStats want_reads = PublishedHistogram("streamftl.read_latency_us");
+  LatencyStats want_writes = PublishedHistogram("streamftl.write_latency_us");
   flash::FlashArray dev(Geo(), flash::SlcTiming());
   PageFtlConfig sc = StreamConfig(/*logical=*/128);
   sc.gc_free_block_threshold = 2;
@@ -285,8 +288,14 @@ TEST(StreamFtl, SustainedMultiStreamPressureStaysLive) {
 
   uint64_t spills = ftl->stream_spills();
   EXPECT_GT(spills, 0u);
+  want_reads.Merge(ftl->stats().read_latency);
+  want_writes.Merge(ftl->stats().write_latency);
+  EXPECT_EQ(ftl->stats().read_latency.count(), 128u);
+  EXPECT_EQ(ftl->stats().write_latency.count(), 50u * 128u);
   ftl.reset();
   EXPECT_EQ(Published("streamftl.stream_spills") - published, spills);
+  EXPECT_EQ(Describe(PublishedHistogram("streamftl.read_latency_us")), Describe(want_reads));
+  EXPECT_EQ(Describe(PublishedHistogram("streamftl.write_latency_us")), Describe(want_writes));
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 //   bench_compare BASELINE CURRENT [--tolerance F] [--ignore PREFIX]...
 //
 // Deterministic metrics (counters, gauges) must match exactly; histogram
-// count/mean drift is allowed within --tolerance (default 0.05 relative).
+// count/mean/max drift is allowed within --tolerance (a finite relative
+// value >= 0, default 0.05).
 // --ignore excludes metric-name prefixes (repeatable), e.g. wall-clock noise.
 //
 // Exit status: 0 when snapshots match, 1 on any diff, 2 on usage/I-O errors.
 // This is the comparison step of the CI perf-regression gate (see
 // docs/METRICS.md and .github/workflows/ci.yml perf-gate).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +28,13 @@ int Usage() {
                "usage: bench_compare BASELINE.json CURRENT.json"
                " [--tolerance F] [--ignore PREFIX]...\n");
   return 2;
+}
+
+/// A finite number >= 0 spanning all of `text`.
+bool ParseTolerance(const char* text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(*out) && *out >= 0;
 }
 
 bool ReadFile(const char* path, std::string* out) {
@@ -60,8 +69,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--tolerance") == 0) {
-      if (i + 1 >= argc) return Usage();
-      opts.histogram_tolerance = std::atof(argv[++i]);
+      if (i + 1 >= argc || !ParseTolerance(argv[++i], &opts.histogram_tolerance)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--ignore") == 0) {
       if (i + 1 >= argc) return Usage();
       opts.ignore_prefixes.emplace_back(argv[++i]);
