@@ -371,6 +371,33 @@ TEST_F(MetricsTest, CompareHandlesMissingNewAndIgnoredMetrics) {
   EXPECT_TRUE(CompareSnapshots(baseline, noisy, opts).ok());
 }
 
+// The registry's histogram value is a LatencyStats: two publishes under one
+// name merge, and percentiles read the merged buckets.
+TEST_F(MetricsTest, HistogramValueMergeAndPercentiles) {
+  PublishHistogram("test.histmerge.hist", Latencies({8, 8}));  // two samples in the 8 us bucket
+  PublishHistogram("test.histmerge.hist", Latencies({100000}));  // one in [64 ms, 128 ms)
+
+  Snapshot snap = Registry::Instance().TakeSnapshot();
+  const MetricValue* hv = snap.Find("test.histmerge.hist");
+  ASSERT_NE(hv, nullptr);
+  ASSERT_TRUE(hv->hist.has_value());
+  const LatencyStats& h = *hv->hist;
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.sum(), 100016u);
+  EXPECT_EQ(h.MaxMicros(), 100000u);
+  // p50 lands in the 8 us bucket, p100 at the lower bound of [64 ms, 128 ms).
+  EXPECT_EQ(h.PercentileMicros(50), 8u);
+  EXPECT_EQ(h.PercentileMicros(100), 64000u);
+
+  // The largest sample's percentile is its power-of-two bucket's lower
+  // bound, which must not overflow (a wrapped product would be small).
+  LatencyStats top;
+  top.Add(UINT64_MAX);
+  EXPECT_EQ(top.MaxMicros(), UINT64_MAX);
+  EXPECT_EQ(top.sum(), UINT64_MAX);
+  EXPECT_GT(top.PercentileMicros(100), UINT64_MAX / 2);
+}
+
 // A name interned under one type must not hand that type's index to another
 // type's accessor: the id spaces have different capacities, so doing so reads
 // or writes out of bounds. The mismatched handle routes to a dead cell and
@@ -566,14 +593,6 @@ TEST(LatencyStatsTest, PercentileEdgeCases) {
   EXPECT_EQ(m.sum(), 55017u);
   EXPECT_EQ(m.MaxMicros(), 50000u);
   EXPECT_DOUBLE_EQ(m.MeanMicros(), 55017.0 / 3.0);
-
-  // The largest sample's percentile is its power-of-two bucket's lower
-  // bound, which must not overflow (a wrapped product would be small).
-  LatencyStats top;
-  top.Add(UINT64_MAX);
-  EXPECT_EQ(top.MaxMicros(), UINT64_MAX);
-  EXPECT_EQ(top.sum(), UINT64_MAX);
-  EXPECT_GT(top.PercentileMicros(100), UINT64_MAX / 2);
 }
 
 }  // namespace
