@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core operations on the IPA
 // hot paths: page diffing, delta-record encode/apply, slotted-page ops,
-// ECC, CRC32C, emulated flash commands and B+tree point operations.
+// ECC, CRC32C, emulated flash commands, B+tree point operations and the
+// serving load generator's value fill.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "engine/btree.h"
 #include "flash/ecc.h"
 #include "flash/flash_array.h"
+#include "net/loadgen.h"
 #include "storage/delta_record.h"
 #include "storage/slotted_page.h"
 #include "workload/testbed.h"
@@ -209,6 +211,19 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * len));
 }
 BENCHMARK(BM_Crc32c)->Arg(23)->Arg(64)->Arg(1024)->Arg(8192);
+
+// The load generator's value fill, which every serve-path PUT and GET oracle
+// runs: the shortest serve-kv value (64 B), its mean (544 B) and its longest
+// (1 KiB).
+void BM_ValueBytes(benchmark::State& state) {
+  const auto len = static_cast<uint32_t>(state.range(0));
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::ValueBytes(19999, ++seq, len));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_ValueBytes)->Arg(64)->Arg(544)->Arg(1024);
 
 void BM_FlashProgramRead(benchmark::State& state) {
   flash::Geometry g;

@@ -12,13 +12,14 @@
 //    of accepted requests stays within --slo-mult of the steady phase.
 //    Bit-identical across runs, IPA_JOBS, and --sequential vs threaded.
 //
-//  * --soak: time-budgeted power-cut soak (sequential engine). Each
+//  * --soak: time-budgeted power-cut soak (sequential engine). It runs
+//    iterations until --time-budget-s expires (at least two). Each
 //    iteration builds a fresh testbed, runs acknowledged traffic (ack =
 //    group-commit force), cuts power mid-request via PowerLossPolicy,
 //    recovers (SimulateCrash -> PowerCycle -> RecoverAfterPowerLoss ->
 //    RebuildIndexes) and verifies that no acknowledged commit was lost and
-//    every surviving value is byte-exact. Exits 1 on any violation or if no
-//    cut ever triggered.
+//    every surviving value is byte-exact, length included. Exits 1 on any
+//    violation or if no cut ever triggered.
 //
 //  * --connect HOST:PORT: a real TCP client for CI's serve-smoke job:
 //    closed-loop mix, an interactive transaction, a pipelined overload burst
@@ -50,6 +51,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/bytes.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "net/kv_service.h"
@@ -260,6 +262,11 @@ struct SoakOptions {
   uint64_t time_budget_s = 20;
 };
 
+/// Value length of key `k`'s preloaded value (write sequence 0).
+uint32_t SoakPreloadLen(uint64_t k) {
+  return static_cast<uint32_t>(64 + k % 193);
+}
+
 Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
                      uint64_t* keys_verified, uint64_t* acked_commits) {
   IPA_ASSIGN_OR_RETURN(ServeBed sb,
@@ -270,7 +277,7 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
   // Preload; everything forced + checkpointed counts as acknowledged.
   for (uint64_t k = 0; k < opt.keys; ++k) {
     uint32_t p = kv.PartitionOfKey(k);
-    if (kv.Put(p, kAutoCommit, k, net::ValueBytes(k, 0, 64 + k % 193)) !=
+    if (kv.Put(p, kAutoCommit, k, net::ValueBytes(k, 0, SoakPreloadLen(k))) !=
         RStatus::kOk) {
       return Status::Internal("soak preload PUT failed");
     }
@@ -294,6 +301,12 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
   std::vector<std::vector<std::pair<uint64_t, uint64_t>>> pending(opt.workers);
   std::vector<uint32_t> batch(opt.workers, 0);
   uint64_t next_seq = 1;
+  // Every PUT's value length, by write sequence; entry 0 is unused (the
+  // preload's lengths depend on the key).
+  std::vector<uint32_t> put_len(1, 0);
+  auto value_len = [&](uint64_t k, uint64_t s) {
+    return s == 0 ? SoakPreloadLen(k) : put_len[s];
+  };
   bool crashed = false;
   for (uint64_t i = 0; i < opt.ops; ++i) {
     uint64_t k = rng.Uniform(opt.keys);
@@ -301,8 +314,8 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
     RStatus rs;
     if (rng.Chance(0.7)) {
       uint64_t s = next_seq++;
-      rs = kv.Put(p, kAutoCommit, k,
-                  net::ValueBytes(k, s, 64 + static_cast<uint32_t>(rng.Uniform(192))));
+      put_len.push_back(64 + static_cast<uint32_t>(rng.Uniform(192)));
+      rs = kv.Put(p, kAutoCommit, k, net::ValueBytes(k, s, put_len[s]));
       if (rs == RStatus::kOk) {
         committed[k] = s;
         pending[p].push_back({k, s});
@@ -317,8 +330,8 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
       std::vector<uint8_t> got;
       rs = kv.Get(p, kAutoCommit, k, &got);
       if (rs == RStatus::kOk) {
-        if (got != net::ValueBytes(k, committed[k],
-                                   static_cast<uint32_t>(got.size()))) {
+        uint64_t s = committed[k];
+        if (got != net::ValueBytes(k, s, value_len(k, s))) {
           return Status::Corruption("soak GET mismatch vs last committed PUT");
         }
       } else if (rs == RStatus::kNotFound) {
@@ -359,7 +372,8 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
   }
 
   // No acknowledged commit may be lost; no phantom state may appear; every
-  // surviving value must be byte-exact for its embedded sequence number.
+  // surviving value must be byte-exact, length included, for its embedded
+  // sequence number.
   for (uint64_t k = 0; k < opt.keys; ++k) {
     uint32_t p = kv.PartitionOfKey(k);
     std::vector<uint8_t> got;
@@ -367,14 +381,14 @@ Status SoakIteration(const SoakOptions& opt, uint64_t seed, uint64_t* crashes,
     if (rs != RStatus::kOk || got.size() < 8) {
       return Status::Corruption("soak: key missing after recovery");
     }
-    uint64_t s = net::GetU64(got.data());
+    uint64_t s = DecodeU64(got.data());
     if (s < acked[k]) {
       return Status::Corruption("soak: acknowledged commit lost by recovery");
     }
     if (s > committed[k]) {
       return Status::Corruption("soak: phantom write sequence after recovery");
     }
-    if (got != net::ValueBytes(k, s, static_cast<uint32_t>(got.size()))) {
+    if (got != net::ValueBytes(k, s, value_len(k, s))) {
       return Status::Corruption("soak: value bytes corrupt after recovery");
     }
     (*keys_verified)++;
@@ -395,8 +409,7 @@ int RunSoak(const SoakOptions& opt) {
                   std::chrono::seconds(opt.time_budget_s);
   uint64_t iterations = 0, crashes = 0, keys_verified = 0, acked_commits = 0;
   uint64_t seed = opt.seed;
-  while (iterations < 2 || (std::chrono::steady_clock::now() < deadline &&
-                            iterations < 256)) {
+  while (iterations < 2 || std::chrono::steady_clock::now() < deadline) {
     Status s = SoakIteration(opt, seed++, &crashes, &keys_verified,
                              &acked_commits);
     if (!s.ok()) {
@@ -565,7 +578,7 @@ int RunClient(const ClientOptions& opt) {
       std::fprintf(stderr, "bench_serve: BEGIN failed\n");
       return 1;
     }
-    uint64_t txn = net::GetU64(f.payload.data());
+    uint64_t txn = DecodeU64(f.payload.data());
     rid = id++;
     if (!SendRequest(c, static_cast<uint8_t>(net::Op::kPut), rid,
                      net::PutPayload(txn, key, net::ValueBytes(key, 1, 64))) ||

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "common/bytes.h"
+
 namespace ipa::net {
 
 namespace {
@@ -130,7 +132,7 @@ RStatus KvService::Get(uint32_t p, uint64_t txn, uint64_t key,
   auto row = part.db->Read(t, engine::Rid::Unpack(packed.value()));
   if (!row.ok()) return finish(row.status());
   if (row.value().size() < kTupleHeader ||
-      GetU64(row.value().data()) != key) {
+      DecodeU64(row.value().data()) != key) {
     // Truncated tuple or an index entry resolving to some other key's slot:
     // never slice past the end, and never serve another key's bytes.
     return finish(Status::Corruption("KV tuple does not match its index entry"));
@@ -362,7 +364,7 @@ Status KvService::RebuildIndexes() {
             st = Status::Corruption("KV tuple shorter than its key");
             return false;
           }
-          st = part.index->Insert(GetU64(tuple.data()), rid.Pack());
+          st = part.index->Insert(DecodeU64(tuple.data()), rid.Pack());
           return st.ok();
         }));
     IPA_RETURN_NOT_OK(st);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/bytes.h"
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 
@@ -31,15 +33,16 @@ uint32_t PreloadLen(const LoadgenConfig& cfg, uint64_t key) {
 
 std::vector<uint8_t> ValueBytes(uint64_t key, uint64_t seq, uint32_t len) {
   if (len < 8) len = 8;
-  std::vector<uint8_t> v;
-  v.reserve(len);
-  PutU64(&v, seq);
+  std::vector<uint8_t> v(len);
+  uint8_t* out = v.data();
+  EncodeU64(out, seq);
   Rng fill((key + 1) * 0x9E3779B97F4A7C15ull ^ (seq + 1));
-  while (v.size() < len) {
+  uint32_t at = 8;
+  for (; len - at >= 8; at += 8) EncodeU64(out + at, fill.Next());
+  if (at < len) {
+    // The tail takes the leading (low, little-endian) bytes of one more word.
     uint64_t x = fill.Next();
-    for (int i = 0; i < 8 && v.size() < len; ++i) {
-      v.push_back(static_cast<uint8_t>(x >> (8 * i)));
-    }
+    std::memcpy(out + at, &x, len - at);
   }
   return v;
 }
@@ -72,7 +75,7 @@ Status ServeSim::Preload() {
                                    StatusName(rs));
           return;
         }
-        ps.expected[k] = 0;
+        ps.expected[k] = {0, PreloadLen(cfg_, k)};
       }
       kv_->ForceLog(p);
     });
@@ -175,8 +178,7 @@ Status ServeSim::ProcessStream(uint32_t p, const std::vector<Arrival>& arr,
         if (it == ps.expected.end()) {
           return Status::Corruption("GET returned a value for an unwritten key");
         }
-        if (got != ValueBytes(req.key, it->second,
-                              static_cast<uint32_t>(got.size()))) {
+        if (got != ValueBytes(req.key, it->second.seq, it->second.len)) {
           return Status::Corruption("GET value mismatch vs last committed write");
         }
       } else if (rs == RStatus::kNotFound && ps.expected.count(req.key)) {
@@ -184,7 +186,7 @@ Status ServeSim::ProcessStream(uint32_t p, const std::vector<Arrival>& arr,
       }
     } else if (req.op == Op::kPut) {
       rs = kv_->Put(p, kAutoCommit, req.key, req.value);
-      if (rs == RStatus::kOk) ps.expected[req.key] = a.seq;
+      if (rs == RStatus::kOk) ps.expected[req.key] = {a.seq, a.vlen};
     } else {
       rs = kv_->Delete(p, kAutoCommit, req.key);
       if (rs == RStatus::kOk) {

@@ -10,8 +10,9 @@
 // sequential partition drivers.
 //
 // The wire protocol runs on the hot path: each simulated request is encoded
-// into a real frame, parsed by a FrameDecoder, and answered with an encoded
-// response, so reported goodput bytes are true wire bytes.
+// into a real frame and parsed by a FrameDecoder. Responses are not encoded;
+// each is sized with FrameBytes, so reported goodput bytes are still true
+// wire bytes.
 //
 // Closed loop: `clients` virtual clients each keep one request outstanding
 // (plus think time); shed requests are retried after the server's hint.
@@ -20,9 +21,10 @@
 // the production-traffic model. Slow clients stop draining responses for a
 // window; connections whose response backlog passes the cap are dropped.
 //
-// Built-in oracle: every partition worker tracks the last acknowledged write
-// per key and verifies GET payloads byte-for-byte, so a serving-layer run is
-// also a correctness check of the engine underneath.
+// Built-in oracle: every partition worker tracks the sequence number and
+// length of the last acknowledged write per key and verifies GET payloads
+// byte-for-byte, length included, so a serving-layer run is also a
+// correctness check of the engine underneath.
 
 #pragma once
 
@@ -94,6 +96,8 @@ struct PhaseResult {
 
 /// Deterministic value bytes for (key, seq): [seq u64][pseudo-random fill].
 /// `len` is clamped to >= 8. Shared with the soak driver's oracle.
+/// Every prefix of 8 bytes or more is itself the value of a shorter `len`,
+/// so an oracle must check the length it expects, not the length it got.
 std::vector<uint8_t> ValueBytes(uint64_t key, uint64_t seq, uint32_t len);
 
 class ServeSim {
@@ -142,8 +146,12 @@ class ServeSim {
     /// Ack times of admitted-but-unretired requests (the queue-depth model
     /// admission control runs against). ~0 until the batch's log force.
     std::deque<SimTime> inflight;
-    /// Oracle: last acknowledged write seq per key.
-    std::unordered_map<uint64_t, uint64_t> expected;
+    /// Oracle: the last acknowledged write per key.
+    struct Written {
+      uint64_t seq = 0;
+      uint32_t len = 0;  ///< ValueBytes length (>= 8).
+    };
+    std::unordered_map<uint64_t, Written> expected;
   };
 
   Arrival DrawRequest(Rng& rng);

@@ -1,7 +1,6 @@
 #include "net/protocol.h"
 
-#include <cstring>
-
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace ipa::net {
@@ -37,23 +36,15 @@ bool IsKnownRequestOp(uint8_t op) {
 }
 
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; i++) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  size_t at = out->size();
+  out->resize(at + 4);
+  EncodeU32(out->data() + at, v);
 }
 
 void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; i++) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; i--) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; i--) v = (v << 8) | p[i];
-  return v;
+  size_t at = out->size();
+  out->resize(at + 8);
+  EncodeU64(out->data() + at, v);
 }
 
 void EncodeFrame(uint8_t op, uint64_t request_id,
@@ -100,17 +91,17 @@ FrameDecoder::Next FrameDecoder::Poll(Frame* out, std::string* error) {
   uint16_t magic = static_cast<uint16_t>(h[0] | (h[1] << 8));
   if (magic != kMagic) return fail("bad frame magic");
   if (h[2] != kProtocolVersion) return fail("unsupported protocol version");
-  uint32_t payload_len = GetU32(h + 4);
+  uint32_t payload_len = DecodeU32(h + 4);
   if (payload_len > kMaxPayload) return fail("frame payload too large");
   if (size() < FrameBytes(payload_len)) return Next::kNeedMore;
 
-  uint32_t want = GetU32(h + 16);
+  uint32_t want = DecodeU32(h + 16);
   uint32_t got = Crc32c(h, 16);
   got = Crc32c(h + kHeaderBytes, payload_len, got);
   if (want != got) return fail("frame CRC mismatch");
 
   out->op = h[3];
-  out->request_id = GetU64(h + 8);
+  out->request_id = DecodeU64(h + 8);
   out->payload.assign(h + kHeaderBytes, h + kHeaderBytes + payload_len);
   pos_ += FrameBytes(payload_len);
   if (size() == 0) {
@@ -135,23 +126,23 @@ bool ParseRequest(const Frame& frame, Request* out) {
     case Op::kGet:
     case Op::kDelete:
       if (p.size() != 16) return false;
-      out->txn = GetU64(p.data());
-      out->key = GetU64(p.data() + 8);
+      out->txn = DecodeU64(p.data());
+      out->key = DecodeU64(p.data() + 8);
       return true;
     case Op::kPut:
       if (p.size() < 16) return false;
-      out->txn = GetU64(p.data());
-      out->key = GetU64(p.data() + 8);
+      out->txn = DecodeU64(p.data());
+      out->key = DecodeU64(p.data() + 8);
       out->value = std::span<const uint8_t>(p).subspan(16);
       return true;
     case Op::kBegin:
       if (p.size() != 8) return false;
-      out->key = GetU64(p.data());
+      out->key = DecodeU64(p.data());
       return true;
     case Op::kCommit:
     case Op::kAbort:
       if (p.size() != 8) return false;
-      out->txn = GetU64(p.data());
+      out->txn = DecodeU64(p.data());
       return true;
   }
   return false;

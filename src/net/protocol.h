@@ -81,11 +81,10 @@ inline uint64_t FrameBytes(uint64_t payload_len) {
   return kHeaderBytes + payload_len;
 }
 
-// Little-endian scalar helpers shared by payload builders and the server.
+// Append a little-endian scalar; shared by payload builders and the server.
+// Read one back with DecodeU32/DecodeU64 (common/bytes.h).
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
 void PutU64(std::vector<uint8_t>* out, uint64_t v);
-uint32_t GetU32(const uint8_t* p);
-uint64_t GetU64(const uint8_t* p);
 
 /// Incremental frame parser for one connection's byte stream.
 class FrameDecoder {

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "net/admission.h"
 #include "net/epoll_server.h"
 #include "net/kv_service.h"
@@ -143,7 +144,7 @@ TEST(EpollServer, DisconnectAbortsOpenTransactions) {
     ASSERT_TRUE(RoundTrip(cl, Op::kBegin, BeginPayload(key), &f));
     ASSERT_EQ(f.op, static_cast<uint8_t>(RStatus::kOk));
     ASSERT_EQ(f.payload.size(), 8u);
-    uint64_t h = GetU64(f.payload.data());
+    uint64_t h = DecodeU64(f.payload.data());
     std::vector<uint8_t> v = ValueBytes(key, 1, 64);
     ASSERT_TRUE(RoundTrip(cl, Op::kPut, PutPayload(h, key, v), &f));
     ASSERT_EQ(f.op, static_cast<uint8_t>(RStatus::kOk));
@@ -186,14 +187,14 @@ TEST(EpollServer, BeginShedsAtOpenTxnCap) {
   Frame f;
   ASSERT_TRUE(RoundTrip(cl, Op::kBegin, BeginPayload(1), &f));
   ASSERT_EQ(f.op, static_cast<uint8_t>(RStatus::kOk));
-  uint64_t h = GetU64(f.payload.data());
+  uint64_t h = DecodeU64(f.payload.data());
 
   // At the cap, BEGIN sheds with RETRY + backoff hint instead of growing
   // the handle table.
   ASSERT_TRUE(RoundTrip(cl, Op::kBegin, BeginPayload(2), &f));
   EXPECT_EQ(f.op, static_cast<uint8_t>(RStatus::kRetry));
   ASSERT_EQ(f.payload.size(), 4u);
-  EXPECT_GT(GetU32(f.payload.data()), 0u);
+  EXPECT_GT(DecodeU32(f.payload.data()), 0u);
 
   // ABORT frees the slot; BEGIN works again.
   ASSERT_TRUE(RoundTrip(cl, Op::kAbort, TxnPayload(h), &f));

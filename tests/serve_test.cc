@@ -1,15 +1,20 @@
 // Tests for the serving layer above the sharded engine (src/net/): the KV
 // service's autocommit and interactive-transaction paths, partition-home
-// enforcement, admission control, the deterministic load generator's
-// threaded-vs-sequential bit-identity contract, the latencies its phases
-// publish, overload shedding, and index rebuild after a mid-request power
+// enforcement, admission control, the load generator's value bytes against
+// a byte-at-a-time reference, its threaded-vs-sequential bit-identity
+// contract, the latencies its phases publish, overload shedding, an oracle
+// that rejects truncated values, and index rebuild after a mid-request power
 // cut.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/crc32.h"
+#include "common/random.h"
 #include "net/admission.h"
 #include "net/kv_service.h"
 #include "net/loadgen.h"
@@ -295,6 +300,45 @@ TEST(Admission, BudgetAndHints) {
   EXPECT_EQ(ac.shed(), 1u);
 }
 
+// The byte-at-a-time fill that ValueBytes once used, kept as its reference.
+std::vector<uint8_t> ReferenceValueBytes(uint64_t key, uint64_t seq,
+                                         uint32_t len) {
+  if (len < 8) len = 8;
+  std::vector<uint8_t> v;
+  for (int i = 0; i < 8; ++i) v.push_back(static_cast<uint8_t>(seq >> (8 * i)));
+  Rng fill((key + 1) * 0x9E3779B97F4A7C15ull ^ (seq + 1));
+  while (v.size() < len) {
+    uint64_t x = fill.Next();
+    for (int i = 0; i < 8 && v.size() < len; ++i) {
+      v.push_back(static_cast<uint8_t>(x >> (8 * i)));
+    }
+  }
+  return v;
+}
+
+TEST(ValueBytes, MatchesByteAtATimeReference) {
+  const uint64_t kEdges[] = {0, 1, 19999, UINT64_MAX};
+  for (uint64_t key : kEdges) {
+    for (uint64_t seq : kEdges) {
+      for (uint32_t len = 0; len <= 1100; ++len) {
+        ASSERT_EQ(ValueBytes(key, seq, len), ReferenceValueBytes(key, seq, len))
+            << "key " << key << " seq " << seq << " len " << len;
+      }
+    }
+  }
+  // A length below 8 is clamped to 8, and bytes [0, 8) are the sequence
+  // number, little-endian.
+  const std::vector<uint8_t> seq_bytes = {0x08, 0x07, 0x06, 0x05,
+                                          0x04, 0x03, 0x02, 0x01};
+  for (uint32_t len = 0; len <= 8; ++len) {
+    EXPECT_EQ(ValueBytes(3, 0x0102030405060708ull, len), seq_bytes) << len;
+  }
+  std::vector<uint8_t> v = ValueBytes(19999, 0x0102030405060708ull, 1100);
+  EXPECT_EQ(std::vector<uint8_t>(v.begin(), v.begin() + 8), seq_bytes);
+  // Pinned, so a change made to both ValueBytes and the reference still fails.
+  EXPECT_EQ(Crc32c(v.data(), v.size()), 0xC2974A03u);
+}
+
 LoadgenConfig SmallLoad() {
   LoadgenConfig lc;
   lc.seed = 11;
@@ -380,15 +424,48 @@ TEST(ServeSim, OverloadShedsWithoutErrors) {
   EXPECT_EQ(ac.shed(), burst.value().shed);
 }
 
+// Any prefix of a value of 8 bytes or more is itself ValueBytes of a shorter
+// length, so an oracle that takes the length from the value it got passes a
+// truncated value. The oracle must expect the length that was written.
+TEST(ServeSim, OracleRejectsTruncatedValue) {
+  Bed b = MakeBed(4, /*threaded=*/false);
+  KvService& kv = *b.kv;
+  LoadgenConfig lc = SmallLoad();
+  lc.write_fraction = 0;
+  AdmissionController ac(4, {.inflight_budget = lc.inflight_budget,
+                             .base_retry_hint_us = lc.base_retry_hint_us});
+  ServeSim sim(b.bed->sharded.get(), &kv, &ac, lc);
+  ASSERT_TRUE(sim.Preload().ok());
+  // Rewrite every key to the first half of its preloaded value (>= 16 bytes,
+  // as value_min is 32).
+  for (uint64_t k = 0; k < lc.keys; ++k) {
+    uint32_t p = kv.PartitionOfKey(k);
+    std::vector<uint8_t> v;
+    ASSERT_EQ(kv.Get(p, kAutoCommit, k, &v), RStatus::kOk);
+    v.resize(v.size() / 2);
+    ASSERT_EQ(kv.Put(p, kAutoCommit, k, v), RStatus::kOk);
+  }
+  for (uint32_t p = 0; p < 4; ++p) kv.ForceLog(p);
+  auto closed = sim.RunClosedLoop("closed", 400);
+  ASSERT_FALSE(closed.ok()) << "the oracle passed " << closed.value().completed
+                            << " GETs of truncated values";
+  EXPECT_TRUE(closed.status().IsCorruption()) << closed.status().ToString();
+}
+
 TEST(Serve, PowerCutRecoveryRebuildsIndexes) {
   // Tiny buffer pool: updates must evict dirty pages to flash, giving the
   // power-loss policy real programs to land its cut on.
   Bed b = MakeBed(2, /*threaded=*/false, /*buffer_fraction=*/0.02);
   KvService& kv = *b.kv;
   const uint64_t kKeys = 300;
+  // The value length each write sequence is written with: 64 for the
+  // preload (seq 1), then 32 + (i * 37) % 600 for update i (seq 2 + i).
+  auto len_of = [](uint64_t seq) {
+    return seq == 1 ? 64u : static_cast<uint32_t>(32 + ((seq - 2) * 37) % 600);
+  };
   for (uint64_t k = 0; k < kKeys; ++k) {
     ASSERT_EQ(kv.Put(kv.PartitionOfKey(k), kAutoCommit, k,
-                     ValueBytes(k, 1, 64)),
+                     ValueBytes(k, 1, len_of(1))),
               RStatus::kOk);
   }
   for (uint32_t p = 0; p < 2; ++p) kv.ForceLog(p);
@@ -407,7 +484,7 @@ TEST(Serve, PowerCutRecoveryRebuildsIndexes) {
     // Vary value sizes so updates exercise the resize/move paths and evict
     // dirty pages — pure same-size updates can ride the buffer pool forever.
     RStatus rs = kv.Put(kv.PartitionOfKey(k), kAutoCommit, k,
-                        ValueBytes(k, 2 + i, 32 + (i * 37) % 600));
+                        ValueBytes(k, 2 + i, len_of(2 + i)));
     if (rs == RStatus::kUnavailable) cut = true;
     else ASSERT_EQ(rs, RStatus::kOk);
   }
@@ -433,8 +510,10 @@ TEST(Serve, PowerCutRecoveryRebuildsIndexes) {
     ASSERT_EQ(kv.Get(kv.PartitionOfKey(k), kAutoCommit, k, &got), RStatus::kOk)
         << "key " << k << " lost";
     ASSERT_GE(got.size(), 8u);
-    EXPECT_EQ(got, ValueBytes(k, GetU64(got.data()),
-                              static_cast<uint32_t>(got.size())));
+    // The whole value, its length included, must be what its sequence
+    // number was written as.
+    uint64_t seq = DecodeU64(got.data());
+    EXPECT_EQ(got, ValueBytes(k, seq, len_of(seq))) << "key " << k;
   }
 }
 
