@@ -17,7 +17,8 @@ const char* WritePathName(WritePath p) {
 
 EvictionDecision PlanEviction(const uint8_t* base, uint8_t* cur,
                               uint32_t page_size, bool flash_copy_exists,
-                              bool device_appends_allowed, bool exact_diff) {
+                              bool device_appends_allowed, bool exact_diff,
+                              storage::PageDiff* scratch) {
   // Fast path: a byte-identical page needs no SlottedPage view and no diff.
   // Frames are often redundantly marked dirty (e.g. aborted updates, eager
   // cleaner passes); memcmp bails on the first differing word otherwise.
@@ -46,8 +47,9 @@ EvictionDecision PlanEviction(const uint8_t* base, uint8_t* cur,
     body_cap = meta_cap = 1;
   }
 
-  storage::PageDiff diff = storage::DiffPages(base, cur, page_size, body_cap,
-                                              meta_cap);
+  storage::PageDiff local;
+  storage::PageDiff& diff = scratch ? *scratch : local;
+  storage::DiffPages(base, cur, page_size, body_cap, meta_cap, &diff);
   EvictionDecision d;
   d.body_bytes_changed = static_cast<uint32_t>(diff.body.size());
   d.meta_bytes_changed = static_cast<uint32_t>(diff.meta.size());
@@ -56,7 +58,10 @@ EvictionDecision PlanEviction(const uint8_t* base, uint8_t* cur,
     d.path = WritePath::kClean;
     return d;
   }
-  if (scheme.enabled() && flash_copy_exists && device_appends_allowed) {
+  // An overflowed diff cannot fit the budget: EncodeDeltaRecords would only
+  // refuse it.
+  if (!diff.overflow && scheme.enabled() && flash_copy_exists &&
+      device_appends_allowed) {
     auto plan = storage::EncodeDeltaRecords(cur, page_size, diff);
     if (plan.ok() && plan.value().write_len > 0) {
       d.path = WritePath::kInPlaceAppend;

@@ -46,11 +46,17 @@ struct EvictionDecision {
 ///                             the budget (needed when recording update-size
 ///                             distributions; slightly slower).
 ///
+/// `scratch`                 — where the diff is collected; a PageDiff
+///                             reused across flushes keeps its capacity, so
+///                             the plan allocates nothing. Without one, a
+///                             local PageDiff is used.
+///
 /// On kInPlaceAppend `cur`'s delta area gains the encoded records; on
 /// kOutOfPlace `cur`'s delta area is reset to erased (0xFF).
 EvictionDecision PlanEviction(const uint8_t* base, uint8_t* cur,
                               uint32_t page_size, bool flash_copy_exists,
                               bool device_appends_allowed,
-                              bool exact_diff = false);
+                              bool exact_diff = false,
+                              storage::PageDiff* scratch = nullptr);
 
 }  // namespace ipa::core

@@ -145,7 +145,7 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
 
   core::EvictionDecision d = core::PlanEviction(
       frame->base.data(), frame->cur.data(), config_.page_size, flash_exists,
-      dev_ok, config_.record_update_sizes);
+      dev_ok, config_.record_update_sizes, &diff_scratch_);
   if (config_.record_update_sizes && flash_exists) RecordTrace(*frame, d);
 
   // Stream classification for stream-aware devices; kUntagged without a

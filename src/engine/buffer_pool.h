@@ -197,6 +197,9 @@ class BufferPool {
   std::map<Lsn, uint32_t> dirty_rec_lsns_;
   BufferStats stats_;
   std::map<TableId, UpdateSizeTrace> traces_;
+  /// PlanEviction's change lists, kept across flushes so a flush allocates
+  /// nothing.
+  storage::PageDiff diff_scratch_;
 };
 
 }  // namespace ipa::engine

@@ -40,10 +40,25 @@ EccResult EccCheckAndCorrect(uint8_t* data, size_t len,
 /// ECC for an arbitrary-length region: one 3-byte unit per 256-byte segment,
 /// concatenated. `EccRegionBytes(len)` gives the output size.
 size_t EccRegionBytes(size_t data_len);
+
+/// Write the region's ECC, EccRegionBytes(len) bytes, to `out`. Uses an AVX2
+/// kernel when the CPU has one (detected on the first call) and
+/// EccEncodeRegionPortable otherwise; both write the same bytes.
+void EccEncodeRegion(const uint8_t* data, size_t len, uint8_t* out);
+
+/// The portable per-segment loop (EccEncode) behind EccEncodeRegion on CPUs
+/// without AVX2. Tests run it as the reference on any host.
+void EccEncodeRegionPortable(const uint8_t* data, size_t len, uint8_t* out);
+
+/// EccEncodeRegion into a new vector.
 std::vector<uint8_t> EccEncodeRegion(const uint8_t* data, size_t len);
 
 /// Check/repair a whole region; returns the worst per-segment result and
-/// counts corrections via `corrected_bits` (may be nullptr).
+/// counts corrections via `corrected_bits` (may be nullptr). When
+/// `stored_len` is short, the segments before the first one without stored
+/// ECC are checked and the result is kUncorrectable. The region is encoded
+/// at once and compared with the stored bytes; only a mismatching run of
+/// segments goes through EccCheckAndCorrect.
 EccResult EccCheckRegion(uint8_t* data, size_t len, const uint8_t* stored_ecc,
                          size_t stored_len, uint64_t* corrected_bits);
 

@@ -37,11 +37,11 @@ bool SlotIsDamaged(uint16_t offset, uint16_t len, const flash::Geometry& g) {
          flash::EccRegionBytes(len) > kSlotEccBytes;
 }
 
-/// Marks in `covered` (indexed from `delta_off`) every delta-area byte that
-/// an OOB ECC slot in `oob` covers, up to the first erased slot. False on a
-/// damaged slot; later slots stay unread.
+/// Sets to 1 in `covered` (indexed from `delta_off`, zeroed by the caller)
+/// every delta-area byte that an OOB ECC slot in `oob` covers, up to the
+/// first erased slot. False on a damaged slot; later slots stay unread.
 bool CoverDeltaArea(const uint8_t* oob, const flash::Geometry& g, uint32_t delta_off,
-                    std::vector<bool>* covered) {
+                    uint8_t* covered) {
   uint32_t initial_bytes = static_cast<uint32_t>(flash::EccRegionBytes(delta_off));
   for (uint32_t base = initial_bytes; base + kSlotBytes <= g.oob_size; base += kSlotBytes) {
     uint16_t offset = DecodeU16(&oob[base]);
@@ -50,7 +50,7 @@ bool CoverDeltaArea(const uint8_t* oob, const flash::Geometry& g, uint32_t delta
     if (SlotIsDamaged(offset, len, g)) return false;
     for (uint32_t i = std::max(static_cast<uint32_t>(offset), delta_off);
          i < static_cast<uint32_t>(offset) + len; i++) {
-      (*covered)[i - delta_off] = true;
+      covered[i - delta_off] = 1;
     }
   }
   return true;
@@ -149,6 +149,13 @@ Result<RegionId> NoFtl::CreateRegion(const RegionConfig& config) {
   RegionId id = static_cast<RegionId>(regions_.size());
   regions_.push_back(
       Region{config, BlockManager(device_, std::move(bc), claimed, GcHooks(id)), {}});
+  if (config.manage_ecc) {
+    Region& reg = regions_.back();
+    uint32_t body = config.delta_area_offset ? config.delta_area_offset : g.page_size;
+    reg.oob.resize(g.oob_size);
+    reg.ecc.resize(flash::EccRegionBytes(body));
+    if (config.ipa_mode != IpaMode::kOff) reg.covered.resize(g.page_size - body);
+  }
   region_devices_.emplace_back(this, id);
   return id;
 }
@@ -195,7 +202,8 @@ Status NoFtl::ScrubRegion(RegionId r, bool refresh_all) {
     bool corrected = false;
     if (reg.config.manage_ecc) {
       uint64_t before = reg.stats.ecc_corrected_bits;
-      Status s = VerifyEcc(reg, ppn, buf.data());
+      IPA_RETURN_NOT_OK(device_->ReadOob(ppn, reg.oob.data(), g.oob_size));
+      Status s = VerifyEcc(reg, reg.oob.data(), buf.data());
       if (s.IsCorruption()) continue;  // beyond repair; GC/rewrite will fix
       IPA_RETURN_NOT_OK(s);
       corrected = reg.stats.ecc_corrected_bits > before;
@@ -292,13 +300,14 @@ Status NoFtl::AuditRegion(RegionId r) const {
   uint32_t delta_off = reg.config.delta_area_offset;
   if (reg.config.manage_ecc && reg.config.ipa_mode != IpaMode::kOff &&
       delta_off > 0 && delta_off < g.page_size) {
+    std::vector<uint8_t> covered(g.page_size - delta_off);
     for (Lba lba = 0; lba < reg.config.logical_pages; lba++) {
       flash::Ppn ppn = reg.blocks.PhysicalOf(lba);
       if (ppn == flash::kInvalidPpn) continue;
       const flash::PageState& ps = device_->page_state(ppn);
       if (ps.data.empty()) continue;  // flagged by the block audit
-      std::vector<bool> covered(g.page_size - delta_off, false);
-      if (!ps.oob.empty() && !CoverDeltaArea(ps.oob.data(), g, delta_off, &covered)) {
+      std::fill(covered.begin(), covered.end(), 0);
+      if (!ps.oob.empty() && !CoverDeltaArea(ps.oob.data(), g, delta_off, covered.data())) {
         return fail(lba, " has a damaged OOB slot");
       }
       for (uint32_t i = delta_off; i < g.page_size; i++) {
@@ -320,8 +329,8 @@ Status NoFtl::WriteInitialEcc(Region& reg, flash::Ppn ppn, const uint8_t* data) 
   const auto& g = device_->geometry();
   uint32_t body = reg.config.delta_area_offset ? reg.config.delta_area_offset
                                                : g.page_size;
-  std::vector<uint8_t> ecc = flash::EccEncodeRegion(data, body);
-  return device_->ProgramOob(ppn, 0, ecc.data(), static_cast<uint32_t>(ecc.size()));
+  flash::EccEncodeRegion(data, body, reg.ecc.data());
+  return device_->ProgramOob(ppn, 0, reg.ecc.data(), static_cast<uint32_t>(reg.ecc.size()));
 }
 
 Status NoFtl::AppendDeltaEcc(Region& reg, flash::Ppn ppn, uint32_t slot,
@@ -334,25 +343,25 @@ Status NoFtl::AppendDeltaEcc(Region& reg, flash::Ppn ppn, uint32_t slot,
   if (base + kSlotBytes > g.oob_size) {
     return Status::OutOfSpace("no free OOB ECC slot");
   }
+  if (flash::EccRegionBytes(len) > kSlotEccBytes) {
+    return Status::InvalidArgument("delta longer than an OOB ECC slot covers");
+  }
   uint8_t entry[kSlotBytes];
   EncodeU16(entry, static_cast<uint16_t>(offset));
   EncodeU16(entry + 2, static_cast<uint16_t>(len));
-  std::vector<uint8_t> ecc = flash::EccEncodeRegion(bytes, len);
-  ecc.resize(kSlotEccBytes, 0xFF);  // pad unused ECC bytes as erased
-  std::memcpy(entry + 4, ecc.data(), kSlotEccBytes);
+  std::memset(entry + 4, 0xFF, kSlotEccBytes);  // unused ECC bytes stay erased
+  flash::EccEncodeRegion(bytes, len, entry + 4);
   return device_->ProgramOob(ppn, base, entry, kSlotBytes);
 }
 
-Status NoFtl::VerifyEcc(Region& reg, flash::Ppn ppn, uint8_t* data) {
+Status NoFtl::VerifyEcc(Region& reg, const uint8_t* oob, uint8_t* data) {
   const auto& g = device_->geometry();
   uint32_t body = reg.config.delta_area_offset ? reg.config.delta_area_offset
                                                : g.page_size;
-  std::vector<uint8_t> oob(g.oob_size);
-  IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob.data(), g.oob_size));
   uint32_t initial_bytes = static_cast<uint32_t>(flash::EccRegionBytes(body));
 
   uint64_t corrected = 0;
-  flash::EccResult r = flash::EccCheckRegion(data, body, oob.data(), initial_bytes,
+  flash::EccResult r = flash::EccCheckRegion(data, body, oob, initial_bytes,
                                              &corrected);
   if (r == flash::EccResult::kUncorrectable) {
     reg.stats.ecc_uncorrectable++;
@@ -380,7 +389,7 @@ Status NoFtl::VerifyEcc(Region& reg, flash::Ppn ppn, uint8_t* data) {
   return Status::OK();
 }
 
-uint32_t NoFtl::ScrubUncoveredDeltaBytes(Region& reg, flash::Ppn ppn,
+uint32_t NoFtl::ScrubUncoveredDeltaBytes(Region& reg, const uint8_t* oob,
                                          uint8_t* data) {
   const auto& g = device_->geometry();
   if (!reg.config.manage_ecc || reg.config.ipa_mode == IpaMode::kOff) return 0;
@@ -390,14 +399,13 @@ uint32_t NoFtl::ScrubUncoveredDeltaBytes(Region& reg, flash::Ppn ppn,
   // torn delta bytes are served to the host and survive MountScan
   // (tests/differential_test.cc proves the checker catches this).
   if (fault::Enabled(fault::Point::kSkipTornByteScrub)) return 0;
-  std::vector<uint8_t> oob(g.oob_size);
-  if (!device_->ReadOob(ppn, oob.data(), g.oob_size).ok()) return 0;
 
   // A delta's OOB slot is appended only after its payload landed completely,
   // so every legitimate non-erased delta-area byte is covered by some slot —
   // uncovered non-0xFF bytes are torn remnants of an interrupted append.
-  std::vector<bool> covered(g.page_size - delta_off, false);
-  CoverDeltaArea(oob.data(), g, delta_off, &covered);  // a damaged slot is VerifyEcc's to report
+  uint8_t* covered = reg.covered.data();
+  std::memset(covered, 0, reg.covered.size());
+  CoverDeltaArea(oob, g, delta_off, covered);  // a damaged slot is VerifyEcc's to report
   uint32_t dropped = 0;
   for (uint32_t i = delta_off; i < g.page_size; i++) {
     if (!covered[i - delta_off] && data[i] != 0xFF) {
@@ -416,21 +424,22 @@ Status NoFtl::MountScan(RegionId r, MountScanReport* report) {
   MountScanReport rep;
   if (reg.config.manage_ecc) {
     std::vector<uint8_t> buf(g.page_size);
-    std::vector<uint8_t> oob(g.oob_size);
+    uint8_t* oob = reg.oob.data();
     for (Lba lba = 0; lba < reg.config.logical_pages; lba++) {
       flash::Ppn ppn = reg.blocks.PhysicalOf(lba);
       if (ppn == flash::kInvalidPpn) continue;
       rep.pages_scanned++;
       reg.stats.mount_pages_scanned++;
       IPA_RETURN_NOT_OK(device_->ReadPage(ppn, buf.data(), nullptr, false));
-      Status s = VerifyEcc(reg, ppn, buf.data());
+      IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob, g.oob_size));
+      Status s = VerifyEcc(reg, oob, buf.data());
       if (s.IsCorruption()) {
         rep.uncorrectable_pages++;  // beyond DBMS-side repair; WAL redo rewrites
         reg.stats.mount_uncorrectable_pages++;
         continue;
       }
       IPA_RETURN_NOT_OK(s);
-      uint32_t dropped = ScrubUncoveredDeltaBytes(reg, ppn, buf.data());
+      uint32_t dropped = ScrubUncoveredDeltaBytes(reg, oob, buf.data());
       if (dropped == 0) continue;
       rep.torn_bytes_dropped += dropped;
       reg.stats.mount_torn_bytes_dropped += dropped;
@@ -438,11 +447,10 @@ Status NoFtl::MountScan(RegionId r, MountScanReport* report) {
       // charge, so the page can never absorb a clean append there again.
       // Rewrite the scrubbed image (with its OOB, preserving valid delta
       // slots) onto a fresh page and invalidate the torn one for GC.
-      IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob.data(), g.oob_size));
       flash::Ppn new_ppn = flash::kInvalidPpn;
       IPA_RETURN_NOT_OK(
           reg.blocks.Allocate(StreamTag::kUntagged, /*for_gc=*/true, &new_ppn));
-      IPA_RETURN_NOT_OK(device_->ProgramPage(new_ppn, buf.data(), oob.data(),
+      IPA_RETURN_NOT_OK(device_->ProgramPage(new_ppn, buf.data(), oob,
                                              g.oob_size, nullptr, false));
       reg.blocks.Map(lba, new_ppn);
       reg.stats.torn_pages_quarantined++;
@@ -471,9 +479,10 @@ Status NoFtl::ReadPage(RegionId r, Lba lba, uint8_t* out) {
   IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
   reg.stats.read_latency.Add(t.LatencyUs());
   if (reg.config.manage_ecc) {
-    IPA_RETURN_NOT_OK(VerifyEcc(reg, ppn, out));
+    IPA_RETURN_NOT_OK(device_->ReadOob(ppn, reg.oob.data(), g.oob_size));
+    IPA_RETURN_NOT_OK(VerifyEcc(reg, reg.oob.data(), out));
     // Never serve torn (power-loss-interrupted) delta bytes to the host.
-    ScrubUncoveredDeltaBytes(reg, ppn, out);
+    ScrubUncoveredDeltaBytes(reg, reg.oob.data(), out);
   }
   return Status::OK();
 }
@@ -527,8 +536,8 @@ Status NoFtl::WriteDelta(RegionId r, Lba lba, uint32_t offset, const uint8_t* by
     // Find the first erased slot (survives GC migrations, which copy OOB).
     uint32_t body = reg.config.delta_area_offset;
     uint32_t initial_bytes = static_cast<uint32_t>(flash::EccRegionBytes(body));
-    std::vector<uint8_t> oob(g.oob_size);
-    IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob.data(), g.oob_size));
+    uint8_t* oob = reg.oob.data();
+    IPA_RETURN_NOT_OK(device_->ReadOob(ppn, oob, g.oob_size));
     bool found = false;
     for (uint32_t base = initial_bytes; base + kSlotBytes <= g.oob_size;
          base += kSlotBytes, slot++) {

@@ -224,20 +224,29 @@ class NoFtl {
     RegionConfig config;
     BlockManager blocks;
     RegionStats stats;
+    /// Managed-ECC scratch, sized at creation: one OOB image, the body's
+    /// ECC_initial, and one byte per delta-area byte for the slot coverage.
+    /// Per region, because partition workers drive their regions
+    /// concurrently.
+    std::vector<uint8_t> oob;
+    std::vector<uint8_t> ecc;
+    std::vector<uint8_t> covered;
   };
 
   /// GC copies carry the page's OOB (its ECC) along with the body.
   BlockManager::Hooks GcHooks(RegionId r);
 
-  /// OOB layout helpers for managed ECC.
+  /// OOB layout helpers for managed ECC. VerifyEcc and
+  /// ScrubUncoveredDeltaBytes read the page's OOB from `oob`, which the
+  /// caller read once (reg.oob on the host read path).
   Status WriteInitialEcc(Region& reg, flash::Ppn ppn, const uint8_t* data);
   Status AppendDeltaEcc(Region& reg, flash::Ppn ppn, uint32_t slot,
                         uint32_t offset, const uint8_t* bytes, uint32_t len);
-  Status VerifyEcc(Region& reg, flash::Ppn ppn, uint8_t* data);
+  Status VerifyEcc(Region& reg, const uint8_t* oob, uint8_t* data);
 
   /// Reset delta-area bytes of `data` that no OOB slot covers back to 0xFF
   /// (buffer only, media untouched); returns the number of bytes dropped.
-  uint32_t ScrubUncoveredDeltaBytes(Region& reg, flash::Ppn ppn, uint8_t* data);
+  uint32_t ScrubUncoveredDeltaBytes(Region& reg, const uint8_t* oob, uint8_t* data);
 
   flash::FlashArray* device_;
   std::vector<Region> regions_;

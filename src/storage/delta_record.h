@@ -107,12 +107,24 @@ uint32_t ApplyDeltaRecords(uint8_t* page, uint32_t page_size);
 uint32_t DeltaBudgetRemaining(const uint8_t* page, uint32_t page_size);
 
 /// Byte-diff `cur` against `base` over [0, delta_off), classifying offsets
-/// into body vs metadata using `cur`'s header. Collection stops (and
-/// `overflow` is set) once body exceeds `body_cap` or meta exceeds
-/// `meta_cap` changes — enough to know the [NxM] budget is blown without
-/// materializing a page-sized diff.
+/// into body vs metadata using `cur`'s header. Changes are collected in
+/// ascending offset order. Collection stops (and `overflow` is set) once
+/// body exceeds `body_cap` or meta exceeds `meta_cap` changes — enough to
+/// know the [NxM] budget is blown without materializing a page-sized diff.
+/// The scan skips equal 32-byte chunks with AVX2 when the CPU has it
+/// (detected on the first call); the result is the same either way.
 PageDiff DiffPages(const uint8_t* base, const uint8_t* cur, uint32_t page_size,
                    uint32_t body_cap, uint32_t meta_cap);
+
+/// DiffPages into `out`, whose lists are cleared but keep their capacity, so
+/// a reused PageDiff allocates nothing once it has grown.
+void DiffPages(const uint8_t* base, const uint8_t* cur, uint32_t page_size,
+               uint32_t body_cap, uint32_t meta_cap, PageDiff* out);
+
+/// The portable word loop behind DiffPages on CPUs without AVX2. Tests run
+/// it on any host.
+void DiffPagesPortable(const uint8_t* base, const uint8_t* cur, uint32_t page_size,
+                       uint32_t body_cap, uint32_t meta_cap, PageDiff* out);
 
 /// Encode `diff` as new delta-records in `cur`'s delta area (mutates the
 /// buffer). Raw codec: body pairs are distributed across ceil(|body|/M)

@@ -1,14 +1,21 @@
 // Allocation counts on the engine's per-transaction paths: a counting global
-// operator new shows that a warm lock table and a WAL append into a log
-// buffer with capacity in place allocate nothing.
+// operator new shows that a warm lock table, a WAL append into a log buffer
+// with capacity in place, NoFtl's managed-ECC reads, writes and delta
+// appends, and flush planning with a reused diff allocate nothing.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <vector>
 
+#include "core/write_policy.h"
 #include "engine/lock_manager.h"
 #include "engine/wal.h"
+#include "flash/flash_array.h"
+#include "ftl/noftl.h"
+#include "storage/slotted_page.h"
 
 namespace {
 // Global operator new calls in this binary. The tests are single-threaded.
@@ -87,6 +94,97 @@ TEST(HotPathAllocTest, WalAppendWithCapacityAllocatesNothing) {
   EXPECT_EQ(back.value().txn, 7u);
   EXPECT_EQ(back.value().before, rec.before);
   EXPECT_EQ(back.value().after, rec.after);
+}
+
+// TPC-B's managed-ECC region: 4 KiB pages, a [2x4] v=12 delta area (two
+// 49-byte records) and 128 OOB bytes. Warm: every flash page of the region
+// has been programmed and erased before, so the array reuses its buffers.
+// The measured write follows one that ran the garbage collector, whose
+// copy buffers are its own allocation.
+TEST(HotPathAllocTest, WarmManagedEccRegionAllocatesNothing) {
+  flash::Geometry g;
+  g.channels = 1;
+  g.chips_per_channel = 1;
+  g.blocks_per_chip = 16;
+  g.pages_per_block = 16;
+  g.page_size = 4096;
+  g.oob_size = 128;
+  g.cell_type = flash::CellType::kSlc;
+  g.max_programs_per_page = 8;
+  constexpr uint32_t kDeltaOff = 4096 - 98;
+  constexpr uint32_t kRecord = 49;
+  flash::FlashArray dev(g, flash::TimingFor(g.cell_type));
+  ftl::NoFtl ftl(&dev);
+  auto region = ftl.CreateRegion({.name = "ecc",
+                                  .logical_pages = 64,
+                                  .ipa_mode = ftl::IpaMode::kSlc,
+                                  .delta_area_offset = kDeltaOff,
+                                  .manage_ecc = true});
+  ASSERT_TRUE(region.ok());
+  ftl::RegionId r = region.value();
+
+  std::vector<uint8_t> page(g.page_size, 0xFF), out(g.page_size);
+  std::vector<uint8_t> record(kRecord);
+  for (uint32_t i = 0; i < kDeltaOff; i++) page[i] = static_cast<uint8_t>(i * 7);
+  for (uint32_t i = 0; i < kRecord; i++) record[i] = static_cast<uint8_t>(0x5A - i);
+  auto cycle = [&](ftl::Lba lba) {
+    ASSERT_TRUE(ftl.WritePage(r, lba, page.data(), true).ok());
+    ASSERT_TRUE(ftl.WriteDelta(r, lba, kDeltaOff, record.data(), kRecord, true).ok());
+    ASSERT_TRUE(ftl.ReadPage(r, lba, out.data()).ok());
+  };
+  for (ftl::Lba lba = 0; ftl.region_stats(r).gc_erases < 8 * g.blocks_per_chip;
+       lba = (lba + 1) % 64) {
+    cycle(lba);
+  }
+  for (uint64_t erases = ftl.region_stats(r).gc_erases;
+       ftl.region_stats(r).gc_erases == erases;) {
+    ASSERT_TRUE(ftl.WritePage(r, 7, page.data(), true).ok());
+  }
+
+  uint64_t erases = ftl.region_stats(r).gc_erases;
+  size_t before = g_news;
+  cycle(9);
+  EXPECT_EQ(g_news - before, 0u);
+  EXPECT_EQ(ftl.region_stats(r).gc_erases, erases);  // the collector stayed idle
+  EXPECT_EQ(std::memcmp(out.data(), page.data(), kDeltaOff), 0);
+  EXPECT_EQ(std::memcmp(out.data() + kDeltaOff, record.data(), kRecord), 0);
+}
+
+// PlanEviction with a PageDiff kept across flushes, as the buffer pool
+// keeps one: once the diff's lists have grown, planning an in-place append
+// and an out-of-place write allocates nothing.
+TEST(HotPathAllocTest, PlanEvictionWithReusedDiffAllocatesNothing) {
+  constexpr uint32_t kPageSize = 4096;
+  std::vector<uint8_t> base(kPageSize);
+  storage::SlottedPage view(base.data(), kPageSize);
+  view.Initialize(1, 1, {.n = 2, .m = 4, .v = 12});
+  std::vector<uint8_t> tuple(100, 0x20);
+  while (view.HasRoomFor(100)) ASSERT_TRUE(view.Insert(tuple).ok());
+
+  auto small = base;  // one tuple byte and the PageLSN
+  storage::SlottedPage small_view(small.data(), kPageSize);
+  uint8_t v = 0x42;
+  ASSERT_TRUE(small_view.UpdateInPlace(3, 8, {&v, 1}).ok());
+  small_view.set_page_lsn(7);
+  auto large = base;  // a whole tuple: past the append budget
+  storage::SlottedPage large_view(large.data(), kPageSize);
+  std::vector<uint8_t> blob(100, 0xEE);
+  ASSERT_TRUE(large_view.UpdateInPlace(5, 0, blob).ok());
+
+  storage::PageDiff scratch;
+  for (int round = 0; round < 2; round++) {
+    auto append = small, rewrite = large;
+    size_t before = g_news;
+    core::EvictionDecision a =
+        core::PlanEviction(base.data(), append.data(), kPageSize, true, true, false, &scratch);
+    core::EvictionDecision o =
+        core::PlanEviction(base.data(), rewrite.data(), kPageSize, true, true, false, &scratch);
+    ASSERT_EQ(a.path, core::WritePath::kInPlaceAppend);
+    ASSERT_EQ(o.path, core::WritePath::kOutOfPlace);
+    if (round == 1) {
+      EXPECT_EQ(g_news - before, 0u);
+    }
+  }
 }
 
 }  // namespace
