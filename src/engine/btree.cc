@@ -109,10 +109,12 @@ Result<Btree> Btree::Create(Database* db, const std::string& name,
 }
 
 Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
-                        SplitResult* out) {
+                        uint64_t pages_above, SplitResult* out) {
   out->split = false;
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(node_id));
   NodeView node(frame->cur.data(), db_->config().page_size);
+  // A node splits when one more entry fills it.
+  uint64_t pages_if_split = node.count() + 1u >= node.capacity ? 1 + pages_above : 0;
 
   if (!node.is_leaf()) {
     PageId child;
@@ -120,7 +122,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
     db_->buffer_pool().Unfix(frame, false);
 
     SplitResult child_split;
-    IPA_RETURN_NOT_OK(InsertRec(child, key, value, &child_split));
+    IPA_RETURN_NOT_OK(InsertRec(child, key, value, pages_if_split, &child_split));
     if (!child_split.split) return Status::OK();
 
     // Re-fix: insert the new separator.
@@ -134,14 +136,17 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
       db_->buffer_pool().Unfix(frame, true);
       return Status::OK();
     }
-    // Split the internal node: middle key moves up.
+    // Split the internal node: middle key moves up. A node left full would
+    // overflow on its next insert, so a failed split takes the entry back.
     auto right_id = NewNode(/*leaf=*/false);
     if (!right_id.ok()) {
+      parent.RemoveAt(pos);
       db_->buffer_pool().Unfix(frame, true);
       return right_id.status();
     }
     auto rf = db_->buffer_pool().Fix(right_id.value());
     if (!rf.ok()) {
+      parent.RemoveAt(pos);
       db_->buffer_pool().Unfix(frame, true);
       return rf.status();
     }
@@ -166,10 +171,16 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
   }
 
   // Leaf.
-  db_->buffer_pool().WillModify(frame);
   uint16_t pos = node.LowerBound(key);
-  if (pos < node.count() && node.key(pos) == key) {
-    node.set(pos, key, value);  // overwrite
+  bool overwrite = pos < node.count() && node.key(pos) == key;
+  if (!overwrite && pages_if_split > db_->pages_left(table_)) {
+    db_->buffer_pool().Unfix(frame, false);
+    return Status::OutOfSpace("index '" + db_->table_name(table_) +
+                              "': no pages left for the split");
+  }
+  db_->buffer_pool().WillModify(frame);
+  if (overwrite) {
+    node.set(pos, key, value);
     db_->buffer_pool().Unfix(frame, true);
     return Status::OK();
   }
@@ -178,14 +189,16 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
     db_->buffer_pool().Unfix(frame, true);
     return Status::OK();
   }
-  // Split the leaf.
+  // Split the leaf; a failed split takes the entry back, as above.
   auto right_id = NewNode(/*leaf=*/true);
   if (!right_id.ok()) {
+    node.RemoveAt(pos);
     db_->buffer_pool().Unfix(frame, true);
     return right_id.status();
   }
   auto rf = db_->buffer_pool().Fix(right_id.value());
   if (!rf.ok()) {
+    node.RemoveAt(pos);
     db_->buffer_pool().Unfix(frame, true);
     return rf.status();
   }
@@ -211,7 +224,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
 
 Status Btree::Insert(uint64_t key, uint64_t value) {
   SplitResult split;
-  IPA_RETURN_NOT_OK(InsertRec(root_, key, value, &split));
+  IPA_RETURN_NOT_OK(InsertRec(root_, key, value, /*pages_above=*/1, &split));
   if (!split.split) return Status::OK();
   // Grow a new root.
   IPA_ASSIGN_OR_RETURN(PageId new_root, NewNode(/*leaf=*/false));

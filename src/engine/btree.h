@@ -52,7 +52,12 @@ class Btree {
   };
 
   Result<PageId> NewNode(bool leaf);
-  Status InsertRec(PageId node, uint64_t key, uint64_t value, SplitResult* out);
+  /// `pages_above` is what the ancestors take if `node` splits: a right
+  /// sibling for each full ancestor up to the first one with room, plus a
+  /// new root when they are all full. The leaf checks that the tablespace
+  /// has the pages its split cascade needs before it changes anything.
+  Status InsertRec(PageId node, uint64_t key, uint64_t value, uint64_t pages_above,
+                   SplitResult* out);
 
   Database* db_;
   TableId table_;

@@ -239,6 +239,12 @@ class Database {
   size_t table_count() const { return tables_.size(); }
   size_t tablespace_count() const { return tablespaces_.size(); }
   TablespaceId tablespace_of(TableId t) const { return tables_[t].ts; }
+  /// Pages AllocatePage can still hand out to table `t`: what is left of its
+  /// tablespace.
+  uint64_t pages_left(TableId t) const {
+    const Tablespace& ts = tablespaces_[tables_[t].ts];
+    return ts.capacity_pages - ts.next_lba;
+  }
   bool table_dropped(TableId t) const { return tables_[t].dropped; }
   uint64_t checkpoints_taken() const { return checkpoints_; }
 

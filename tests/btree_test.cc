@@ -6,23 +6,24 @@
 
 #include "common/random.h"
 #include "engine/btree.h"
+#include "storage/slotted_page.h"
 #include "workload/testbed.h"
 
 namespace ipa::engine {
 namespace {
 
 struct TreeFixture {
-  explicit TreeFixture(uint32_t buffer_pages = 256)
-      : stack(workload::Build(Spec(buffer_pages)).value()) {}
+  explicit TreeFixture(uint32_t buffer_pages = 256, uint64_t pages = 4096)
+      : stack(workload::Build(Spec(buffer_pages, pages)).value()) {}
 
-  static workload::StackSpec Spec(uint32_t buffer_pages) {
+  static workload::StackSpec Spec(uint32_t buffer_pages, uint64_t pages) {
     workload::StackSpec spec;
     spec.geometry = {.channels = 2,
                      .chips_per_channel = 2,
                      .blocks_per_chip = 64,
                      .pages_per_block = 32};
     spec.regions.push_back({ftl::RegionConfig{.name = "idx",
-                                              .logical_pages = 4096,
+                                              .logical_pages = pages,
                                               .ipa_mode = ftl::IpaMode::kSlc},
                             "idx",
                             {.n = 2, .m = 3, .v = 12}});
@@ -164,6 +165,45 @@ TEST(BtreeTest, WorksUnderTinyBufferPool) {
                  return true;
                }).ok());
   EXPECT_EQ(count, 3000u);
+}
+
+// A tablespace of three pages holds a root and two leaves. Once it is full,
+// an insert whose split cannot get a page fails with OutOfSpace and changes
+// no node, so the full leaf stays within its entry area: the 500 inserts
+// after it fail the same way instead of moving entries over the node's delta
+// area and then past its frame.
+TEST(BtreeTest, FullTablespaceFailsSplitsWithoutOverflowingNodes) {
+  constexpr uint64_t kPages = 3;
+  TreeFixture f(/*buffer_pages=*/16, kPages);
+  auto tree = Btree::Create(f.db.get(), "t", f.ts);
+  ASSERT_TRUE(tree.ok());
+  Btree& t = tree.value();
+  uint64_t acked = 0;
+  Status s;
+  while ((s = t.Insert(acked, ~acked)).ok()) acked++;
+  ASSERT_TRUE(s.IsOutOfSpace()) << s.ToString();
+  EXPECT_EQ(t.height(), 2u);
+  int refused = 0;
+  for (uint64_t k = acked; k < acked + 500; k++) refused += t.Insert(k, ~k).IsOutOfSpace();
+  EXPECT_EQ(refused, 500);
+  for (uint64_t k = 0; k < acked; k++) {
+    auto v = t.Lookup(k);
+    ASSERT_TRUE(v.ok()) << k;
+    EXPECT_EQ(v.value(), ~k);
+  }
+  EXPECT_TRUE(t.Lookup(acked).status().IsNotFound());
+  // Nothing has been flushed yet, so every node's delta area is still erased.
+  uint32_t page_size = f.db->config().page_size;
+  for (uint64_t lba = 0; lba < kPages; lba++) {
+    auto frame = f.db->buffer_pool().Fix(PageId(f.ts, lba));
+    ASSERT_TRUE(frame.ok());
+    const uint8_t* page = frame.value()->cur.data();
+    storage::SlottedPage view(const_cast<uint8_t*>(page), page_size);
+    for (uint32_t i = view.delta_off(); i < page_size; i++) {
+      ASSERT_EQ(page[i], 0xFF) << "page " << lba << " offset " << i;
+    }
+    f.db->buffer_pool().Unfix(frame.value(), false);
+  }
 }
 
 // Mixed insert/overwrite/remove fuzz against a reference map, with interim
