@@ -18,6 +18,9 @@
 #     time, in percent, from scripts/profile_perfbench.sh (a statically
 #     linked gprof histogram, C library included; built under
 #     SRC/build-profile).
+#   - machine: the CPU model and count, the compiler, and whether the CPU has
+#     the features the CRC32C, ECC and page-diff kernels are chosen by
+#     (sse4.2, popcnt, avx2): results depend on them.
 # The entry is stored under "runs"."LABEL" in OUT, which keeps any other
 # labels already there. Record a change and its parent on one machine, one
 # after the other:
@@ -137,16 +140,22 @@ for path in sorted(glob.glob(os.path.join(tmp, "profile-*.txt"))):
     profile[name] = top[:10]
 
 cpu = platform.processor()
+flags = set()
 try:
     with open("/proc/cpuinfo") as f:
-        cpu = next(l.split(":", 1)[1].strip() for l in f if l.startswith("model name"))
+        lines = f.readlines()
+    cpu = next(l.split(":", 1)[1].strip() for l in lines if l.startswith("model name"))
+    flags = set(next(l.split(":", 1)[1].split() for l in lines if l.startswith("flags")))
 except (OSError, StopIteration):
     pass
+# The CPU features the CRC32C, ECC and page-diff kernels are chosen by.
+features = {name: flag in flags
+            for name, flag in (("sse4.2", "sse4_2"), ("popcnt", "popcnt"), ("avx2", "avx2"))}
 version = subprocess.run([compiler, "--version"], capture_output=True, text=True)
 record["runs"][label] = {
     "commit": commit,
     "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    "machine": {"cpu": cpu, "cpus": os.cpu_count(),
+    "machine": {"cpu": cpu, "cpus": os.cpu_count(), "features": features,
                 "compiler": version.stdout.splitlines()[0] if version.stdout else compiler},
     "wall_s": wall,
     "micro_ns": micro,
