@@ -253,19 +253,47 @@ TEST(BufferPoolTest, CleanerRespectsThreshold) {
 }
 
 TEST(BufferPoolTest, MinRecLsnTracksOldestDirty) {
+  // Format page `lba` in `fx`'s pool and unfix it dirtied at `rec_lsn`.
+  auto dirty = [](PoolFixture& fx, uint64_t lba, Lsn rec_lsn) {
+    auto f = fx.pool->Fix(PageId(0, lba), true).value();
+    storage::SlottedPage(f->cur.data(), PoolFixture::kPageSize)
+        .Initialize(PageId(0, lba).raw, 1, fx.scheme);
+    fx.pool->Unfix(f, true, rec_lsn);
+  };
   PoolFixture fx(8);
   EXPECT_EQ(fx.pool->MinRecLsn(), kInvalidLsn);
-  auto a = fx.pool->Fix(PageId(0, 0), true).value();
-  storage::SlottedPage(a->cur.data(), PoolFixture::kPageSize)
-      .Initialize(1, 1, fx.scheme);
-  fx.pool->Unfix(a, true, /*rec_lsn=*/100);
-  auto b = fx.pool->Fix(PageId(0, 1), true).value();
-  storage::SlottedPage(b->cur.data(), PoolFixture::kPageSize)
-      .Initialize(2, 1, fx.scheme);
-  fx.pool->Unfix(b, true, /*rec_lsn=*/50);
+  dirty(fx, 0, 100);
+  dirty(fx, 1, 50);
   EXPECT_EQ(fx.pool->MinRecLsn(), 50u);
   ASSERT_TRUE(fx.pool->FlushAll().ok());
   EXPECT_EQ(fx.pool->MinRecLsn(), kInvalidLsn);
+
+  // A frame first dirtied without an LSN, as a B+-tree node is, counts from
+  // the first LSN that dirties it again and keeps that one.
+  dirty(fx, 2, kInvalidLsn);
+  EXPECT_EQ(fx.pool->MinRecLsn(), kInvalidLsn);
+  for (Lsn rec_lsn : {Lsn{70}, Lsn{90}}) {
+    auto f = fx.pool->Fix(PageId(0, 2)).value();
+    fx.pool->Unfix(f, true, rec_lsn);
+  }
+  EXPECT_EQ(fx.pool->MinRecLsn(), 70u);
+
+  // Dropping a dirty page without a flush takes its LSN out of the bound.
+  dirty(fx, 3, 40);
+  EXPECT_EQ(fx.pool->MinRecLsn(), 40u);
+  fx.pool->DropPageNoFlush(PageId(0, 3));
+  EXPECT_EQ(fx.pool->MinRecLsn(), 70u);
+  fx.pool->DropAllNoFlush();
+  EXPECT_EQ(fx.pool->MinRecLsn(), kInvalidLsn);
+
+  // A dirty victim that Fix flushes to make room leaves the bound too.
+  PoolFixture one(1);
+  dirty(one, 0, 30);
+  EXPECT_EQ(one.pool->MinRecLsn(), 30u);
+  auto f = one.pool->Fix(PageId(0, 1), true).value();
+  EXPECT_EQ(one.pool->stats().evictions, 1u);
+  EXPECT_EQ(one.pool->MinRecLsn(), kInvalidLsn);
+  one.pool->Unfix(f, false);
 }
 
 /// Writes page 0 of `spec`'s region with one tuple, then flushes two
