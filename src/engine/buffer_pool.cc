@@ -1,5 +1,6 @@
 #include "engine/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/metrics.h"
@@ -63,24 +64,8 @@ void BufferPool::Unfix(Frame* frame, bool dirtied, Lsn rec_lsn) {
     if (!frame->dirty) {
       frame->dirty = true;
       dirty_count_++;
-      frame->rec_lsn = rec_lsn;
-      TrackRecLsn(rec_lsn);
-    } else if (frame->rec_lsn == kInvalidLsn) {
-      frame->rec_lsn = rec_lsn;
-      TrackRecLsn(rec_lsn);
     }
-  }
-}
-
-void BufferPool::TrackRecLsn(Lsn lsn) {
-  if (lsn != kInvalidLsn) dirty_rec_lsns_[lsn]++;
-}
-
-void BufferPool::UntrackRecLsn(Lsn lsn) {
-  if (lsn == kInvalidLsn) return;
-  auto it = dirty_rec_lsns_.find(lsn);
-  if (it != dirty_rec_lsns_.end() && --it->second == 0) {
-    dirty_rec_lsns_.erase(it);
+    if (frame->rec_lsn == kInvalidLsn) frame->rec_lsn = rec_lsn;
   }
 }
 
@@ -210,7 +195,6 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
     frame->base_valid = false;
   }
   frame->dirty = false;
-  UntrackRecLsn(frame->rec_lsn);
   frame->rec_lsn = kInvalidLsn;
   if (dirty_count_ > 0) dirty_count_--;
   return Status::OK();
@@ -239,11 +223,12 @@ Status BufferPool::MaybeRunCleaner() {
       static_cast<double>(dirty_count_) / static_cast<double>(config_.frames);
   if (dirty_frac < config_.dirty_flush_threshold) return Status::OK();
   stats_.cleaner_runs++;
+  constexpr uint32_t kCleanerBatch = 32;  // dirty pages flushed per run
   // Clean (but do not evict) the next dirty unpinned frames in clock order —
   // an approximation of Shore-MT's background cleaner picking cold pages.
   uint32_t cleaned = 0;
   uint32_t hand = clock_hand_;
-  for (uint32_t step = 0; step < config_.frames && cleaned < config_.cleaner_batch;
+  for (uint32_t step = 0; step < config_.frames && cleaned < kCleanerBatch;
        step++) {
     Frame& f = frames_[hand];
     hand = (hand + 1) % config_.frames;
@@ -263,7 +248,6 @@ void BufferPool::DropAllNoFlush() {
     f.rec_lsn = kInvalidLsn;
   }
   dirty_count_ = 0;
-  dirty_rec_lsns_.clear();
   // The update-size traces feed the IPA advisor's N×M accounting. Frames
   // dirtied by in-flight appends die with the crash, so their sampled sizes
   // must too — a restarted instance profiles from scratch.
@@ -275,7 +259,6 @@ void BufferPool::DropPageNoFlush(PageId id) {
   if (it == table_.end()) return;
   Frame& f = frames_[it->second];
   if (f.dirty && dirty_count_ > 0) dirty_count_--;
-  if (f.dirty) UntrackRecLsn(f.rec_lsn);
   f.valid = false;
   f.dirty = false;
   f.pins = 0;
@@ -284,7 +267,11 @@ void BufferPool::DropPageNoFlush(PageId id) {
 }
 
 Lsn BufferPool::MinRecLsn() const {
-  return dirty_rec_lsns_.empty() ? kInvalidLsn : dirty_rec_lsns_.begin()->first;
+  // A frame holds a rec_lsn only while dirty, and kInvalidLsn is the largest
+  // Lsn, so frames without one never win.
+  Lsn min = kInvalidLsn;
+  for (const Frame& f : frames_) min = std::min(min, f.rec_lsn);
+  return min;
 }
 
 }  // namespace ipa::engine

@@ -42,8 +42,6 @@ struct BufferConfig {
   /// Dirty fraction that triggers the background cleaner (Shore-MT: 12.5%).
   /// Set to ~0.75 for the paper's "non-eager" eviction experiments.
   double dirty_flush_threshold = 0.125;
-  /// Dirty pages flushed per cleaner activation.
-  uint32_t cleaner_batch = 32;
   /// Cleaner writes are asynchronous device requests (they occupy chips but
   /// do not block the simulated host).
   bool cleaner_async = true;
@@ -167,21 +165,17 @@ class BufferPool {
   }
   std::map<TableId, UpdateSizeTrace>& mutable_update_traces() { return traces_; }
 
-  uint32_t frame_count() const { return config_.frames; }
   uint32_t dirty_count() const { return dirty_count_; }
   const BufferConfig& config() const { return config_; }
 
   /// Lowest rec_lsn across dirty frames (log-truncation bound), or
-  /// kInvalidLsn when no frame is dirty. O(1): served from the incrementally
-  /// maintained dirty-frame LSN index instead of scanning all frames.
+  /// kInvalidLsn when none has one. Scans the frames.
   Lsn MinRecLsn() const;
 
  private:
   Result<Frame*> GetVictim();
   Status LoadFrame(Frame* frame, PageId id, bool for_format);
   void RecordTrace(const Frame& frame, const core::EvictionDecision& d);
-  void TrackRecLsn(Lsn lsn);
-  void UntrackRecLsn(Lsn lsn);
 
   BufferConfig config_;
   std::function<ftl::PageDevice*(TablespaceId)> device_of_;
@@ -191,10 +185,6 @@ class BufferPool {
   std::unordered_map<PageId, uint32_t> table_;  // page -> frame index
   uint32_t clock_hand_ = 0;
   uint32_t dirty_count_ = 0;
-  /// rec_lsn -> number of dirty frames first dirtied at that LSN; the lowest
-  /// key is MinRecLsn(). Maintained on every dirty/clean transition so the
-  /// log-truncation bound never costs an O(frames) scan.
-  std::map<Lsn, uint32_t> dirty_rec_lsns_;
   BufferStats stats_;
   std::map<TableId, UpdateSizeTrace> traces_;
   /// PlanEviction's change lists, kept across flushes so a flush allocates

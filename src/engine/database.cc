@@ -84,26 +84,6 @@ void Database::ResetTxnStats() {
   txn_stats_ = TxnStats{};
 }
 
-Result<TablespaceId> Database::CreateTablespace(const std::string& name,
-                                                ftl::RegionId region,
-                                                storage::Scheme scheme) {
-  if (tablespaces_.size() >= 0xFFFF) {
-    return Status::OutOfSpace("too many tablespaces");
-  }
-  if (scheme.enabled() &&
-      scheme.AreaBytes() + storage::kPageHeaderSize + 64 > config_.page_size) {
-    return Status::InvalidArgument("scheme delta area does not fit the page");
-  }
-  Tablespace ts;
-  ts.name = name;
-  ts.device = ftl_->region_device(region);
-  ts.region = region;
-  ts.scheme = scheme;
-  ts.capacity_pages = ftl_->region_config(region).logical_pages;
-  tablespaces_.push_back(ts);
-  return static_cast<TablespaceId>(tablespaces_.size() - 1);
-}
-
 Result<TablespaceId> Database::CreateTablespaceOn(const std::string& name,
                                                   ftl::PageDevice* device,
                                                   storage::Scheme scheme) {
@@ -157,10 +137,7 @@ Lsn Database::Log(LogRecord rec, TxnId txn) {
 
 TxnId Database::Begin(bool use_locks) {
   TxnId id = next_txn_++;
-  TxnState st;
-  st.use_locks = use_locks;
-  txns_[id] = st;
-  txn_begin_time_[id] = clock_->Now();
+  txns_[id] = TxnState{.use_locks = use_locks, .begin_time = clock_->Now()};
   Log(LogRecord{.type = LogType::kBegin}, id);
   return id;
 }
@@ -245,12 +222,10 @@ Status Database::CommitRecord(TxnId txn) {
        clock_->Now() - oldest_pending_commit_ >= config_.group_commit_window_us);
   if (force) ForceLog();
   locks_.ReleaseAll(txn);
-  txns_.erase(it);
-  auto bt = txn_begin_time_.find(txn);
-  if (bt != txn_begin_time_.end()) {
-    txn_stats_.txn_latency.Add(clock_->Now() - bt->second);
-    txn_begin_time_.erase(bt);
+  if (it->second.begin_time) {
+    txn_stats_.txn_latency.Add(clock_->Now() - *it->second.begin_time);
   }
+  txns_.erase(it);
   txn_stats_.commits++;
   return Status::OK();
 }
@@ -277,37 +252,32 @@ Status Database::Abort(TxnId txn) {
       continue;
     }
     Lsn next = rec.prev;
-    IPA_RETURN_NOT_OK(UndoRecord(txn, rec, cur));
+    IPA_RETURN_NOT_OK(UndoRecord(txn, rec));
     cur = next;
   }
   Lsn abort_lsn = Log(LogRecord{.type = LogType::kAbort}, txn);
   ForceLog();
   locks_.ReleaseAll(txn);
   txns_.erase(txn);
-  txn_begin_time_.erase(txn);
   // Recovery rollbacks are not workload aborts.
   (in_recovery_ ? txn_stats_.recovery_rollbacks : txn_stats_.aborts)++;
   if (abort_hook_ && !in_recovery_) abort_hook_(txn, abort_lsn);
   return Status::OK();
 }
 
-Status Database::WithPage(
-    PageId id, bool for_write,
-    const std::function<Status(storage::SlottedPage&, bool* dirtied,
-                               Lsn* rec_lsn)>& fn) {
+template <typename Fn>
+Status Database::WithPage(PageId id, bool for_write, Fn&& fn) {
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(id));
   if (for_write) pool_->WillModify(frame);
   storage::SlottedPage view(frame->cur.data(), config_.page_size);
-  bool dirtied = false;
-  Lsn rec_lsn = kInvalidLsn;
-  Status s = fn(view, &dirtied, &rec_lsn);
-  pool_->Unfix(frame, dirtied, rec_lsn);
+  Status s = fn(view);
+  pool_->Unfix(frame, for_write && s.ok(), view.page_lsn());
   IPA_RETURN_NOT_OK(s);
   IPA_RETURN_NOT_OK(pool_->MaybeRunCleaner());
   return MaybeReclaimLog();
 }
 
-Status Database::AllocatePage(TableId table, PageId* out, TxnId /*txn*/) {
+Status Database::AllocatePage(TableId table, PageId* out) {
   Table& t = tables_[table];
   Tablespace& ts = tablespaces_[t.ts];
   if (ts.next_lba >= ts.capacity_pages) {
@@ -358,13 +328,12 @@ Result<Rid> Database::Insert(TxnId txn, TableId table,
     pool_->Unfix(frame, false);
   }
   if (!found) {
-    IPA_RETURN_NOT_OK(AllocatePage(table, &target, txn));
+    IPA_RETURN_NOT_OK(AllocatePage(table, &target));
   }
 
   Rid rid;
   rid.page = target;
-  Status s = WithPage(target, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                      Lsn* rec_lsn) -> Status {
+  Status s = WithPage(target, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
     auto slot = view.Insert(tuple);
     if (!slot.ok()) return slot.status();
     rid.slot = slot.value();
@@ -374,8 +343,6 @@ Result<Rid> Database::Insert(TxnId txn, TableId table,
                             .after = {tuple.begin(), tuple.end()}},
                   txn);
     view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn = lsn;
     return Status::OK();
   });
   IPA_RETURN_NOT_OK(s);
@@ -389,7 +356,7 @@ Result<std::vector<uint8_t>> Database::Read(TxnId txn, Rid rid, bool for_update)
       txn, rid.Pack(), for_update ? LockMode::kExclusive : LockMode::kShared));
   std::vector<uint8_t> out;
   IPA_RETURN_NOT_OK(WithPage(
-      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
         auto tuple = view.Read(rid.slot);
         if (!tuple.ok()) return tuple.status();
         out.assign(tuple.value().begin(), tuple.value().end());
@@ -402,8 +369,7 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
                         std::span<const uint8_t> bytes) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(bytes.size()) + 8);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                    Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
     auto tuple = view.Read(rid.slot);
     if (!tuple.ok()) return tuple.status();
     if (offset + bytes.size() > tuple.value().size()) {
@@ -420,8 +386,6 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
                   txn);
     IPA_RETURN_NOT_OK(view.UpdateInPlace(rid.slot, offset, bytes));
     view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn = lsn;
     return Status::OK();
   });
 }
@@ -429,8 +393,7 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
 Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(tuple.size()) + 8);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                    Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     std::vector<uint8_t> before(old.value().begin(), old.value().end());
@@ -447,8 +410,6 @@ Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple
                             .after = {tuple.begin(), tuple.end()}},
                   txn);
     view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn = lsn;
     return Status::OK();
   });
 }
@@ -456,8 +417,7 @@ Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple
 Status Database::Delete(TxnId txn, Rid rid) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, 12);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                    Lsn* rec_lsn) -> Status {
+  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     Lsn lsn = Log(LogRecord{.type = LogType::kDelete,
@@ -467,8 +427,6 @@ Status Database::Delete(TxnId txn, Rid rid) {
                   txn);
     IPA_RETURN_NOT_OK(view.Delete(rid.slot));
     view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn = lsn;
     return Status::OK();
   });
 }
@@ -478,7 +436,7 @@ Result<Rid> Database::Move(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   TableId table = 0;
   // Identify the table from the page header.
   IPA_RETURN_NOT_OK(WithPage(
-      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
         table = view.table_id();
         return Status::OK();
       }));
@@ -550,7 +508,6 @@ void Database::SimulateCrash() {
   wal_.DiscardUnflushed();
   pool_->DropAllNoFlush();
   txns_.clear();
-  txn_begin_time_.clear();
   locks_ = LockManager{};
   // Unforced group-commit batches died with the log tail, and undelivered
   // commit events are process state that dies with the crash too (their
@@ -585,10 +542,8 @@ Result<TableId> Database::TableOfPage(PageId id) const {
 // Undo / redo machinery
 // ---------------------------------------------------------------------------
 
-Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn, bool /*undo*/) {
-  // Redo application (undo goes through UndoRecord, which emits CLRs).
-  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                    Lsn* rec_lsn) -> Status {
+Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn) {
+  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
     switch (rec.type) {
       case LogType::kUpdate:
         IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.after));
@@ -608,7 +563,7 @@ Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn, bool /*undo*/) {
         IPA_RETURN_NOT_OK(view.UpdateResize(rec.slot, rec.after));
         break;
       case LogType::kClr: {
-        // Redo-only compensation.
+        // Compensation: undo applies it as it logs it, redo after a crash.
         switch (static_cast<ClrAction>(rec.before.empty() ? 0 : rec.before[0])) {
           case kClrUpdate:
             IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.after));
@@ -631,19 +586,16 @@ Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn, bool /*undo*/) {
         return Status::Internal("ApplyToPage on non-page record");
     }
     view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn = lsn;
     return Status::OK();
   });
 }
 
-Status Database::UndoRecord(TxnId txn, const LogRecord& rec, Lsn /*rec_lsn*/) {
-  LogRecord clr;
-  clr.type = LogType::kClr;
-  clr.page = rec.page;
-  clr.slot = rec.slot;
-  clr.offset = rec.offset;
-  clr.aux64 = rec.prev;  // undo-next
+Status Database::UndoRecord(TxnId txn, const LogRecord& rec) {
+  LogRecord clr{.type = LogType::kClr,
+                .page = rec.page,
+                .slot = rec.slot,
+                .offset = rec.offset,
+                .aux64 = rec.prev};  // undo-next
   switch (rec.type) {
     case LogType::kUpdate:
       clr.before = {kClrUpdate};
@@ -660,36 +612,11 @@ Status Database::UndoRecord(TxnId txn, const LogRecord& rec, Lsn /*rec_lsn*/) {
       clr.before = {kClrResize};
       clr.after = rec.before;
       break;
-    case LogType::kBegin:
-      return Status::OK();  // nothing to undo
     default:
-      return Status::OK();
+      return Status::OK();  // kBegin changes no page: nothing to undo
   }
-  Lsn lsn = Log(std::move(clr), txn);
-  // Apply the compensation physically (same action the CLR would redo).
-  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view, bool* dirtied,
-                                                    Lsn* rec_lsn2) -> Status {
-    switch (rec.type) {
-      case LogType::kUpdate:
-        IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.before));
-        break;
-      case LogType::kInsert:
-        IPA_RETURN_NOT_OK(view.Delete(rec.slot));
-        break;
-      case LogType::kDelete:
-        IPA_RETURN_NOT_OK(view.Revive(rec.slot, rec.before));
-        break;
-      case LogType::kResize:
-        IPA_RETURN_NOT_OK(view.UpdateResize(rec.slot, rec.before));
-        break;
-      default:
-        break;
-    }
-    view.set_page_lsn(lsn);
-    *dirtied = true;
-    *rec_lsn2 = lsn;
-    return Status::OK();
-  });
+  Lsn lsn = Log(clr, txn);
+  return ApplyToPage(clr, lsn);
 }
 
 Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
@@ -703,7 +630,7 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
       // Page reached flash; redo only if its LSN predates the format.
       bool need = false;
       IPA_RETURN_NOT_OK(WithPage(
-          rec.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+          rec.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
             need = view.page_lsn() < lsn;
             return Status::OK();
           }));
@@ -720,12 +647,12 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
   // Ordinary page record: redo iff the page version predates it.
   bool need = false;
   IPA_RETURN_NOT_OK(WithPage(
-      rec.page, /*for_write=*/false, [&](storage::SlottedPage& view, bool*, Lsn*) -> Status {
+      rec.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
         need = view.page_lsn() < lsn;
         return Status::OK();
       }));
   if (!need) return Status::OK();
-  return ApplyToPage(rec, lsn, /*undo=*/false);
+  return ApplyToPage(rec, lsn);
 }
 
 Status Database::RecoverAfterPowerLoss() {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -93,7 +94,9 @@ class Database {
   /// tablespace carry `scheme` (use a default Scheme{} for no IPA).
   Result<TablespaceId> CreateTablespace(const std::string& name,
                                         ftl::RegionId region,
-                                        storage::Scheme scheme);
+                                        storage::Scheme scheme) {
+    return CreateTablespaceOn(name, ftl_->region_device(region), scheme);
+  }
 
   /// Bind an arbitrary PageDevice (e.g. a conventional SSD with the
   /// write_delta extension) to a new tablespace.
@@ -157,7 +160,7 @@ class Database {
   /// ftl::StreamTag::kIndex on stream-aware devices.
   Result<PageId> AllocateIndexPage(TableId table) {
     PageId id;
-    IPA_RETURN_NOT_OK(AllocatePage(table, &id, kInvalidTxn));
+    IPA_RETURN_NOT_OK(AllocatePage(table, &id));
     index_pages_.insert(id.raw);
     return id;
   }
@@ -224,28 +227,21 @@ class Database {
   BufferPool& buffer_pool() { return *pool_; }
   Wal& wal() { return wal_; }
   const LockManager& lock_manager() const { return locks_; }
-  ftl::NoFtl& ftl() { return *ftl_; }
   const TxnStats& txn_stats() const { return txn_stats_; }
   /// Publish txn_stats() to the metrics registry, then zero it.
   void ResetTxnStats();
   const EngineConfig& config() const { return config_; }
-  ftl::RegionId region_of(TablespaceId ts) const {
-    return tablespaces_[ts].region;
-  }
   uint64_t table_page_count(TableId t) const {
     return tables_[t].pages.size();
   }
   const std::string& table_name(TableId t) const { return tables_[t].name; }
   size_t table_count() const { return tables_.size(); }
-  size_t tablespace_count() const { return tablespaces_.size(); }
-  TablespaceId tablespace_of(TableId t) const { return tables_[t].ts; }
   /// Pages AllocatePage can still hand out to table `t`: what is left of its
   /// tablespace.
   uint64_t pages_left(TableId t) const {
     const Tablespace& ts = tablespaces_[tables_[t].ts];
     return ts.capacity_pages - ts.next_lba;
   }
-  bool table_dropped(TableId t) const { return tables_[t].dropped; }
   uint64_t checkpoints_taken() const { return checkpoints_; }
 
   /// Number of active (open) transactions.
@@ -262,7 +258,6 @@ class Database {
   struct Tablespace {
     std::string name;
     ftl::PageDevice* device = nullptr;
-    ftl::RegionId region = 0;  ///< Valid only for NoFTL-backed tablespaces.
     storage::Scheme scheme;
     uint64_t next_lba = 0;
     uint64_t capacity_pages = 0;
@@ -281,6 +276,8 @@ class Database {
     Lsn first_lsn = kInvalidLsn;
     Lsn last_lsn = kInvalidLsn;
     bool use_locks = true;
+    /// Set by Begin(); a transaction it did not open records no latency.
+    std::optional<SimTime> begin_time;
   };
 
   Lsn Log(LogRecord rec, TxnId txn);
@@ -290,17 +287,20 @@ class Database {
   /// config.log_force_us when it actually has to advance the durable LSN.
   void ForceLogTo(Lsn lsn);
   void TraceUpdate(PageId page, uint32_t log_bytes);
-  Status AllocatePage(TableId table, PageId* out, TxnId txn);
-  /// Fix the page of `rid` and run `fn` on it; handles unfix + dirty marking.
-  /// `for_write` declares that `fn` may change the page
-  /// (BufferPool::WillModify).
-  Status WithPage(PageId id, bool for_write,
-                  const std::function<Status(storage::SlottedPage&, bool* dirtied,
-                                             Lsn* rec_lsn)>& fn);
+  Status AllocatePage(TableId table, PageId* out);
+  /// Fix page `id`, run `fn(view)` (a Status(storage::SlottedPage&)) on it,
+  /// unfix it, then run the cleaner and log reclamation. `for_write`
+  /// declares that `fn` may change the page (BufferPool::WillModify); an OK
+  /// return then leaves the frame dirty, with the PageLSN `fn` set as its
+  /// recLSN.
+  template <typename Fn>
+  Status WithPage(PageId id, bool for_write, Fn&& fn);
   Status MaybeReclaimLog();
-  Status UndoRecord(TxnId txn, const LogRecord& rec, Lsn rec_lsn);
+  /// Log the CLR that compensates `rec` and apply it with ApplyToPage.
+  Status UndoRecord(TxnId txn, const LogRecord& rec);
   Status RedoRecord(const LogRecord& rec, Lsn lsn);
-  Status ApplyToPage(const LogRecord& rec, Lsn lsn, bool undo);
+  /// Apply page record or CLR `rec`, logged at `lsn`, to its page.
+  Status ApplyToPage(const LogRecord& rec, Lsn lsn);
 
   ftl::NoFtl* ftl_;
   SimClock* clock_;
@@ -316,7 +316,6 @@ class Database {
   std::unordered_map<TxnId, TxnState> txns_;
   TxnId next_txn_ = 1;
   TxnStats txn_stats_;
-  std::unordered_map<TxnId, SimTime> txn_begin_time_;
   uint64_t checkpoints_ = 0;
   bool in_recovery_ = false;
   std::vector<IoEvent> io_trace_;

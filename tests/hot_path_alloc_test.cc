@@ -1,7 +1,8 @@
 // Allocation counts on the engine's per-transaction paths: a counting global
 // operator new shows that a warm lock table, a WAL append into a log buffer
 // with capacity in place, NoFtl's managed-ECC reads, writes and delta
-// appends, and flush planning with a reused diff allocate nothing.
+// appends, and flush planning with a reused diff allocate nothing, and that
+// an update of a resident tuple allocates only its log record's images.
 
 #include <gtest/gtest.h>
 
@@ -11,27 +12,31 @@
 #include <vector>
 
 #include "core/write_policy.h"
+#include "engine/database.h"
 #include "engine/lock_manager.h"
 #include "engine/wal.h"
 #include "flash/flash_array.h"
 #include "ftl/noftl.h"
 #include "storage/slotted_page.h"
+#include "workload/testbed.h"
 
 namespace {
 // Global operator new calls in this binary. The tests are single-threaded.
 size_t g_news = 0;
 }  // namespace
 
-void* operator new(size_t n) {
+// Kept out of line: where gcc 12 inlines one side of a new/delete pair, its
+// -Wmismatched-new-delete pairs the inlined malloc or free with the other.
+[[gnu::noinline]] void* operator new(size_t n) {
   g_news++;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace ipa::engine {
 namespace {
@@ -94,6 +99,39 @@ TEST(HotPathAllocTest, WalAppendWithCapacityAllocatesNothing) {
   EXPECT_EQ(back.value().txn, 7u);
   EXPECT_EQ(back.value().before, rec.before);
   EXPECT_EQ(back.value().after, rec.after);
+}
+
+// Database::Update of a tuple that is resident and already X-locked by its
+// open transaction: the log buffer has room after a checkpoint, so the only
+// allocations left are the LogRecord's before and after images.
+TEST(HotPathAllocTest, RepeatedUpdateAllocatesOnlyItsLogImages) {
+  workload::StackSpec spec;
+  spec.geometry = {.blocks_per_chip = 16, .pages_per_block = 16};
+  spec.regions.push_back({ftl::RegionConfig{.name = "t",
+                                            .logical_pages = 64,
+                                            .ipa_mode = ftl::IpaMode::kSlc},
+                          "ts",
+                          {.n = 2, .m = 3, .v = 12},
+                          {"t"}});
+  spec.engine = {.buffer_pages = 16, .log_capacity_bytes = 1 << 20};
+  auto stack = workload::Build(spec);
+  ASSERT_TRUE(stack.ok());
+  Database& db = *stack.value()->db;
+  TableId table = stack.value()->parts[0].tables[0];
+
+  TxnId setup = db.Begin();
+  auto rid = db.Insert(setup, table, std::vector<uint8_t>(64, 0x11));
+  ASSERT_TRUE(rid.ok());
+  ASSERT_TRUE(db.Commit(setup).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());  // truncates the log, keeps its capacity
+
+  TxnId txn = db.Begin();
+  uint8_t patch[4] = {1, 2, 3, 4};
+  ASSERT_TRUE(db.Update(txn, rid.value(), 0, patch).ok());
+  size_t before = g_news;
+  ASSERT_TRUE(db.Update(txn, rid.value(), 8, patch).ok());
+  EXPECT_LE(g_news - before, 2u);
+  ASSERT_TRUE(db.Commit(txn).ok());
 }
 
 // TPC-B's managed-ECC region: 4 KiB pages, a [2x4] v=12 delta area (two
