@@ -176,18 +176,15 @@ class Runner {
       if (s.IsUnavailable()) s = HandleCrash();
       if (!s.ok()) return Fail(end, s);
     }
-    if (cfg_.final_crash) {
-      model_.Crash();
-      txn_ = engine::kInvalidTxn;
-      s_open_ = false;
-      CrashEngine();
-      tb_->dev->PowerCycle();
-      Status s = RecoverLoop();
-      if (s.ok() && Repl()) s = RecoverPrimaryRepl();
-      if (s.ok()) s = DeepCheck(model_.committed());
-      if (!s.ok()) return Fail(end, s);
-    }
-    Status s = DeepCheck(model_.view());
+    model_.Crash();
+    txn_ = engine::kInvalidTxn;
+    s_open_ = false;
+    CrashEngine();
+    tb_->dev->PowerCycle();
+    Status s = RecoverLoop();
+    if (s.ok() && Repl()) s = RecoverPrimaryRepl();
+    if (s.ok()) s = DeepCheck(model_.committed());
+    if (s.ok()) s = DeepCheck(model_.view());
     if (!s.ok()) return Fail(end, s);
 
     if (Repl()) {

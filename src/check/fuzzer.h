@@ -103,9 +103,6 @@ struct FuzzConfig {
   /// Run the deep oracles every this many ops (and always after recovery
   /// and at the end of the run).
   uint32_t deep_check_every = 25;
-  /// End every run with an unannounced crash + recovery + committed-state
-  /// verification, so recovery is exercised even on cut-free traces.
-  bool final_crash = true;
 };
 
 struct FuzzResult {

@@ -12,12 +12,13 @@ BlackboxSsd::BlackboxSsd(const BlackboxSsdConfig& config) : config_(config) {
   g.pages_per_block = 64;
   g.max_programs_per_page =
       config_.cell_type == flash::CellType::kMlc ? 4 : 8;
+  constexpr uint64_t kCapacitySlackBlocks = 8;  // spare blocks per chip
   uint64_t physical_pages = static_cast<uint64_t>(
       static_cast<double>(config_.logical_pages) *
       (1.0 + config_.over_provisioning) * 1.05);
   g.blocks_per_chip = static_cast<uint32_t>(
       physical_pages / g.pages_per_block / g.total_chips() +
-      config_.capacity_slack_blocks);
+      kCapacitySlackBlocks);
   dev_ = std::make_unique<flash::FlashArray>(g, flash::TimingFor(g.cell_type));
   ftl_ = std::make_unique<NoFtl>(dev_.get());
 

@@ -45,7 +45,6 @@ struct BlackboxSsdConfig {
   uint64_t interface_latency_us = 25;
   /// Enable the write_delta command extension (off = a plain SSD).
   bool write_delta_extension = false;
-  uint64_t capacity_slack_blocks = 8;
 };
 
 class BlackboxSsd : public FtlBackend {
