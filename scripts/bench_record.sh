@@ -17,7 +17,8 @@
 #   - profile: each perfbench workload's ten functions with the most self
 #     time, in percent, from scripts/profile_perfbench.sh (a statically
 #     linked gprof histogram, C library included; built under
-#     SRC/build-profile).
+#     SRC/build-profile), and under profile_samples the number of samples
+#     that histogram holds (at least 500, summed over repeated runs).
 #   - machine: the CPU model and count, the compiler, and whether the CPU has
 #     the features the CRC32C, ECC and page-diff kernels are chosen by
 #     (sse4.2, popcnt, avx2): results depend on them.
@@ -123,12 +124,14 @@ for path in sorted(glob.glob(os.path.join(tmp, "perfbench-*.json"))):
         **{k: round(v["value"], 3) for k, v in line["metrics"].items()},
     }
 
-profile = {}
+profile, profile_samples = {}, {}
 for path in sorted(glob.glob(os.path.join(tmp, "profile-*.txt"))):
     name = os.path.basename(path)[len("profile-"):-len(".txt")]
     top, body = [], False
     with open(path) as f:
         for line in f:
+            if line.startswith("# samples:"):
+                profile_samples[name] = int(line.split()[2])
             if not body:
                 body = line.split()[-1:] == ["name"]
                 continue
@@ -161,6 +164,7 @@ record["runs"][label] = {
     "micro_ns": micro,
     "perfbench": perfbench,
     "profile": profile,
+    "profile_samples": profile_samples,
 }
 with open(out, "w") as f:
     json.dump(record, f, indent=2)

@@ -7,7 +7,10 @@
 # checkout at SRC (default: this repository) into SRC/build-profile as a
 # Release build linked with -pg -static, runs WORKLOAD at seed 1 for 15 s
 # with tracing off, and prints gprof's flat profile: the header and the top
-# 15 functions by self time.
+# 15 functions by self time. A run whose timed work is short yields few
+# samples (tpcb-ipa-ecc: about 60), so the script repeats the run and sums
+# the histograms with gprof -s until they hold at least 500 samples; the
+# header line "# samples: N from R runs" gives the count.
 #
 # Only the link uses -pg. The code is compiled without mcount calls, so the
 # profile is gprof's program-counter histogram alone: no call counts, and no
@@ -31,16 +34,46 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" --target perfbench -j 4 > /dev/null
 
-# gprof reads gmon.out from the directory the program ran in.
+MIN_SAMPLES=500
+
+# samples: the number of histogram samples in RUN/gmon.sum, from the flat
+# profile's self seconds and the seconds one sample counts as.
+samples() {
+  gprof -b -p "$BUILD/perfbench" "$RUN/gmon.sum" | awk '
+    /^Each sample counts as/ { period = $5 }
+    body && NF >= 4 { total += $3 }
+    $NF == "name" { body = 1 }
+    END { printf "%d\n", period ? total / period + 0.5 : 0 }'
+}
+
+# gprof reads gmon.out from the directory the program ran in, and gprof -s
+# writes the sum of its inputs there as gmon.sum.
 RUN=$(mktemp -d)
 trap 'rm -rf "$RUN"' EXIT
-(cd "$RUN" && "$BUILD/perfbench" --workload "$WORKLOAD" --seed 1 --seconds 15 \
-   --trace 0 > perfbench.out) || {
-  echo "profile_perfbench: perfbench $WORKLOAD failed: $(tail -n 1 "$RUN/perfbench.out")" >&2
-  exit 1
-}
+runs=0
+count=0
+while [ "$count" -lt "$MIN_SAMPLES" ]; do
+  (cd "$RUN" && "$BUILD/perfbench" --workload "$WORKLOAD" --seed 1 --seconds 15 \
+     --trace 0 > perfbench.out) || {
+    echo "profile_perfbench: perfbench $WORKLOAD failed: $(tail -n 1 "$RUN/perfbench.out")" >&2
+    exit 1
+  }
+  if [ -f "$RUN/gmon.sum" ]; then
+    (cd "$RUN" && gprof -s "$BUILD/perfbench" gmon.sum gmon.out)
+  else
+    mv "$RUN/gmon.out" "$RUN/gmon.sum"
+  fi
+  runs=$((runs + 1))
+  last=$count
+  count=$(samples)
+  if [ "$count" -le "$last" ]; then
+    echo "profile_perfbench: run $runs of $WORKLOAD added no samples" >&2
+    exit 1
+  fi
+done
 echo "# perfbench $WORKLOAD: $(git -C "$SRC" describe --always --dirty 2> /dev/null || echo unknown)"
+echo "# samples: $count from $runs runs"
 # The flat profile's header runs through its column-names line ("... name").
-gprof -b -p "$BUILD/perfbench" "$RUN/gmon.out" | awk '
+gprof -b -p "$BUILD/perfbench" "$RUN/gmon.sum" | awk '
   !body { print; if ($NF == "name") body = 1; next }
   NF && n < 15 { print; n++ }'
