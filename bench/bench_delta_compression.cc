@@ -92,18 +92,13 @@ Result<CodecPoint> RunCodecPoint(const storage::Scheme& scheme,
 }
 
 void EmitPointGauges(const std::string& prefix, const CodecPoint& p) {
-  metrics::Gauge(prefix + ".appends_per_wb_x1000").Set(Milli(p.appends_per_wb));
-  metrics::Gauge(prefix + ".wa_x1000").Set(Milli(p.wa));
-  metrics::Gauge(prefix + ".bytes_per_append_x1000")
-      .Set(Milli(p.bytes_per_append));
-  metrics::Gauge(prefix + ".host_page_writes")
-      .Set(static_cast<int64_t>(p.r.host_page_writes));
-  metrics::Gauge(prefix + ".host_delta_writes")
-      .Set(static_cast<int64_t>(p.r.host_delta_writes));
-  metrics::Gauge(prefix + ".delta_bytes")
-      .Set(static_cast<int64_t>(p.r.delta_bytes_written));
-  metrics::Gauge(prefix + ".gc_erases")
-      .Set(static_cast<int64_t>(p.r.gc_erases));
+  metrics::SetGauge(prefix + ".appends_per_wb_x1000", Milli(p.appends_per_wb));
+  metrics::SetGauge(prefix + ".wa_x1000", Milli(p.wa));
+  metrics::SetGauge(prefix + ".bytes_per_append_x1000", Milli(p.bytes_per_append));
+  metrics::SetGauge(prefix + ".host_page_writes", static_cast<int64_t>(p.r.host_page_writes));
+  metrics::SetGauge(prefix + ".host_delta_writes", static_cast<int64_t>(p.r.host_delta_writes));
+  metrics::SetGauge(prefix + ".delta_bytes", static_cast<int64_t>(p.r.delta_bytes_written));
+  metrics::SetGauge(prefix + ".gc_erases", static_cast<int64_t>(p.r.gc_erases));
 }
 
 // ---------------------------------------------------------------------------
@@ -242,10 +237,9 @@ int Run(uint64_t txns, uint64_t seed) {
                  Fmt(p.value().appends_per_wb)});
     std::string prefix = std::string("delta_bench.scanmix.") + CodecKey(codec);
     EmitPointGauges(prefix, p.value());
-    metrics::Gauge(prefix + ".read_p99_us")
-        .Set(static_cast<int64_t>(p.value().r.read_p99_ms * 1000.0));
-    metrics::Gauge(prefix + ".commits")
-        .Set(static_cast<int64_t>(p.value().r.commits));
+    metrics::SetGauge(prefix + ".read_p99_us",
+                      static_cast<int64_t>(p.value().r.read_p99_ms * 1000.0));
+    metrics::SetGauge(prefix + ".commits", static_cast<int64_t>(p.value().r.commits));
   }
   scan.Print();
 
@@ -270,8 +264,8 @@ int Run(uint64_t txns, uint64_t seed) {
                                static_cast<double>(w.logical_bytes))});
     std::string prefix =
         std::string("delta_bench.wire.") + (compress ? "lz" : "plain");
-    metrics::Gauge(prefix + ".bytes").Set(static_cast<int64_t>(w.wire_bytes));
-    metrics::Gauge(prefix + ".frames").Set(static_cast<int64_t>(w.frames));
+    metrics::SetGauge(prefix + ".bytes", static_cast<int64_t>(w.wire_bytes));
+    metrics::SetGauge(prefix + ".frames", static_cast<int64_t>(w.frames));
   }
   wire.Print();
 

@@ -141,25 +141,16 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
                                static_cast<double>(w.logical_bytes))});
   steady.Print();
 
-  metrics::Gauge("repl_bench.steady.commits").Set(static_cast<int64_t>(w.commits));
-  metrics::Gauge("repl_bench.steady.frames")
-      .Set(static_cast<int64_t>(ps.frames_emitted));
-  metrics::Gauge("repl_bench.steady.wire_bytes")
-      .Set(static_cast<int64_t>(ps.bytes_emitted));
-  metrics::Gauge("repl_bench.steady.delta_ops")
-      .Set(static_cast<int64_t>(ps.delta_ops));
-  metrics::Gauge("repl_bench.steady.full_ops")
-      .Set(static_cast<int64_t>(ps.full_ops));
-  metrics::Gauge("repl_bench.steady.foldbacks")
-      .Set(static_cast<int64_t>(ps.foldbacks));
-  metrics::Gauge("repl_bench.steady.frames_applied")
-      .Set(static_cast<int64_t>(rs.frames_applied));
-  metrics::Gauge("repl_bench.steady.logical_bytes")
-      .Set(static_cast<int64_t>(w.logical_bytes));
-  metrics::Gauge("repl_bench.steady.primary_prog_bytes")
-      .Set(static_cast<int64_t>(p_prog));
-  metrics::Gauge("repl_bench.steady.replica_prog_bytes")
-      .Set(static_cast<int64_t>(r_prog));
+  metrics::SetGauge("repl_bench.steady.commits", static_cast<int64_t>(w.commits));
+  metrics::SetGauge("repl_bench.steady.frames", static_cast<int64_t>(ps.frames_emitted));
+  metrics::SetGauge("repl_bench.steady.wire_bytes", static_cast<int64_t>(ps.bytes_emitted));
+  metrics::SetGauge("repl_bench.steady.delta_ops", static_cast<int64_t>(ps.delta_ops));
+  metrics::SetGauge("repl_bench.steady.full_ops", static_cast<int64_t>(ps.full_ops));
+  metrics::SetGauge("repl_bench.steady.foldbacks", static_cast<int64_t>(ps.foldbacks));
+  metrics::SetGauge("repl_bench.steady.frames_applied", static_cast<int64_t>(rs.frames_applied));
+  metrics::SetGauge("repl_bench.steady.logical_bytes", static_cast<int64_t>(w.logical_bytes));
+  metrics::SetGauge("repl_bench.steady.primary_prog_bytes", static_cast<int64_t>(p_prog));
+  metrics::SetGauge("repl_bench.steady.replica_prog_bytes", static_cast<int64_t>(r_prog));
 
   // -- Ship-lag arm: batch shipments, report the exposure window.
   TablePrinter lag({"ship every", "max queue frames", "max queue bytes"});
@@ -179,10 +170,8 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
     lag.AddRow({std::to_string(every), std::to_string(bw.max_queue_frames),
                 std::to_string(bw.max_queue_bytes)});
     std::string prefix = "repl_bench.lag." + std::to_string(every);
-    metrics::Gauge(prefix + ".max_queue_frames")
-        .Set(static_cast<int64_t>(bw.max_queue_frames));
-    metrics::Gauge(prefix + ".max_queue_bytes")
-        .Set(static_cast<int64_t>(bw.max_queue_bytes));
+    metrics::SetGauge(prefix + ".max_queue_frames", static_cast<int64_t>(bw.max_queue_frames));
+    metrics::SetGauge(prefix + ".max_queue_bytes", static_cast<int64_t>(bw.max_queue_bytes));
   }
   lag.Print();
 
@@ -269,18 +258,12 @@ int Run(uint64_t txns, uint32_t accounts, uint64_t seed) {
              std::to_string(snap_bytes), std::to_string(snap_us)});
   cu.Print();
 
-  metrics::Gauge("repl_bench.catchup.tail_frames")
-      .Set(static_cast<int64_t>(tail.size()));
-  metrics::Gauge("repl_bench.catchup.tail_bytes")
-      .Set(static_cast<int64_t>(tail_bytes));
-  metrics::Gauge("repl_bench.catchup.tail_sim_us")
-      .Set(static_cast<int64_t>(tail_us));
-  metrics::Gauge("repl_bench.catchup.snap_frames")
-      .Set(static_cast<int64_t>(snap_frames));
-  metrics::Gauge("repl_bench.catchup.snap_bytes")
-      .Set(static_cast<int64_t>(snap_bytes));
-  metrics::Gauge("repl_bench.catchup.snap_sim_us")
-      .Set(static_cast<int64_t>(snap_us));
+  metrics::SetGauge("repl_bench.catchup.tail_frames", static_cast<int64_t>(tail.size()));
+  metrics::SetGauge("repl_bench.catchup.tail_bytes", static_cast<int64_t>(tail_bytes));
+  metrics::SetGauge("repl_bench.catchup.tail_sim_us", static_cast<int64_t>(tail_us));
+  metrics::SetGauge("repl_bench.catchup.snap_frames", static_cast<int64_t>(snap_frames));
+  metrics::SetGauge("repl_bench.catchup.snap_bytes", static_cast<int64_t>(snap_bytes));
+  metrics::SetGauge("repl_bench.catchup.snap_sim_us", static_cast<int64_t>(snap_us));
   return 0;
 }
 

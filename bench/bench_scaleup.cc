@@ -212,12 +212,11 @@ int Main(int argc, char** argv) {
       std::string prefix = std::string("scaleup.") +
                            (wl == Wl::kTpcb ? "tpcb" : "linkbench") + ".w" +
                            std::to_string(w);
-      metrics::Gauge(prefix + ".tps").Set(static_cast<int64_t>(a.tps));
-      metrics::Gauge(prefix + ".commits").Set(static_cast<int64_t>(a.commits));
-      metrics::Gauge(prefix + ".sim_us").Set(static_cast<int64_t>(a.sim_us));
-      metrics::Gauge(prefix + ".speedup_x100")
-          .Set(static_cast<int64_t>(speedup * 100));
-      metrics::Gauge(prefix + ".wa_x100").Set(static_cast<int64_t>(a.wa * 100));
+      metrics::SetGauge(prefix + ".tps", static_cast<int64_t>(a.tps));
+      metrics::SetGauge(prefix + ".commits", static_cast<int64_t>(a.commits));
+      metrics::SetGauge(prefix + ".sim_us", static_cast<int64_t>(a.sim_us));
+      metrics::SetGauge(prefix + ".speedup_x100", static_cast<int64_t>(speedup * 100));
+      metrics::SetGauge(prefix + ".wa_x100", static_cast<int64_t>(a.wa * 100));
     }
     std::printf("%s:\n", WlName(wl));
     table.Print();

@@ -120,22 +120,19 @@ void ReportPhase(TablePrinter* table, const net::PhaseResult& r,
                  std::to_string(r.conn_drops)});
 
   std::string prefix = "serve." + r.name;
-  metrics::Gauge(prefix + ".offered_tps")
-      .Set(static_cast<int64_t>(r.offered_tps));
-  metrics::Gauge(prefix + ".issued").Set(static_cast<int64_t>(r.issued));
-  metrics::Gauge(prefix + ".completed").Set(static_cast<int64_t>(r.completed));
-  metrics::Gauge(prefix + ".shed").Set(static_cast<int64_t>(r.shed));
-  metrics::Gauge(prefix + ".errors").Set(static_cast<int64_t>(r.errors));
-  metrics::Gauge(prefix + ".p50_us").Set(static_cast<int64_t>(p50));
-  metrics::Gauge(prefix + ".p99_us").Set(static_cast<int64_t>(p99));
-  metrics::Gauge(prefix + ".p999_us").Set(static_cast<int64_t>(p999));
-  metrics::Gauge(prefix + ".goodput_tps")
-      .Set(static_cast<int64_t>(r.goodput_tps()));
-  metrics::Gauge(prefix + ".sim_us").Set(static_cast<int64_t>(r.sim_us));
-  metrics::Gauge(prefix + ".conn_drops")
-      .Set(static_cast<int64_t>(r.conn_drops));
-  metrics::Gauge(prefix + ".bytes_in").Set(static_cast<int64_t>(r.bytes_in));
-  metrics::Gauge(prefix + ".bytes_out").Set(static_cast<int64_t>(r.bytes_out));
+  metrics::SetGauge(prefix + ".offered_tps", static_cast<int64_t>(r.offered_tps));
+  metrics::SetGauge(prefix + ".issued", static_cast<int64_t>(r.issued));
+  metrics::SetGauge(prefix + ".completed", static_cast<int64_t>(r.completed));
+  metrics::SetGauge(prefix + ".shed", static_cast<int64_t>(r.shed));
+  metrics::SetGauge(prefix + ".errors", static_cast<int64_t>(r.errors));
+  metrics::SetGauge(prefix + ".p50_us", static_cast<int64_t>(p50));
+  metrics::SetGauge(prefix + ".p99_us", static_cast<int64_t>(p99));
+  metrics::SetGauge(prefix + ".p999_us", static_cast<int64_t>(p999));
+  metrics::SetGauge(prefix + ".goodput_tps", static_cast<int64_t>(r.goodput_tps()));
+  metrics::SetGauge(prefix + ".sim_us", static_cast<int64_t>(r.sim_us));
+  metrics::SetGauge(prefix + ".conn_drops", static_cast<int64_t>(r.conn_drops));
+  metrics::SetGauge(prefix + ".bytes_in", static_cast<int64_t>(r.bytes_in));
+  metrics::SetGauge(prefix + ".bytes_out", static_cast<int64_t>(r.bytes_out));
 
   // FNV-1a over the phase's observable numbers: one scalar that differs if
   // ANY result drifts — the cheap cross-run/IPA_JOBS determinism witness.
@@ -207,9 +204,8 @@ int RunSim(const SimOptions& opt) {
   ReportPhase(&table, burst.value(), &fingerprint);
   table.Print();
 
-  metrics::Gauge("serve.capacity_tps").Set(static_cast<int64_t>(capacity));
-  metrics::Gauge("serve.fingerprint")
-      .Set(static_cast<int64_t>(fingerprint >> 1));
+  metrics::SetGauge("serve.capacity_tps", static_cast<int64_t>(capacity));
+  metrics::SetGauge("serve.fingerprint", static_cast<int64_t>(fingerprint >> 1));
   std::printf("\ncapacity %s tps, fingerprint %016llx\n", Fmt(capacity, 0).c_str(),
               static_cast<unsigned long long>(fingerprint));
   for (const net::PhaseResult* r :
@@ -428,13 +424,11 @@ int RunSoak(const SoakOptions& opt) {
     iterations++;
   }
   uint64_t clean = iterations - crashes;
-  metrics::Gauge("serve.soak.iterations").Set(static_cast<int64_t>(iterations));
-  metrics::Gauge("serve.soak.crashes").Set(static_cast<int64_t>(crashes));
-  metrics::Gauge("serve.soak.clean_iterations").Set(static_cast<int64_t>(clean));
-  metrics::Gauge("serve.soak.keys_verified")
-      .Set(static_cast<int64_t>(keys_verified));
-  metrics::Gauge("serve.soak.acked_batches")
-      .Set(static_cast<int64_t>(acked_commits));
+  metrics::SetGauge("serve.soak.iterations", static_cast<int64_t>(iterations));
+  metrics::SetGauge("serve.soak.crashes", static_cast<int64_t>(crashes));
+  metrics::SetGauge("serve.soak.clean_iterations", static_cast<int64_t>(clean));
+  metrics::SetGauge("serve.soak.keys_verified", static_cast<int64_t>(keys_verified));
+  metrics::SetGauge("serve.soak.acked_batches", static_cast<int64_t>(acked_commits));
   std::printf(
       "soak: %llu iterations, %llu power cuts survived, %llu clean, "
       "%llu keys verified, %llu acked batches\n",
@@ -679,9 +673,8 @@ int RunClient(const ClientOptions& opt) {
       static_cast<unsigned long long>(retry),
       static_cast<unsigned long long>(other),
       static_cast<unsigned long long>(burst_retry));
-  metrics::Gauge("client.ok").Set(static_cast<int64_t>(ok));
-  metrics::Gauge("client.retry")
-      .Set(static_cast<int64_t>(retry + burst_retry));
+  metrics::SetGauge("client.ok", static_cast<int64_t>(ok));
+  metrics::SetGauge("client.retry", static_cast<int64_t>(retry + burst_retry));
   if (other != 0) {
     std::fprintf(stderr, "bench_serve: %llu unexpected response statuses\n",
                  static_cast<unsigned long long>(other));

@@ -154,12 +154,10 @@ int Run() {
     for (size_t a = 0; a < res.size(); a++) {
       std::string prefix =
           std::string("table12.") + wl.slug + "." + arms[a].slug;
-      metrics::Gauge(prefix + ".wa_x1000")
-          .Set(static_cast<int64_t>(DeviceWa(res[a], wl.page_size) * 1000.0));
-      metrics::Gauge(prefix + ".host_writes")
-          .Set(static_cast<int64_t>(res[a].host_writes));
-      metrics::Gauge(prefix + ".gc_erases")
-          .Set(static_cast<int64_t>(res[a].gc_erases));
+      metrics::SetGauge(prefix + ".wa_x1000",
+                        static_cast<int64_t>(DeviceWa(res[a], wl.page_size) * 1000.0));
+      metrics::SetGauge(prefix + ".host_writes", static_cast<int64_t>(res[a].host_writes));
+      metrics::SetGauge(prefix + ".gc_erases", static_cast<int64_t>(res[a].gc_erases));
     }
 
     // Self-check: a cooked page-mapping device must amplify update-heavy

@@ -6,9 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
 
 namespace ipa::metrics {
 
@@ -21,84 +18,7 @@ const char* TypeName(Type t) {
   return "?";
 }
 
-// ---------------------------------------------------------------------------
-// Registry: per-thread shards of relaxed-atomic counter cells
-// ---------------------------------------------------------------------------
-
-/// One thread's private counter cells. The array is allocated at full
-/// registry capacity up front so a snapshot never races a container resize;
-/// a cell is written by its owning thread only and read (relaxed) by
-/// snapshotters.
-struct ThreadShard {
-  std::unique_ptr<std::atomic<uint64_t>[]> counters;
-  Registry::Impl* impl = nullptr;
-
-  ThreadShard() : counters(new std::atomic<uint64_t>[Registry::kMaxCounters]) {
-    for (uint32_t i = 0; i < Registry::kMaxCounters; i++) {
-      counters[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  /// Folds this shard into the registry's retired accumulator and deletes it.
-  void RetireSelf();
-};
-
-struct Registry::Impl {
-  std::mutex mu;
-  struct Def {
-    std::string name;
-    Type type;
-    uint32_t index;
-  };
-  std::map<std::string, Def, std::less<>> defs;  // name -> definition
-  uint32_t next_counter = 0;
-  uint32_t next_gauge = 0;
-  uint32_t next_hist = 0;
-  bool overflow_warned = false;
-  bool type_mismatch_warned = false;
-
-  std::vector<ThreadShard*> live_shards;
-  /// Accumulated cells of exited threads (plain integers; merged under mu).
-  std::vector<uint64_t> retired_counters = std::vector<uint64_t>(kMaxCounters, 0);
-  /// One merged histogram per interned histogram name, indexed by its id
-  /// (guarded by mu). The dead-cell id has none: its samples are dropped.
-  std::vector<LatencyStats> hists;
-
-  std::unique_ptr<std::atomic<int64_t>[]> gauges{
-      new std::atomic<int64_t>[kMaxGauges]};
-
-  Impl() {
-    for (uint32_t i = 0; i < kMaxGauges; i++) {
-      gauges[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  void Retire(ThreadShard* shard) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t i = 0; i < kMaxCounters; i++) {
-      retired_counters[i] += shard->counters[i].load(std::memory_order_relaxed);
-    }
-    live_shards.erase(
-        std::remove(live_shards.begin(), live_shards.end(), shard),
-        live_shards.end());
-    delete shard;
-  }
-};
-
-void ThreadShard::RetireSelf() { impl->Retire(this); }
-
 namespace {
-
-/// Owns a thread's shard; the destructor folds it into the retired
-/// accumulator so increments survive worker-thread exit (RunMany pools).
-struct ShardTls {
-  ThreadShard* shard = nullptr;
-  ~ShardTls() {
-    if (shard) shard->RetireSelf();
-  }
-};
-
-thread_local ShardTls g_shard_tls;
 
 // ---------------------------------------------------------------------------
 // Export hook (IPA_METRICS_JSON / --metrics-json)
@@ -144,7 +64,7 @@ void ProbeWritableOrDie(const std::string& path) {
   std::fclose(f);
 }
 
-/// Adopt IPA_METRICS_JSON the first time any metric is interned, so every
+/// Adopt IPA_METRICS_JSON the first time any metric is published, so every
 /// instrumented binary exports without explicit setup.
 void AdoptEnvExportPath() {
   static std::once_flag once;
@@ -162,124 +82,64 @@ void AdoptEnvExportPath() {
 
 }  // namespace
 
-Registry::Registry() : impl_(new Impl()) {}
-
 Registry& Registry::Instance() {
-  // Leaked: handles and atexit exporters may outlive static destruction.
+  // Leaked: atexit exporters may run after static destruction begins.
   static auto* registry = new Registry();
   return *registry;
 }
 
-uint32_t Registry::Intern(std::string_view name, Type type) {
+MetricValue* Registry::Slot(std::string_view name, Type type) {
+  auto it = metrics_.find(name);
+  if (it == metrics_.end()) {
+    it = metrics_.emplace(std::string(name), MetricValue{.name = std::string(name), .type = type})
+             .first;
+    if (type == Type::kHistogram) it->second.hist.emplace();
+  }
+  if (it->second.type == type) return &it->second;
+  if (!type_mismatch_warned_) {
+    type_mismatch_warned_ = true;
+    std::fprintf(stderr,
+                 "WARNING: metric '%.*s' already registered as %s; %s "
+                 "registration with the same name is dropped\n",
+                 static_cast<int>(name.size()), name.data(), TypeName(it->second.type),
+                 TypeName(type));
+  }
+  return nullptr;
+}
+
+void Registry::AddCounters(
+    std::initializer_list<std::pair<std::string_view, uint64_t>> deltas) {
   AdoptEnvExportPath();
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  uint32_t limit = type == Type::kCounter   ? kMaxCounters
-                   : type == Type::kGauge   ? kMaxGauges
-                                            : kMaxHistograms;
-  auto it = impl_->defs.find(name);
-  if (it != impl_->defs.end()) {
-    if (it->second.type == type) return it->second.index;
-    // A name interned under one type must never hand its index to another
-    // type's accessor (the id spaces have different capacities, so a counter
-    // index can be out of bounds for the gauge array). Route the mismatched
-    // registration to the requested type's dead cell instead.
-    if (!impl_->type_mismatch_warned) {
-      impl_->type_mismatch_warned = true;
-      std::fprintf(stderr,
-                   "WARNING: metric '%.*s' already registered as %s; %s "
-                   "registration with the same name is dropped\n",
-                   static_cast<int>(name.size()), name.data(),
-                   TypeName(it->second.type), TypeName(type));
-    }
-    return limit - 1;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, delta] : deltas) {
+    if (MetricValue* m = Slot(name, Type::kCounter)) m->value += delta;
   }
-  uint32_t& next = type == Type::kCounter   ? impl_->next_counter
-                   : type == Type::kGauge   ? impl_->next_gauge
-                                            : impl_->next_hist;
-  // The last index of each id space is a shared dead cell for overflow; its
-  // value is garbage, so overflowing metrics are not reported.
-  if (next + 1 >= limit) {
-    if (!impl_->overflow_warned) {
-      impl_->overflow_warned = true;
-      std::fprintf(stderr,
-                   "WARNING: metric registry full; '%.*s' and later %s "
-                   "registrations are dropped\n",
-                   static_cast<int>(name.size()), name.data(), TypeName(type));
-    }
-    return limit - 1;
-  }
-  uint32_t index = next++;
-  impl_->defs.emplace(std::string(name),
-                      Impl::Def{std::string(name), type, index});
-  if (type == Type::kHistogram) impl_->hists.emplace_back();
-  return index;
 }
 
-std::atomic<uint64_t>* Registry::CounterCell(uint32_t id) {
-  ShardTls& tls = g_shard_tls;
-  if (!tls.shard) {
-    tls.shard = new ThreadShard();
-    tls.shard->impl = impl_;
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->live_shards.push_back(tls.shard);
-  }
-  return &tls.shard->counters[id];
+void Registry::SetGauge(std::string_view name, int64_t value) {
+  AdoptEnvExportPath();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (MetricValue* m = Slot(name, Type::kGauge)) m->gauge = value;
 }
 
-void Registry::SetGauge(uint32_t id, int64_t v) {
-  impl_->gauges[id].store(v, std::memory_order_relaxed);
-}
-
-void Registry::MergeHistogram(uint32_t id, const LatencyStats& h) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (id < impl_->hists.size()) impl_->hists[id].Merge(h);
+void Registry::MergeHistogram(std::string_view name, const LatencyStats& stats) {
+  AdoptEnvExportPath();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (MetricValue* m = Slot(name, Type::kHistogram)) m->hist->Merge(stats);
 }
 
 Snapshot Registry::TakeSnapshot() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
-  snap.metrics.reserve(impl_->defs.size());
-  for (const auto& [name, def] : impl_->defs) {
-    MetricValue m;
-    m.name = def.name;
-    m.type = def.type;
-    switch (def.type) {
-      case Type::kCounter: {
-        uint64_t v = impl_->retired_counters[def.index];
-        for (ThreadShard* s : impl_->live_shards) {
-          v += s->counters[def.index].load(std::memory_order_relaxed);
-        }
-        m.value = v;
-        break;
-      }
-      case Type::kGauge:
-        m.gauge = impl_->gauges[def.index].load(std::memory_order_relaxed);
-        break;
-      case Type::kHistogram:
-        m.hist = impl_->hists[def.index];
-        break;
-    }
-    snap.metrics.push_back(std::move(m));
-  }
-  // defs is an ordered map, so the snapshot is already name-sorted; keep the
-  // invariant explicit regardless of the container choice.
-  std::sort(snap.metrics.begin(), snap.metrics.end(),
-            [](const MetricValue& a, const MetricValue& b) { return a.name < b.name; });
+  snap.metrics.reserve(metrics_.size());
+  // The map is ordered by name, so the snapshot is name-sorted.
+  for (const auto& [name, m] : metrics_) snap.metrics.push_back(m);
   return snap;
 }
 
 void Registry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::fill(impl_->retired_counters.begin(), impl_->retired_counters.end(), 0);
-  for (LatencyStats& h : impl_->hists) h.Reset();
-  for (uint32_t i = 0; i < kMaxGauges; i++) {
-    impl_->gauges[i].store(0, std::memory_order_relaxed);
-  }
-  for (ThreadShard* s : impl_->live_shards) {
-    for (uint32_t i = 0; i < kMaxCounters; i++) {
-      s->counters[i].store(0, std::memory_order_relaxed);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  metrics_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -307,25 +167,20 @@ namespace {
 thread_local ScopedSpan* g_current_span = nullptr;
 }  // namespace
 
-SpanSite::SpanSite(const char* name)
-    : calls(std::string("trace.") + name + ".calls"),
-      sim_us(std::string("trace.") + name + ".sim_us"),
-      self_us(std::string("trace.") + name + ".self_us") {}
-
-ScopedSpan::ScopedSpan(SpanSite& site, const SimClock* clock)
-    : site_(site), clock_(clock), parent_(g_current_span) {
+ScopedSpan::ScopedSpan(const char* name, const SimClock* clock)
+    : name_(name), clock_(clock), parent_(g_current_span) {
   if (clock_) t0_ = clock_->Now();
   g_current_span = this;
 }
 
 ScopedSpan::~ScopedSpan() {
   g_current_span = parent_;
-  site_.calls.Inc();
-  if (!clock_) return;
-  uint64_t total = clock_->Now() - t0_;
-  site_.sim_us.Add(total);
-  site_.self_us.Add(total >= child_us_ ? total - child_us_ : 0);
+  const uint64_t total = clock_ ? clock_->Now() - t0_ : 0;
+  const uint64_t self = total >= child_us_ ? total - child_us_ : 0;
   if (parent_) parent_->child_us_ += total;
+  const std::string prefix = std::string("trace.") + name_;
+  Registry::Instance().AddCounters(
+      {{prefix + ".calls", 1}, {prefix + ".sim_us", total}, {prefix + ".self_us", self}});
 }
 
 // ---------------------------------------------------------------------------

@@ -3,25 +3,19 @@
 // *simulated* time to a subsystem tree.
 //
 // Design constraints (see docs/METRICS.md):
-//  * Cheap hot path. A metric name is interned exactly once (at handle
-//    construction); every counter update is an index into a per-thread
-//    shard — no map lookup, no lock, no shared cache line between writer
-//    threads.
-//  * Deterministic snapshots. Counter cells and published histograms are
-//    merged by unordered summation, so a snapshot is bit-identical however
-//    many worker threads (IPA_JOBS) produced the increments — matching the
-//    parallel-runner determinism contract from bench/parallel_runner.h.
-//  * Concurrent-safe. Counter cells are relaxed atomics written by exactly
-//    one thread; snapshots may race with writers without UB (they observe
-//    a slightly stale but consistent-per-cell view; quiesced snapshots, as
-//    taken at process exit, are exact). Histograms merge under the
-//    registry mutex.
-//  * Owned counts. The flash device, the FTLs, the engine and the
-//    replication, admission and serving layers count events and latencies
-//    only in their own plain stats structs and publish them (PublishStats,
-//    PublishHistogram) when they discard them: at a stats reset and at
-//    destruction. A snapshot therefore sees an owner's counts only after
-//    that owner was reset or destroyed.
+//  * Publish-only. The registry is one mutex-guarded map from name to
+//    metric, and no per-operation path calls it. The flash device, the FTLs,
+//    the engine, the workload drivers and the replication, admission and
+//    serving layers count events and latencies in their own plain stats
+//    structs and publish them (PublishStats, PublishHistogram) when they
+//    discard them: at a stats reset and at destruction. A snapshot therefore
+//    sees an owner's counts only after that owner was reset or destroyed.
+//    Rare events (a closed trace span, a torn delta record) publish when
+//    they happen.
+//  * Deterministic snapshots. Publications merge by unordered summation, so
+//    a snapshot is bit-identical however many worker threads (IPA_JOBS)
+//    published — matching the parallel-runner determinism contract from
+//    bench/parallel_runner.h.
 //
 // Export: any binary linking this library writes a metrics JSON file at
 // process exit when IPA_METRICS_JSON is set; bench/tool binaries also accept
@@ -32,11 +26,14 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -72,132 +69,88 @@ struct Snapshot {
   std::string ToJson() const;
 };
 
-/// The process-wide registry. Use the typed handles below instead of calling
-/// Intern directly; TakeSnapshot() for reporting.
+/// The process-wide registry: one mutex-guarded map from name to metric.
+/// Owners publish into it with the functions below; TakeSnapshot() for
+/// reporting.
 class Registry {
  public:
-  // Capacity of the interned id spaces. Registration past a limit is a loud
-  // stderr warning and the overflowing metric routes to a dead cell.
-  static constexpr uint32_t kMaxCounters = 1024;
-  static constexpr uint32_t kMaxGauges = 256;
-  static constexpr uint32_t kMaxHistograms = 256;
-
   /// The singleton (leaked so atexit exporters can always reach it).
   static Registry& Instance();
 
-  /// Intern `name` with `type`; idempotent. Returns the type-specific index.
-  uint32_t Intern(std::string_view name, Type type);
+  /// Adds each delta to its counter under one lock, so no snapshot sees
+  /// some of them but not the others.
+  void AddCounters(std::initializer_list<std::pair<std::string_view, uint64_t>> deltas);
+  void SetGauge(std::string_view name, int64_t value);
+  void MergeHistogram(std::string_view name, const LatencyStats& stats);
 
   Snapshot TakeSnapshot();
 
-  /// Zero every live cell, retired accumulator and gauge. Test-only: must
-  /// not race with concurrent writers.
+  /// Drops every metric. Test-only.
   void ResetForTest();
 
-  // -- internal (used by the typed handles; not part of the public API) -----
-  std::atomic<uint64_t>* CounterCell(uint32_t id);
-  void SetGauge(uint32_t id, int64_t v);
-  void MergeHistogram(uint32_t id, const LatencyStats& h);
-
  private:
-  friend struct ThreadShard;
-  Registry();
-  struct Impl;
-  Impl* impl_;
+  Registry() = default;
+  /// Metric `name`, created as `type` on first publication; null when the
+  /// name already holds another type (the publication is dropped, with a
+  /// one-time warning). The caller holds mu_.
+  MetricValue* Slot(std::string_view name, Type type);
+
+  std::mutex mu_;
+  std::map<std::string, MetricValue, std::less<>> metrics_;
+  bool type_mismatch_warned_ = false;
 };
 
-/// Monotonic event count.
-class Counter {
- public:
-  explicit Counter(std::string_view name)
-      : id_(Registry::Instance().Intern(name, Type::kCounter)) {}
-  void Add(uint64_t delta) {
-    Registry::Instance().CounterCell(id_)->fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Inc() { Add(1); }
+/// Adds `delta` to counter `name`.
+inline void AddCounter(std::string_view name, uint64_t delta) {
+  Registry::Instance().AddCounters({{name, delta}});
+}
 
- private:
-  uint32_t id_;
-};
+/// Sets gauge `name`: last write wins (e.g. a fingerprint or a configured
+/// size).
+inline void SetGauge(std::string_view name, int64_t value) {
+  Registry::Instance().SetGauge(name, value);
+}
 
-/// Last-write-wins scalar (e.g. a fingerprint or a configured size).
-class Gauge {
- public:
-  explicit Gauge(std::string_view name)
-      : id_(Registry::Instance().Intern(name, Type::kGauge)) {}
-  void Set(int64_t v) { Registry::Instance().SetGauge(id_, v); }
+/// Merges an owner's latency histogram into histogram `name`. Owners call
+/// this where they publish their counters.
+inline void PublishHistogram(std::string_view name, const LatencyStats& stats) {
+  Registry::Instance().MergeHistogram(name, stats);
+}
 
- private:
-  uint32_t id_;
-};
-
-/// Add every named field of an owner's stats struct to its counter,
-/// registering the name on first use. Owners call this when they discard
-/// their counts (stats reset and destruction), so each event is counted once,
-/// in the owner's struct (docs/METRICS.md, "Owned counts").
+/// Adds every named field of an owner's stats struct to its counter. Owners
+/// call this when they discard their counts (stats reset and destruction),
+/// so each event is counted once, in the owner's struct (docs/METRICS.md,
+/// "Owned counts").
 template <typename Stats, size_t N>
 void PublishStats(const Stats& stats, const StatField<Stats> (&fields)[N]) {
   for (const StatField<Stats>& f : fields) {
-    if (f.metric) Counter(f.metric).Add(stats.*f.field);
+    if (f.metric) AddCounter(f.metric, stats.*f.field);
   }
-}
-
-/// Merge an owner's latency histogram into histogram `name`, registering the
-/// name on first use. Owners call this where they publish their counters.
-inline void PublishHistogram(std::string_view name, const LatencyStats& stats) {
-  Registry& r = Registry::Instance();
-  r.MergeHistogram(r.Intern(name, Type::kHistogram), stats);
 }
 
 // ---------------------------------------------------------------------------
 // Trace spans: attribute simulated time to a subsystem tree
 // ---------------------------------------------------------------------------
 
-/// Interns the three metrics of one span site: `trace.<name>.calls`,
-/// `trace.<name>.sim_us` (inclusive simulated time) and
-/// `trace.<name>.self_us` (minus time spent in nested spans). Declared
-/// `static` at the instrumentation site via IPA_TRACE_SPAN.
-class SpanSite {
- public:
-  explicit SpanSite(const char* name);
-
-  Counter calls;
-  Counter sim_us;
-  Counter self_us;
-};
-
-/// RAII span. With a null clock only `calls` is counted. Nesting is tracked
-/// per thread so `self_us` excludes child-span time.
+/// RAII span over a rare operation (a GC pass, a checkpoint, a mount). When
+/// it closes it adds to `trace.<name>.calls`, `trace.<name>.sim_us`
+/// (inclusive simulated time) and `trace.<name>.self_us` (minus time spent
+/// in nested spans, tracked per thread). With a null clock both times stay
+/// 0. `name` must outlive the span (a string literal).
 class ScopedSpan {
  public:
-  ScopedSpan(SpanSite& site, const SimClock* clock);
+  ScopedSpan(const char* name, const SimClock* clock);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  SpanSite& site_;
+  const char* name_;
   const SimClock* clock_;
   SimTime t0_ = 0;
   uint64_t child_us_ = 0;
   ScopedSpan* parent_;
 };
-
-// IPA_TRACE_SPAN("ftl.gc", &clock) — or IPA_TRACE_SPAN("ftl.gc") to count
-// calls without time attribution. Use at block scope; the span closes when
-// the enclosing scope exits.
-#define IPA_METRICS_CONCAT2(a, b) a##b
-#define IPA_METRICS_CONCAT(a, b) IPA_METRICS_CONCAT2(a, b)
-#define IPA_TRACE_SPAN_2(name, clock)                                         \
-  static ::ipa::metrics::SpanSite IPA_METRICS_CONCAT(ipa_span_site_,          \
-                                                     __LINE__)(name);         \
-  ::ipa::metrics::ScopedSpan IPA_METRICS_CONCAT(ipa_span_, __LINE__)(         \
-      IPA_METRICS_CONCAT(ipa_span_site_, __LINE__), (clock))
-#define IPA_TRACE_SPAN_1(name) IPA_TRACE_SPAN_2(name, nullptr)
-#define IPA_TRACE_SPAN_GET(_1, _2, macro, ...) macro
-#define IPA_TRACE_SPAN(...)                                                   \
-  IPA_TRACE_SPAN_GET(__VA_ARGS__, IPA_TRACE_SPAN_2, IPA_TRACE_SPAN_1)         \
-  (__VA_ARGS__)
 
 // ---------------------------------------------------------------------------
 // Export / import / compare

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/metrics.h"
+
 namespace ipa::ftl {
 
 namespace {
@@ -266,7 +268,7 @@ Status BlockManager::CollectIfNeeded() {
 }
 
 Status BlockManager::Collect() {
-  metrics::ScopedSpan span(hooks_.gc_span(), &device_->clock());
+  metrics::ScopedSpan span(hooks_.gc_trace, &device_->clock());
   int victim = PickVictim();
   if (victim < 0) return Status::NotFound("no GC victim available");
   const auto& g = device_->geometry();

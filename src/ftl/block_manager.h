@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "flash/flash_array.h"
@@ -104,9 +103,8 @@ class BlockManager {
     /// Count one write that borrowed another stream's frontier (only under
     /// kStreamWarmCold).
     std::function<void()> spilled;
-    /// Trace site of one GC pass. A function-local static, so the span
-    /// registers on the first pass.
-    std::function<metrics::SpanSite&()> gc_span;
+    /// Trace span name of one GC pass (metrics::ScopedSpan).
+    const char* gc_trace = nullptr;
   };
 
   /// Owns `pbns`, in claim order: block index i is pbns[i].

@@ -20,11 +20,11 @@ constexpr uint32_t kSlotEccBytes = 6;  // covers deltas up to 512 bytes
 /// migration, a mount-scan quarantine or a trim, so map_updates is their sum.
 void Publish(const RegionStats& s) {
   for (const RegionStatField& f : kRegionStatFields) {
-    if (f.noftl) metrics::Counter(std::string("ftl.") + f.noftl).Add(s.*f.field);
+    if (f.noftl) metrics::AddCounter(std::string("ftl.") + f.noftl, s.*f.field);
   }
-  metrics::Counter("ftl.map_updates")
-      .Add(s.host_page_writes + s.gc_page_migrations + s.wear_level_migrations +
-           s.torn_pages_quarantined + s.trims);
+  const uint64_t map_updates = s.host_page_writes + s.gc_page_migrations +
+                               s.wear_level_migrations + s.torn_pages_quarantined + s.trims;
+  metrics::AddCounter("ftl.map_updates", map_updates);
   metrics::PublishHistogram("ftl.read_latency_us", s.read_latency);
   metrics::PublishHistogram("ftl.write_latency_us", s.write_latency);
   metrics::PublishHistogram("ftl.delta_write_latency_us", s.delta_write_latency);
@@ -179,10 +179,7 @@ BlockManager::Hooks NoFtl::GcHooks(RegionId r) {
     return Status::OK();
   };
   h.erased = [this, r] { regions_[r].stats.gc_erases++; };
-  h.gc_span = []() -> metrics::SpanSite& {
-    static metrics::SpanSite site("ftl.gc");
-    return site;
-  };
+  h.gc_trace = "ftl.gc";
   return h;
 }
 
@@ -191,7 +188,7 @@ BlockManager::Hooks NoFtl::GcHooks(RegionId r) {
 // ---------------------------------------------------------------------------
 
 Status NoFtl::ScrubRegion(RegionId r, bool refresh_all) {
-  IPA_TRACE_SPAN("ftl.scrub", &device_->clock());
+  metrics::ScopedSpan span("ftl.scrub", &device_->clock());
   Region& reg = regions_[r];
   const auto& g = device_->geometry();
   std::vector<uint8_t> buf(g.page_size);
@@ -229,7 +226,7 @@ uint32_t NoFtl::EraseSpread(RegionId r) const {
 }
 
 Status NoFtl::WearLevelRegion(RegionId r, uint32_t max_spread) {
-  IPA_TRACE_SPAN("ftl.wear_level", &device_->clock());
+  metrics::ScopedSpan span("ftl.wear_level", &device_->clock());
   Region& reg = regions_[r];
   BlockManager& bm = reg.blocks;
   const auto& g = device_->geometry();
@@ -418,7 +415,7 @@ uint32_t NoFtl::ScrubUncoveredDeltaBytes(Region& reg, const uint8_t* oob,
 }
 
 Status NoFtl::MountScan(RegionId r, MountScanReport* report) {
-  IPA_TRACE_SPAN("ftl.mount_scan", &device_->clock());
+  metrics::ScopedSpan span("ftl.mount_scan", &device_->clock());
   Region& reg = regions_[r];
   const auto& g = device_->geometry();
   MountScanReport rep;

@@ -13,26 +13,6 @@ namespace ipa::ftl {
 namespace {
 constexpr uint32_t kStreamOffset = 22;
 constexpr uint32_t kEntryCrcOffset = 23;
-
-// Each prefix registers its span sites on first use, so a run that never
-// touches one flavor exports none of its names.
-metrics::SpanSite& GcSpan(bool per_stream) {
-  if (per_stream) {
-    static metrics::SpanSite streams("streamftl.gc");
-    return streams;
-  }
-  static metrics::SpanSite single("pageftl.gc");
-  return single;
-}
-
-metrics::SpanSite& MountSpan(bool per_stream) {
-  if (per_stream) {
-    static metrics::SpanSite streams("streamftl.mount");
-    return streams;
-  }
-  static metrics::SpanSite single("pageftl.mount");
-  return single;
-}
 }  // namespace
 
 PageFtl::PageFtl(flash::FlashArray* device, const PageFtlConfig& config,
@@ -44,11 +24,11 @@ PageFtl::PageFtl(flash::FlashArray* device, const PageFtlConfig& config,
 PageFtl::~PageFtl() {
   PublishStats();
   if (!per_stream()) return;
-  metrics::Counter("streamftl.stream_spills").Add(stream_spills_);
+  metrics::AddCounter("streamftl.stream_spills", stream_spills_);
   for (uint32_t s = 0; s < kNumStreams; s++) {
     std::string tag = StreamTagName(static_cast<StreamTag>(s));
     std::replace(tag.begin(), tag.end(), '-', '_');
-    metrics::Counter("streamftl.writes." + tag).Add(stream_writes_[s]);
+    metrics::AddCounter("streamftl.writes." + tag, stream_writes_[s]);
   }
 }
 
@@ -62,10 +42,10 @@ void PageFtl::ResetStats() {
 void PageFtl::PublishStats() const {
   std::string p = std::string(backend_name()) + ".";
   for (const RegionStatField& f : kRegionStatFields) {
-    if (f.pageftl) metrics::Counter(p + f.pageftl).Add(stats_.*f.field);
+    if (f.pageftl) metrics::AddCounter(p + f.pageftl, stats_.*f.field);
   }
-  metrics::Counter(p + "map_updates")
-      .Add(stats_.host_page_writes + stats_.gc_page_migrations + stats_.trims);
+  metrics::AddCounter(p + "map_updates",
+                      stats_.host_page_writes + stats_.gc_page_migrations + stats_.trims);
   metrics::PublishHistogram(p + "read_latency_us", stats_.read_latency);
   metrics::PublishHistogram(p + "write_latency_us", stats_.write_latency);
 }
@@ -126,7 +106,7 @@ BlockManager::Hooks PageFtl::GcHooks() {
   };
   h.erased = [this] { stats_.gc_erases++; };
   h.spilled = [this] { stream_spills_++; };
-  h.gc_span = [this]() -> metrics::SpanSite& { return GcSpan(per_stream()); };
+  h.gc_trace = per_stream() ? "streamftl.gc" : "pageftl.gc";
   return h;
 }
 
@@ -239,7 +219,8 @@ Status PageFtl::Trim(Lba lba) {
 // ---------------------------------------------------------------------------
 
 Status PageFtl::Mount(MountScanReport* report) {
-  metrics::ScopedSpan span(MountSpan(per_stream()), &device_->clock());
+  metrics::ScopedSpan span(per_stream() ? "streamftl.mount" : "pageftl.mount",
+                           &device_->clock());
   const auto& g = device_->geometry();
   MountScanReport rep;
 

@@ -12,8 +12,8 @@ AdmissionController::AdmissionController(uint32_t partitions, Config cfg)
 }
 
 AdmissionController::~AdmissionController() {
-  metrics::Counter("serve.admitted").Add(admitted());
-  metrics::Counter("serve.shed").Add(shed());
+  metrics::AddCounter("serve.admitted", admitted());
+  metrics::AddCounter("serve.shed", shed());
 }
 
 bool AdmissionController::TryAdmit(uint32_t part) {

@@ -19,32 +19,25 @@ namespace ipa::storage {
 
 namespace {
 
-/// Torn delta records rejected by the read/apply paths. Every rejection is
-/// one scan hitting a record whose ctrl byte is programmed but whose body
-/// fails validation (a torn in-place append); the same physical record counts
-/// once per scan until a scrub or quarantine clears it. Exported so the
-/// replication convergence oracle can assert that torn-record drops are
-/// observable, not silent.
-metrics::Counter& RejectedTorn() {
-  static metrics::Counter c{"storage.delta.rejected_torn"};
-  return c;
-}
-
-/// Delta-area tails quarantined because of a torn record: once a scan
-/// rejects a record, everything from it to the end of the area is treated as
-/// never written. Incremented in lockstep with RejectedTorn() — one rejected
-/// record quarantines exactly one tail — and the fuzzer's conservation
-/// oracle asserts the two counters stay equal.
-metrics::Counter& QuarantinedTails() {
-  static metrics::Counter c{"storage.delta.quarantined_tails"};
-  return c;
-}
-
-/// Single choke point for torn-record rejection so the two counters above
-/// cannot drift apart.
+/// Single choke point for torn-record rejection. It publishes at once, to
+/// two counters under one registry lock:
+///  * `storage.delta.rejected_torn`: torn delta records rejected by the
+///    read/apply paths. Every rejection is one scan hitting a record whose
+///    ctrl byte is programmed but whose body fails validation (a torn
+///    in-place append); the same physical record counts once per scan until
+///    a scrub or quarantine clears it. Exported so the replication
+///    convergence oracle can assert that torn-record drops are observable,
+///    not silent.
+///  * `storage.delta.quarantined_tails`: delta-area tails quarantined because
+///    of a torn record. Once a scan rejects a record, everything from it to
+///    the end of the area is treated as never written, so one rejected
+///    record quarantines exactly one tail; the fuzzer's conservation oracle
+///    asserts the two counters stay equal.
+/// Only a power cut leaves a torn record, so this runs rarely enough to
+/// publish at once instead of keeping a count.
 void NoteTornRejected() {
-  RejectedTorn().Inc();
-  QuarantinedTails().Inc();
+  metrics::Registry::Instance().AddCounters(
+      {{"storage.delta.rejected_torn", 1}, {"storage.delta.quarantined_tails", 1}});
 }
 
 struct AreaView {

@@ -3,9 +3,23 @@
 #include <algorithm>
 
 #include "common/bytes.h"
-#include "common/metrics.h"
 
 namespace ipa::workload {
+
+namespace {
+constexpr StatField<LinkbenchMix> kMixFields[] = {
+    {&LinkbenchMix::get_node, "workload.linkbench.get_node"},
+    {&LinkbenchMix::add_node, "workload.linkbench.add_node"},
+    {&LinkbenchMix::update_node, "workload.linkbench.update_node"},
+    {&LinkbenchMix::delete_node, "workload.linkbench.delete_node"},
+    {&LinkbenchMix::get_link, "workload.linkbench.get_link"},
+    {&LinkbenchMix::add_link, "workload.linkbench.add_link"},
+    {&LinkbenchMix::delete_link, "workload.linkbench.delete_link"},
+    {&LinkbenchMix::update_link, "workload.linkbench.update_link"},
+    {&LinkbenchMix::count_link, "workload.linkbench.count_link"},
+    {&LinkbenchMix::get_link_list, "workload.linkbench.get_link_list"},
+};
+}  // namespace
 
 Linkbench::Linkbench(engine::Database* db, LinkbenchConfig config,
                      TablespaceMap ts_of)
@@ -26,6 +40,8 @@ Linkbench::Linkbench(engine::Database* db, LinkbenchConfig config,
       link_payload_cdf_({{0, 0.45}, {4, 0.6}, {8, 0.8}, {12, 0.95}, {16, 1.0}}) {
   zipf_ = std::make_unique<ZipfianGenerator>(config.nodes, config.zipf_theta);
 }
+
+Linkbench::~Linkbench() { PublishMix(mix_, kMixFields); }
 
 uint64_t Linkbench::EstimatedPages(uint32_t page_size) const {
   uint64_t node_bytes = config_.nodes * (kNodeHeader + 100 + 8);
@@ -407,31 +423,18 @@ Result<bool> Linkbench::GetLinkList() {
 }
 
 Result<bool> Linkbench::RunTransaction() {
-  struct Mix {
-    metrics::Counter get_node{"workload.linkbench.get_node"};
-    metrics::Counter add_node{"workload.linkbench.add_node"};
-    metrics::Counter update_node{"workload.linkbench.update_node"};
-    metrics::Counter delete_node{"workload.linkbench.delete_node"};
-    metrics::Counter get_link{"workload.linkbench.get_link"};
-    metrics::Counter add_link{"workload.linkbench.add_link"};
-    metrics::Counter delete_link{"workload.linkbench.delete_link"};
-    metrics::Counter update_link{"workload.linkbench.update_link"};
-    metrics::Counter count_link{"workload.linkbench.count_link"};
-    metrics::Counter get_link_list{"workload.linkbench.get_link_list"};
-  };
-  static Mix mix;
   // LinkBench paper operation mix.
   double p = rng_.NextDouble();
-  if (p < 0.129) { mix.get_node.Inc(); return GetNode(); }
-  if (p < 0.155) { mix.add_node.Inc(); return AddNode(); }
-  if (p < 0.229) { mix.update_node.Inc(); return UpdateNode(); }
-  if (p < 0.239) { mix.delete_node.Inc(); return DeleteNode(); }
-  if (p < 0.249) { mix.get_link.Inc(); return GetLink(); }  // GET_LINK + MULTIGET
-  if (p < 0.339) { mix.add_link.Inc(); return AddLink(); }
-  if (p < 0.369) { mix.delete_link.Inc(); return DeleteLink(); }
-  if (p < 0.449) { mix.update_link.Inc(); return UpdateLink(); }
-  if (p < 0.498) { mix.count_link.Inc(); return CountLink(); }
-  mix.get_link_list.Inc();
+  if (p < 0.129) { mix_.get_node++; return GetNode(); }
+  if (p < 0.155) { mix_.add_node++; return AddNode(); }
+  if (p < 0.229) { mix_.update_node++; return UpdateNode(); }
+  if (p < 0.239) { mix_.delete_node++; return DeleteNode(); }
+  if (p < 0.249) { mix_.get_link++; return GetLink(); }  // GET_LINK + MULTIGET
+  if (p < 0.339) { mix_.add_link++; return AddLink(); }
+  if (p < 0.369) { mix_.delete_link++; return DeleteLink(); }
+  if (p < 0.449) { mix_.update_link++; return UpdateLink(); }
+  if (p < 0.498) { mix_.count_link++; return CountLink(); }
+  mix_.get_link_list++;
   return GetLinkList();
 }
 

@@ -29,9 +29,18 @@ struct LinkbenchConfig {
   uint64_t seed = 17;
 };
 
+/// Operations a Linkbench driver ran, by type: published under
+/// `workload.linkbench.*` when the driver is destroyed.
+struct LinkbenchMix {
+  uint64_t get_node = 0, add_node = 0, update_node = 0, delete_node = 0;
+  uint64_t get_link = 0, add_link = 0, delete_link = 0, update_link = 0;
+  uint64_t count_link = 0, get_link_list = 0;
+};
+
 class Linkbench : public Workload {
  public:
   Linkbench(engine::Database* db, LinkbenchConfig config, TablespaceMap ts_of);
+  ~Linkbench() override;
 
   Status Load() override;
   Result<bool> RunTransaction() override;
@@ -100,6 +109,7 @@ class Linkbench : public Workload {
   std::unique_ptr<engine::Btree> count_index_;  ///< node id -> COUNT rid
   std::unordered_map<uint64_t, uint32_t> next_link_seq_;
   uint64_t next_node_id_ = 0;
+  LinkbenchMix mix_;
 };
 
 }  // namespace ipa::workload

@@ -1,12 +1,25 @@
 #include "workload/tatp.h"
 
 #include "common/bytes.h"
-#include "common/metrics.h"
 
 namespace ipa::workload {
 
+namespace {
+constexpr StatField<TatpMix> kMixFields[] = {
+    {&TatpMix::get_subscriber, "workload.tatp.get_subscriber_data"},
+    {&TatpMix::get_new_dest, "workload.tatp.get_new_destination"},
+    {&TatpMix::get_access, "workload.tatp.get_access_data"},
+    {&TatpMix::upd_subscriber, "workload.tatp.update_subscriber_data"},
+    {&TatpMix::upd_location, "workload.tatp.update_location"},
+    {&TatpMix::ins_call_fwd, "workload.tatp.insert_call_forwarding"},
+    {&TatpMix::del_call_fwd, "workload.tatp.delete_call_forwarding"},
+};
+}  // namespace
+
 Tatp::Tatp(engine::Database* db, TatpConfig config, TablespaceMap ts_of)
     : db_(db), config_(config), ts_of_(std::move(ts_of)), rng_(config.seed) {}
+
+Tatp::~Tatp() { PublishMix(mix_, kMixFields); }
 
 uint64_t Tatp::EstimatedPages(uint32_t page_size) const {
   uint64_t sub_pages =
@@ -303,25 +316,15 @@ Result<bool> Tatp::DeleteCallForwarding() {
 }
 
 Result<bool> Tatp::RunTransaction() {
-  struct Mix {
-    metrics::Counter get_subscriber{"workload.tatp.get_subscriber_data"};
-    metrics::Counter get_new_dest{"workload.tatp.get_new_destination"};
-    metrics::Counter get_access{"workload.tatp.get_access_data"};
-    metrics::Counter upd_subscriber{"workload.tatp.update_subscriber_data"};
-    metrics::Counter upd_location{"workload.tatp.update_location"};
-    metrics::Counter ins_call_fwd{"workload.tatp.insert_call_forwarding"};
-    metrics::Counter del_call_fwd{"workload.tatp.delete_call_forwarding"};
-  };
-  static Mix mix;
   // Standard TATP mix.
   double p = rng_.NextDouble();
-  if (p < 0.35) { mix.get_subscriber.Inc(); return GetSubscriberData(); }
-  if (p < 0.45) { mix.get_new_dest.Inc(); return GetNewDestination(); }
-  if (p < 0.80) { mix.get_access.Inc(); return GetAccessData(); }
-  if (p < 0.82) { mix.upd_subscriber.Inc(); return UpdateSubscriberData(); }
-  if (p < 0.96) { mix.upd_location.Inc(); return UpdateLocation(); }
-  if (p < 0.98) { mix.ins_call_fwd.Inc(); return InsertCallForwarding(); }
-  mix.del_call_fwd.Inc();
+  if (p < 0.35) { mix_.get_subscriber++; return GetSubscriberData(); }
+  if (p < 0.45) { mix_.get_new_dest++; return GetNewDestination(); }
+  if (p < 0.80) { mix_.get_access++; return GetAccessData(); }
+  if (p < 0.82) { mix_.upd_subscriber++; return UpdateSubscriberData(); }
+  if (p < 0.96) { mix_.upd_location++; return UpdateLocation(); }
+  if (p < 0.98) { mix_.ins_call_fwd++; return InsertCallForwarding(); }
+  mix_.del_call_fwd++;
   return DeleteCallForwarding();
 }
 

@@ -21,9 +21,17 @@ struct TatpConfig {
   uint64_t seed = 13;
 };
 
+/// Transactions a Tatp driver ran, by type: published under
+/// `workload.tatp.*` when the driver is destroyed.
+struct TatpMix {
+  uint64_t get_subscriber = 0, get_new_dest = 0, get_access = 0;
+  uint64_t upd_subscriber = 0, upd_location = 0, ins_call_fwd = 0, del_call_fwd = 0;
+};
+
 class Tatp : public Workload {
  public:
   Tatp(engine::Database* db, TatpConfig config, TablespaceMap ts_of);
+  ~Tatp() override;
 
   Status Load() override;
   Result<bool> RunTransaction() override;
@@ -66,6 +74,7 @@ class Tatp : public Workload {
   std::unique_ptr<engine::Btree> ai_index_;  ///< s*4 + ai_type -> rid
   std::unique_ptr<engine::Btree> sf_index_;  ///< s*4 + sf_type -> rid
   std::unique_ptr<engine::Btree> cf_index_;  ///< (s*4 + sf)*8 + slot -> rid
+  TatpMix mix_;
 };
 
 }  // namespace ipa::workload

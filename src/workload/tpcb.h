@@ -28,6 +28,8 @@ class Tpcb : public Workload {
   /// `index_ts` may differ from the data tablespace (e.g. to give index
   /// pages their own region); pass the same id to co-locate.
   Tpcb(engine::Database* db, TpcbConfig config, TablespaceMap ts_of);
+  /// Publishes workload.tpcb.account_update if any transaction ran.
+  ~Tpcb() override;
 
   Status Load() override;
   Result<bool> RunTransaction() override;
@@ -57,6 +59,7 @@ class Tpcb : public Workload {
   std::vector<engine::Rid> branch_rids_;
   std::vector<engine::Rid> teller_rids_;
   std::unique_ptr<engine::Btree> account_index_;
+  uint64_t account_updates_ = 0;
 };
 
 }  // namespace ipa::workload

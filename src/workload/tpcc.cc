@@ -3,11 +3,18 @@
 #include <algorithm>
 
 #include "common/bytes.h"
-#include "common/metrics.h"
 
 namespace ipa::workload {
 
 namespace {
+
+constexpr StatField<TpccMix> kMixFields[] = {
+    {&TpccMix::new_order, "workload.tpcc.new_order"},
+    {&TpccMix::payment, "workload.tpcc.payment"},
+    {&TpccMix::order_status, "workload.tpcc.order_status"},
+    {&TpccMix::delivery, "workload.tpcc.delivery"},
+    {&TpccMix::stock_level, "workload.tpcc.stock_level"},
+};
 
 std::vector<uint8_t> Filler(uint32_t size, uint8_t fill = 0x20) {
   return std::vector<uint8_t>(size, fill);
@@ -21,6 +28,8 @@ Tpcc::Tpcc(engine::Database* db, TpccConfig config, TablespaceMap ts_of)
       ts_of_(std::move(ts_of)),
       rng_(config.seed),
       nurand_(config.seed) {}
+
+Tpcc::~Tpcc() { PublishMix(mix_, kMixFields); }
 
 uint64_t Tpcc::EstimatedPages(uint32_t page_size) const {
   auto pages_for = [&](uint64_t rows, uint32_t size) {
@@ -599,20 +608,12 @@ Status Tpcc::RebuildIndexes() {
 }
 
 Result<bool> Tpcc::RunTransaction() {
-  struct Mix {
-    metrics::Counter new_order{"workload.tpcc.new_order"};
-    metrics::Counter payment{"workload.tpcc.payment"};
-    metrics::Counter order_status{"workload.tpcc.order_status"};
-    metrics::Counter delivery{"workload.tpcc.delivery"};
-    metrics::Counter stock_level{"workload.tpcc.stock_level"};
-  };
-  static Mix mix;
   double p = rng_.NextDouble();
-  if (p < 0.45) { mix.new_order.Inc(); return NewOrder(); }
-  if (p < 0.88) { mix.payment.Inc(); return Payment(); }
-  if (p < 0.92) { mix.order_status.Inc(); return OrderStatus(); }
-  if (p < 0.96) { mix.delivery.Inc(); return Delivery(); }
-  mix.stock_level.Inc();
+  if (p < 0.45) { mix_.new_order++; return NewOrder(); }
+  if (p < 0.88) { mix_.payment++; return Payment(); }
+  if (p < 0.92) { mix_.order_status++; return OrderStatus(); }
+  if (p < 0.96) { mix_.delivery++; return Delivery(); }
+  mix_.stock_level++;
   return StockLevel();
 }
 

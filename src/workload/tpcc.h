@@ -33,9 +33,16 @@ struct TpccConfig {
   uint64_t seed = 11;
 };
 
+/// Transactions a Tpcc driver ran, by type: published under
+/// `workload.tpcc.*` when the driver is destroyed.
+struct TpccMix {
+  uint64_t new_order = 0, payment = 0, order_status = 0, delivery = 0, stock_level = 0;
+};
+
 class Tpcc : public Workload {
  public:
   Tpcc(engine::Database* db, TpccConfig config, TablespaceMap ts_of);
+  ~Tpcc() override;
 
   Status Load() override;
   Result<bool> RunTransaction() override;
@@ -143,6 +150,7 @@ class Tpcc : public Workload {
   std::unique_ptr<engine::Btree> last_order_index_; ///< customer -> OrderKey
 
   std::vector<uint64_t> next_o_id_;  ///< per global district (D_NEXT_O_ID cache)
+  TpccMix mix_;
 };
 
 }  // namespace ipa::workload

@@ -3,11 +3,18 @@
 #include <algorithm>
 
 #include "common/bytes.h"
-#include "common/metrics.h"
 
 namespace ipa::workload {
 
 namespace {
+
+constexpr StatField<TpchLiteMix> kScanFields[] = {
+    {&TpchLiteMix::scans, "workload.tpch_lite.scans"},
+    {&TpchLiteMix::scan_rows, "workload.tpch_lite.scan_rows"},
+};
+constexpr StatField<TpchLiteMix> kWriterFields[] = {
+    {&TpchLiteMix::writer_txns, "workload.tpch_lite.writer_txns"},
+};
 
 /// 64-bit mix (splitmix64 finalizer) for the aggregate fingerprint: cheap,
 /// deterministic, and order-sensitive when chained.
@@ -41,6 +48,11 @@ std::vector<uint8_t> MakeRow(uint64_t key, Rng& rng) {
 TpchLite::TpchLite(engine::Database* db, TpchLiteConfig config,
                    TablespaceMap ts_of)
     : db_(db), config_(config), ts_of_(std::move(ts_of)), rng_(config.seed) {}
+
+TpchLite::~TpchLite() {
+  PublishMix(mix_, kScanFields);
+  PublishMix(mix_, kWriterFields);
+}
 
 uint64_t TpchLite::EstimatedPages(uint32_t page_size) const {
   uint64_t per_page = page_size / (kLineTupleSize + 8);
@@ -102,9 +114,7 @@ Result<bool> TpchLite::RunTransaction() {
 }
 
 Result<bool> TpchLite::RunAnalytics() {
-  static metrics::Counter scans("workload.tpch_lite.scans");
-  static metrics::Counter scan_rows("workload.tpch_lite.scan_rows");
-  scans.Inc();
+  mix_.scans++;
 
   if (next_row_ == 0) return true;  // nothing loaded yet
   // Q1-lite (even draws): sum qty and discounted price over a key range.
@@ -153,13 +163,12 @@ Result<bool> TpchLite::RunAnalytics() {
   agg_fingerprint_ = Mix(agg_fingerprint_, sum_price);
   agg_fingerprint_ = Mix(agg_fingerprint_, rows);
   scans_run_++;
-  scan_rows.Add(rows);
+  mix_.scan_rows += rows;
   return true;
 }
 
 Result<bool> TpchLite::RunWriter() {
-  static metrics::Counter writes("workload.tpch_lite.writer_txns");
-  writes.Inc();
+  mix_.writer_txns++;
 
   engine::TxnId txn = db_->Begin();
   auto fail = [&](Status s) -> Result<bool> {

@@ -33,6 +33,13 @@ struct TpchLiteConfig {
   uint32_t seed = 11;
 };
 
+/// Transactions a TpchLite driver ran: published under
+/// `workload.tpch_lite.*` when the driver is destroyed, the two scan counts
+/// once a scan ran and the writer count once a writer ran.
+struct TpchLiteMix {
+  uint64_t scans = 0, scan_rows = 0, writer_txns = 0;
+};
+
 class TpchLite : public Workload {
  public:
   static constexpr uint32_t kLineTupleSize = 120;
@@ -42,6 +49,7 @@ class TpchLite : public Workload {
   static constexpr uint32_t kShipDateOffset = 20;
 
   TpchLite(engine::Database* db, TpchLiteConfig config, TablespaceMap ts_of);
+  ~TpchLite() override;
 
   Status Load() override;
   Result<bool> RunTransaction() override;
@@ -70,6 +78,7 @@ class TpchLite : public Workload {
   uint64_t txn_counter_ = 0;
   uint64_t agg_fingerprint_ = 0;
   uint64_t scans_run_ = 0;
+  TpchLiteMix mix_;
 };
 
 }  // namespace ipa::workload

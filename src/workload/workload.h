@@ -10,6 +10,9 @@
 // structures (e.g. "oldest undelivered order per district") are held in
 // process memory where noted; primary data and indexes live in the engine
 // and generate real page I/O.
+//
+// Each driver counts the transactions of its mix in a member and publishes
+// them under `workload.*` when it is destroyed (docs/METRICS.md).
 
 #pragma once
 
@@ -18,7 +21,9 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/metrics.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "engine/database.h"
 
@@ -36,7 +41,12 @@ inline TablespaceMap SingleTablespace(engine::TablespaceId ts) {
 
 class Workload {
  public:
+  Workload() = default;
   virtual ~Workload() = default;
+  // A driver publishes its mix when destroyed: a copy, or a moved-from
+  // shell, would publish it twice.
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
 
   /// Create tables/indexes and populate the initial database.
   virtual Status Load() = 0;
@@ -62,5 +72,18 @@ class Workload {
 
 /// Run `n` transactions, aborting the run on hard errors.
 Status RunTransactions(Workload& w, uint64_t n);
+
+/// Publishes a driver's mix counts (metrics::PublishStats) once any of them
+/// moved, so a driver that ran none of them, such as one built with a null
+/// database only to size a stack, publishes no name.
+template <typename Mix, size_t N>
+void PublishMix(const Mix& mix, const StatField<Mix> (&fields)[N]) {
+  for (const StatField<Mix>& f : fields) {
+    if (mix.*f.field != 0) {
+      metrics::PublishStats(mix, fields);
+      return;
+    }
+  }
+}
 
 }  // namespace ipa::workload

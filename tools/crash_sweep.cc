@@ -148,9 +148,9 @@ int main(int argc, char** argv) {
   // Expose the sweep outcome in the metrics snapshot so the CI perf gate can
   // diff it against a checked-in baseline alongside the flash/FTL counters.
   const std::string prefix = rep.repl ? "crash_sweep.repl." : "crash_sweep.";
-  ipa::metrics::Gauge(prefix + "fingerprint").Set(rep.Fingerprint());
-  ipa::metrics::Gauge(prefix + "points").Set(static_cast<int64_t>(rep.points.size()));
-  ipa::metrics::Gauge(prefix + "failures").Set(static_cast<int64_t>(rep.failures));
+  ipa::metrics::SetGauge(prefix + "fingerprint", rep.Fingerprint());
+  ipa::metrics::SetGauge(prefix + "points", static_cast<int64_t>(rep.points.size()));
+  ipa::metrics::SetGauge(prefix + "failures", static_cast<int64_t>(rep.failures));
 
   if (const char* path = ArgStr(argc, argv, "--json")) {
     if (!WriteJson(path, rep)) {

@@ -173,20 +173,15 @@ int Main(int argc, char** argv) {
   }
 
   const net::EpollServer::Stats& st = server.stats();
-  metrics::Gauge("server.conns_accepted").Set(static_cast<int64_t>(st.accepted));
-  metrics::Gauge("server.requests").Set(static_cast<int64_t>(st.requests));
-  metrics::Gauge("server.responses").Set(static_cast<int64_t>(st.responses));
-  metrics::Gauge("server.shed").Set(static_cast<int64_t>(st.shed));
-  metrics::Gauge("server.bad_requests")
-      .Set(static_cast<int64_t>(st.bad_requests));
-  metrics::Gauge("server.protocol_fatal")
-      .Set(static_cast<int64_t>(st.protocol_fatal));
-  metrics::Gauge("server.dropped_slow")
-      .Set(static_cast<int64_t>(st.dropped_slow));
-  metrics::Gauge("server.dropped_flooded")
-      .Set(static_cast<int64_t>(st.dropped_flooded));
-  metrics::Gauge("server.txn_aborted_on_close")
-      .Set(static_cast<int64_t>(st.txn_aborted_on_close));
+  metrics::SetGauge("server.conns_accepted", static_cast<int64_t>(st.accepted));
+  metrics::SetGauge("server.requests", static_cast<int64_t>(st.requests));
+  metrics::SetGauge("server.responses", static_cast<int64_t>(st.responses));
+  metrics::SetGauge("server.shed", static_cast<int64_t>(st.shed));
+  metrics::SetGauge("server.bad_requests", static_cast<int64_t>(st.bad_requests));
+  metrics::SetGauge("server.protocol_fatal", static_cast<int64_t>(st.protocol_fatal));
+  metrics::SetGauge("server.dropped_slow", static_cast<int64_t>(st.dropped_slow));
+  metrics::SetGauge("server.dropped_flooded", static_cast<int64_t>(st.dropped_flooded));
+  metrics::SetGauge("server.txn_aborted_on_close", static_cast<int64_t>(st.txn_aborted_on_close));
   std::printf(
       "ipa_server: shutdown complete (conns %llu, requests %llu, responses "
       "%llu, shed %llu, bad %llu, fatal %llu, slow-dropped %llu, "
