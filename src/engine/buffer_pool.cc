@@ -133,11 +133,6 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
       dev_ok, config_.record_update_sizes, &diff_scratch_);
   if (config_.record_update_sizes && flash_exists) RecordTrace(*frame, d);
 
-  // Stream classification for stream-aware devices; kUntagged without a
-  // classifier keeps the legacy WritePage behavior bit-identical.
-  ftl::StreamTag tag =
-      config_.stream_of ? config_.stream_of(frame->id) : ftl::StreamTag::kUntagged;
-
   switch (d.path) {
     case core::WritePath::kClean:
       stats_.clean_diff_skips++;
@@ -176,6 +171,10 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
     case core::WritePath::kOutOfPlace: {
       storage::SlottedPage view(frame->cur.data(), config_.page_size);
       ensure_log_durable_(view.page_lsn());
+      // Stream classification for stream-aware devices; kUntagged without a
+      // classifier keeps the legacy WritePage behavior bit-identical.
+      ftl::StreamTag tag =
+          config_.stream_of ? config_.stream_of(frame->id) : ftl::StreamTag::kUntagged;
       IPA_RETURN_NOT_OK(dev->WriteTagged(lba, frame->cur.data(), !async, tag));
       stats_.oop_flushes++;
       if (config_.io_trace) {
