@@ -54,7 +54,9 @@ class SlottedPage {
   Status UpdateInPlace(SlotId slot, uint32_t offset, std::span<const uint8_t> bytes);
 
   /// Replace the whole tuple, possibly changing its length (relocates within
-  /// the page; may fail with OutOfSpace — callers may Compact and retry).
+  /// the page). A grown tuple that does not fit even after compacting the
+  /// page fails with OutOfSpace; the page stays compacted and keeps the old
+  /// tuple, so a retry cannot succeed.
   Status UpdateResize(SlotId slot, std::span<const uint8_t> tuple);
 
   /// Mark-delete a tuple (slot survives; space reclaimed by Compact()).

@@ -375,6 +375,32 @@ TEST(DatabaseTest, MoveRelocatesGrownTuple) {
   ASSERT_TRUE(t.db->Commit(txn).ok());
 }
 
+// A grown tuple that cannot fit in its page even after compaction fails
+// cleanly: the old tuple and its neighbours stay readable and nothing is
+// logged.
+TEST(DatabaseTest, ResizeThatCannotFitLeavesPageAndLogAlone) {
+  TestDb t;
+  TxnId txn = t.db->Begin();
+  std::vector<Rid> rids;
+  for (uint8_t i = 0; i < 3; i++) {
+    auto rid = t.db->Insert(txn, t.table, Tuple(900, i));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  ASSERT_EQ(rids[0].page, rids[2].page);
+  const Lsn end = t.db->wal().end_lsn();
+
+  Status s = t.db->UpdateResize(txn, rids[1], Tuple(4096, 9));
+  EXPECT_TRUE(s.IsOutOfSpace()) << s.ToString();
+  EXPECT_EQ(t.db->wal().end_lsn(), end);
+  for (uint8_t i = 0; i < 3; i++) {
+    auto read = t.db->Read(txn, rids[i]);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read.value(), Tuple(900, i));
+  }
+  ASSERT_TRUE(t.db->Commit(txn).ok());
+}
+
 TEST(DatabaseTest, UpdateTracesRecorded) {
   TestDb t(/*buffer_pages=*/16);
   // Rebuild with recording on.
