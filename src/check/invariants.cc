@@ -146,6 +146,31 @@ Status CheckPageFtlCounterConservation(const flash::DeviceStats& dev,
   return Status::OK();
 }
 
+Status CheckPublishedConservation(const metrics::Snapshot& snap) {
+  const uint64_t delta_programs = snap.Counter("flash.delta_programs");
+  const uint64_t host_deltas = snap.Counter("ftl.host_delta_writes");
+  if (delta_programs != host_deltas) {
+    return Mismatch("published delta programs vs host delta writes", delta_programs,
+                    host_deltas);
+  }
+  const uint64_t erases = snap.Counter("flash.block_erases");
+  const uint64_t erase_causes =
+      snap.Counter("ftl.gc.erases") + snap.Counter("ftl.wear_level.swaps") +
+      snap.Counter("pageftl.gc.erases") + snap.Counter("streamftl.gc.erases");
+  if (erases != erase_causes) {
+    return Mismatch("published block erases vs gc+wear causes", erases, erase_causes);
+  }
+  const uint64_t programs =
+      snap.Counter("flash.page_programs.lsb") + snap.Counter("flash.page_programs.msb");
+  const uint64_t host_pages = snap.Counter("ftl.host_page_writes") +
+                              snap.Counter("pageftl.host_page_writes") +
+                              snap.Counter("streamftl.host_page_writes");
+  if (programs < host_pages) {
+    return Mismatch("published page programs below host page writes", programs, host_pages);
+  }
+  return Status::OK();
+}
+
 Status AuditMappedDeltaAreas(const flash::FlashArray& dev,
                              const ftl::NoFtl& noftl, ftl::RegionId region) {
   const auto& g = dev.geometry();

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "engine/buffer_pool.h"
 #include "flash/flash_array.h"
@@ -63,6 +64,14 @@ Status CheckCounterConservation(const flash::DeviceStats& dev,
 Status CheckPageFtlCounterConservation(const flash::DeviceStats& dev,
                                        const ftl::RegionStats& ftl,
                                        const engine::BufferStats& pool);
+
+/// The same family over a registry snapshot, summed over every stack of the
+/// process: every delta program is a host delta write, every erase a GC
+/// erase or a wear-level swap, and page programs (which also count GC and
+/// wear-level migrations) are at least the host page writes. Valid once
+/// every stack that published into `snap` is destroyed; it checks that the
+/// registry adds up what the owners publish.
+Status CheckPublishedConservation(const metrics::Snapshot& snap);
 
 /// Audit the raw media delta area of every mapped page of `region`.
 /// Only meaningful when no torn write is pending recovery (after a completed

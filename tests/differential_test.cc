@@ -12,6 +12,7 @@
 
 #include "bench/parallel_runner.h"
 #include "check/fuzzer.h"
+#include "check/invariants.h"
 #include "check/shrinker.h"
 #include "common/fault_injection.h"
 #include "common/metrics.h"
@@ -428,8 +429,8 @@ TEST(Differential, WearLevelSurvivesTornSwap) {
 
 // ---------------------------------------------------------------------------
 // Process-global counter conservation: across several serial runs the
-// registry's flash-level counters must balance the FTL-level causes, the
-// same relation ipa_fuzz checks at exit.
+// registry's flash-level counters must balance the FTL-level causes
+// (CheckPublishedConservation, which ipa_fuzz also runs at exit).
 // ---------------------------------------------------------------------------
 
 TEST(Differential, ProcessGlobalCounterConservation) {
@@ -442,18 +443,8 @@ TEST(Differential, ProcessGlobalCounterConservation) {
     ASSERT_TRUE(r.ok) << ReproLine(cfg) << ": " << r.error;
   }
   metrics::Snapshot snap = metrics::Registry::Instance().TakeSnapshot();
-  EXPECT_EQ(snap.Counter("flash.delta_programs"),
-            snap.Counter("ftl.host_delta_writes"));
-  EXPECT_EQ(snap.Counter("flash.block_erases"),
-            snap.Counter("ftl.gc.erases") +
-                snap.Counter("ftl.wear_level.swaps") +
-                snap.Counter("pageftl.gc.erases") +
-                snap.Counter("streamftl.gc.erases"));
-  EXPECT_GE(snap.Counter("flash.page_programs.lsb") +
-                snap.Counter("flash.page_programs.msb"),
-            snap.Counter("ftl.host_page_writes") +
-                snap.Counter("pageftl.host_page_writes") +
-                snap.Counter("streamftl.host_page_writes"));
+  Status conserved = CheckPublishedConservation(snap);
+  EXPECT_TRUE(conserved.ok()) << conserved.ToString();
   EXPECT_GT(snap.Counter("flash.delta_programs"), 0u);
 }
 
