@@ -1,8 +1,9 @@
 // Deterministic differential fuzz harness.
 //
 // A run is fully determined by (seed, op count, schedule): the op trace is
-// generated up front from the seed, then replayed against a private simulated
-// stack (FlashArray -> NoFTL -> Database) and the pure reference model
+// generated up front from the seed, then replayed against the schedule's
+// private simulated stack (flash array, FTL regions, one Database or a
+// ShardedDatabase) and the pure reference model
 // (check/model_db.h) in lock-step. After every step the cheap oracles run
 // (counter conservation); every deep_check_every steps — and after every
 // recovery — the deep oracles run too (scan equivalence, flash/region
