@@ -178,39 +178,54 @@ TEST(Differential, KnownAnswerAnchors) {
 // through the fault-injection points, a seeded run must fail, the shrinker
 // must cut the trace to a handful of ops, and the shrunk trace must pass
 // again the moment the faults are off (the bug, not the harness, is at
-// fault).
+// fault). One row per schedule whose sessions or crash protocol differ:
+// one Database, sharded sessions, and a replica that can lose power too.
 // ---------------------------------------------------------------------------
 
 TEST(Differential, InjectedBugIsCaughtAndShrunk) {
-  FuzzConfig cfg;
-  cfg.schedule = Schedule::kSlc;
-  cfg.seed = 2;  // known to hit a torn append with the checks disabled
-  cfg.ops = 120;
+  // Each (schedule, seed, ops) is known to hit a torn append with the
+  // checks disabled.
+  constexpr struct {
+    Schedule schedule;
+    uint64_t seed;
+    uint64_t ops;
+  } kRows[] = {
+      {Schedule::kSlc, 2, 120},
+      {Schedule::kSharded, 10, 250},
+      {Schedule::kRepl, 1, 120},
+  };
+  for (const auto& row : kRows) {
+    FuzzConfig cfg;
+    cfg.schedule = row.schedule;
+    cfg.seed = row.seed;
+    cfg.ops = row.ops;
+    SCOPED_TRACE(ReproLine(cfg));
 
-  std::vector<Op> shrunk;
-  {
-    fault::ScopedFault f1(fault::Point::kSkipDeltaRecordValidation);
-    fault::ScopedFault f2(fault::Point::kSkipTornByteScrub);
+    std::vector<Op> shrunk;
+    {
+      fault::ScopedFault f1(fault::Point::kSkipDeltaRecordValidation);
+      fault::ScopedFault f2(fault::Point::kSkipTornByteScrub);
 
-    FuzzResult r = RunFuzz(cfg);
-    ASSERT_FALSE(r.ok) << "injected bug not caught";
+      FuzzResult r = RunFuzz(cfg);
+      ASSERT_FALSE(r.ok) << "injected bug not caught";
 
-    ShrinkResult sr = ShrinkTrace(cfg, GenerateOps(cfg));
-    ASSERT_FALSE(sr.failure.ok);
-    ASSERT_FALSE(sr.trace.empty());
-    EXPECT_LE(sr.trace.size(), 25u)
-        << "shrinker left too much noise:\n" << FormatTrace(sr.trace);
-    shrunk = sr.trace;
+      ShrinkResult sr = ShrinkTrace(cfg, GenerateOps(cfg));
+      ASSERT_FALSE(sr.failure.ok);
+      ASSERT_FALSE(sr.trace.empty());
+      EXPECT_LE(sr.trace.size(), 25u)
+          << "shrinker left too much noise:\n" << FormatTrace(sr.trace);
+      shrunk = sr.trace;
 
-    // The minimized trace still reproduces while the faults are armed.
-    FuzzResult replay = ReplayTrace(cfg, shrunk);
-    EXPECT_FALSE(replay.ok);
+      // The minimized trace still reproduces while the faults are armed.
+      FuzzResult replay = ReplayTrace(cfg, shrunk);
+      EXPECT_FALSE(replay.ok);
+    }
+
+    // Faults off: the same minimized trace passes — the harness flagged the
+    // injected bug, not a phantom.
+    FuzzResult clean = ReplayTrace(cfg, shrunk);
+    EXPECT_TRUE(clean.ok) << clean.error;
   }
-
-  // Faults off: the same minimized trace passes — the harness flagged the
-  // injected bug, not a phantom.
-  FuzzResult clean = ReplayTrace(cfg, shrunk);
-  EXPECT_TRUE(clean.ok) << clean.error;
 }
 
 // ---------------------------------------------------------------------------
