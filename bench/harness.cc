@@ -159,9 +159,7 @@ Result<RunResult> RunWorkload(const RunConfig& config) {
   bed->db->ClearIoTrace();
   SimTime t0 = bed->clock().Now();
 
-  uint32_t cpu = config.cpu_us_per_txn == UINT32_MAX
-                     ? DefaultCpuUs(config.workload)
-                     : config.cpu_us_per_txn;
+  uint32_t cpu = DefaultCpuUs(config.workload);
   if (config.sim_time_us > 0) {
     SimTime deadline = t0 + config.sim_time_us;
     uint64_t cap = config.txns * 50;

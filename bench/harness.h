@@ -53,14 +53,12 @@ struct RunConfig {
   /// fixed transaction count; faster configurations then perform more host
   /// I/O, as in Tables 6-10. `txns` becomes a safety cap (x50).
   uint64_t sim_time_us = 0;
-  /// Simulated CPU time consumed per transaction (advances the clock between
-  /// transactions): with large buffers transactions become CPU-bound and
-  /// IPA's relative throughput gain fades, as in Table 9. UINT32_MAX = pick
-  /// a per-workload default; 0 = pure-I/O model.
-  uint32_t cpu_us_per_txn = UINT32_MAX;
 };
 
-/// Default per-transaction CPU cost for the simulated host.
+/// Simulated CPU time the host spends per transaction of `w` (RunWorkload
+/// advances the clock by it between transactions): with large buffers
+/// transactions become CPU-bound and IPA's relative throughput gain fades,
+/// as in Table 9.
 uint32_t DefaultCpuUs(Wl w);
 
 struct RunResult {

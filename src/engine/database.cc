@@ -57,7 +57,6 @@ Database::Database(ftl::NoFtl* ftl, EngineConfig config, SimClock* clock)
   bc.page_size = config_.page_size;
   bc.frames = config_.buffer_pages;
   bc.dirty_flush_threshold = config_.dirty_flush_threshold;
-  bc.cleaner_async = config_.cleaner_async;
   bc.record_update_sizes = config_.record_update_sizes;
   if (config_.record_io_trace) bc.io_trace = &io_trace_;
   // Stream classifier for stream-aware devices (ftl::PageFtl under
@@ -479,7 +478,7 @@ Status Database::Checkpoint() {
   metrics::ScopedSpan span("db.checkpoint", clock_);
   // Checkpoint flushes run as background writes (Shore-MT's checkpointer and
   // page cleaners do not stall user transactions on data-page I/O).
-  IPA_RETURN_NOT_OK(pool_->FlushAll(config_.cleaner_async));
+  IPA_RETURN_NOT_OK(pool_->FlushAll(/*async=*/true));
   Lsn ckpt = Log(LogRecord{.type = LogType::kCheckpoint}, kInvalidTxn);
   ForceLog();
   // Truncation is bounded by the oldest active transaction's first record

@@ -40,7 +40,6 @@ struct EngineConfig {
   /// (Shore-MT reclaims at 25-50% consumption; "non-eager" runs use ~1.0).
   double log_reclaim_threshold = 0.375;
   uint64_t log_capacity_bytes = 16ull << 20;
-  bool cleaner_async = true;
   /// Record per-table update-size distributions (Table 1 / Figures 7-10).
   bool record_update_sizes = false;
   /// Record the logical I/O event trace (fetch/update/evict) consumed by the

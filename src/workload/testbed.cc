@@ -85,6 +85,9 @@ Result<std::unique_ptr<Stack>> Build(const StackSpec& spec) {
 
 namespace {
 
+/// Every testbed Database's WAL capacity.
+constexpr uint64_t kTestbedLogBytes = 24ull << 20;
+
 /// The engine config of a testbed Database holding `db_pages` data pages.
 engine::EngineConfig TestbedEngine(const TestbedConfig& config,
                                    uint64_t db_pages) {
@@ -95,7 +98,7 @@ engine::EngineConfig TestbedEngine(const TestbedConfig& config,
       static_cast<uint32_t>(std::max(buffer_pages, config.min_buffer_pages));
   ec.dirty_flush_threshold = config.dirty_flush_threshold;
   ec.log_reclaim_threshold = config.log_reclaim_threshold;
-  ec.log_capacity_bytes = config.log_capacity_bytes;
+  ec.log_capacity_bytes = kTestbedLogBytes;
   ec.record_update_sizes = config.record_update_sizes;
   ec.record_io_trace = config.record_io_trace;
   return ec;

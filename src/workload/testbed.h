@@ -65,7 +65,6 @@ struct TestbedConfig {
   bool record_update_sizes = false;
   bool record_io_trace = false;
   uint64_t min_buffer_pages = 64;
-  uint64_t log_capacity_bytes = 24ull << 20;
 };
 
 /// One region of a stack, with the tablespace it backs.
