@@ -214,7 +214,7 @@ int RunSim(const SimOptions& opt) {
       std::printf("note: phase %s hit the %llu-arrival cap; offered load was "
                   "truncated\n",
                   r->name.c_str(),
-                  static_cast<unsigned long long>(opt.lc.max_open_arrivals));
+                  static_cast<unsigned long long>(net::kMaxOpenArrivals));
     }
   }
 

@@ -16,6 +16,15 @@ namespace {
 /// never <= any arrival time, so the request stays counted as inflight.
 constexpr SimTime kUnforced = ~0ull;
 
+// Open-loop connection churn and slow-client injection: the chance that an
+// arrival replaces its connection, the chance that a new connection is slow,
+// how long a slow client stops reading, and the undrained responses that
+// get its connection dropped.
+constexpr double kChurnPerArrival = 0.002;
+constexpr double kSlowFraction = 0.02;
+constexpr uint64_t kSlowWindowUs = 200000;
+constexpr uint32_t kConnResponseCap = 128;
+
 /// Partition-count-independent preload value length (SplitMix64 of the key),
 /// so every sharding layout preloads byte-identical tuples.
 uint32_t PreloadLen(const LoadgenConfig& cfg, uint64_t key) {
@@ -288,7 +297,7 @@ Result<PhaseResult> ServeSim::RunClosedLoop(const std::string& name,
         c.next = o.at + o.hint_us;
       } else {
         c.retry = false;
-        c.next = o.resp + cfg_.think_us;
+        c.next = o.resp;
       }
     }
     if (++rounds % 16 == 0) sdb_->EpochBarrier();
@@ -321,9 +330,9 @@ Result<PhaseResult> ServeSim::RunOpenLoop(const std::string& name,
   std::vector<Conn> active;
   auto fresh_conn = [&](SimTime now) {
     Conn c;
-    if (rng_.Chance(cfg_.slow_fraction)) {
+    if (rng_.Chance(kSlowFraction)) {
       c.slow = true;
-      c.slow_until = now + cfg_.slow_window_us;
+      c.slow_until = now + kSlowWindowUs;
     }
     r.conn_opens++;
     return c;
@@ -337,14 +346,14 @@ Result<PhaseResult> ServeSim::RunOpenLoop(const std::string& name,
   while (true) {
     t_rel += -std::log(1.0 - rng_.NextDouble()) / rate_tps * 1e6;
     if (t_rel >= static_cast<double>(duration_us)) break;
-    if (arrivals.size() >= cfg_.max_open_arrivals) {
+    if (arrivals.size() >= kMaxOpenArrivals) {
       r.truncated = true;
       break;
     }
     SimTime at = t0 + static_cast<SimTime>(t_rel);
 
     uint32_t slot = static_cast<uint32_t>(rng_.Uniform(active.size()));
-    if (rng_.Chance(cfg_.churn_per_arrival)) {
+    if (rng_.Chance(kChurnPerArrival)) {
       r.conn_closes++;
       active[slot] = fresh_conn(at);
     }
@@ -353,7 +362,7 @@ Result<PhaseResult> ServeSim::RunOpenLoop(const std::string& name,
       c.slow = false;
       c.backlog = 0;
     }
-    if (c.slow && ++c.backlog > cfg_.conn_response_cap) {
+    if (c.slow && ++c.backlog > kConnResponseCap) {
       // The server's per-connection output buffer cap fired: the connection
       // is dropped (the peer reconnects) and this request dies with it.
       r.conn_drops++;

@@ -15,7 +15,7 @@
 // wire bytes.
 //
 // Closed loop: `clients` virtual clients each keep one request outstanding
-// (plus think time); shed requests are retried after the server's hint.
+// with no think time; shed requests are retried after the server's hint.
 // Open loop: Poisson arrivals at a configured rate over a churning
 // connection pool with Zipfian key popularity and variable payload sizes —
 // the production-traffic model. Slow clients stop draining responses for a
@@ -53,24 +53,17 @@ struct LoadgenConfig {
   uint32_t value_max = 1024;
   double write_fraction = 0.5;
   double delete_fraction = 0.05;  ///< Of writes.
-  uint64_t think_us = 0;          ///< Closed-loop client think time.
   uint32_t cpu_us_per_request = 20;
-
-  // Open-loop connection churn and slow-client injection.
-  double churn_per_arrival = 0.002;  ///< P(replace the drawn connection).
-  double slow_fraction = 0.02;       ///< P(a new connection is slow).
-  uint64_t slow_window_us = 200000;  ///< How long a slow client stops reading.
-  uint32_t conn_response_cap = 128;  ///< Undrained responses before drop.
 
   // Server-side knobs mirrored from the epoll server.
   uint32_t inflight_budget = 32;  ///< Per-partition admitted-request budget.
   uint32_t batch_ops = 8;         ///< Requests per group-commit force.
   uint32_t base_retry_hint_us = 200;
-
-  /// Hard cap on generated open-loop arrivals per phase; hitting it is
-  /// reported in PhaseResult::truncated (never silent).
-  uint64_t max_open_arrivals = 500000;
 };
+
+/// Hard cap on generated open-loop arrivals per phase; hitting it is
+/// reported in PhaseResult::truncated (never silent).
+inline constexpr uint64_t kMaxOpenArrivals = 500000;
 
 struct PhaseResult {
   std::string name;
