@@ -14,7 +14,8 @@
 //    tail (storage::AuditDeltaArea), i.e. no torn append survives recovery.
 //
 // The structural audits FlashArray::AuditState() and NoFtl::AuditRegion()
-// complete the set; DeepAudit bundles all of them.
+// complete the set; the differential fuzzer (check/fuzzer.cc) runs all of
+// them.
 
 #pragma once
 

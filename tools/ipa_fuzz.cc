@@ -9,7 +9,8 @@
 //
 // Knobs: --schedule NAME|all  testbed flavor (slc, slc-noneager, pslc,
 //                             oddmlc, slc-noecc, pageftl, sharded,
-//                             streamftl; default all)
+//                             streamftl, replication, deltacodec;
+//                             default all)
 //        --seed S             first seed (default 1)
 //        --seeds N            seeds per schedule (default 1)
 //        --ops K              ops per trace (default 200)
