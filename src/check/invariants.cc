@@ -43,7 +43,13 @@ Status FlashShadow::ObserveAndCheck(const flash::FlashArray& dev) {
         }
       }
       sh.erase_count = erases;
-      sh.data = ps.data;
+      // A byte copy, not a handle: a shared handle would see every change
+      // the array made without copying first, so the check would pass.
+      if (ps.data.empty()) {
+        sh.data.clear();
+      } else {
+        sh.data.assign(ps.data.data(), ps.data.data() + ps.data.size());
+      }
       sh.oob = ps.oob;
     }
   }

@@ -21,12 +21,16 @@ constexpr uint32_t kOffLink = kNodeBase + 8;
 constexpr uint32_t kEntriesBase = kNodeBase + 16;
 constexpr uint32_t kEntrySize = 16;
 
-struct NodeView {
-  uint8_t* p;
+/// A node over `Byte` = const uint8_t (a fixed frame's data(): reads only)
+/// or uint8_t (BufferPool::WillModify()'s pointer: reads and writes). The
+/// setters compile only for the second.
+template <typename Byte>
+struct BasicNodeView {
+  Byte* p;
   uint32_t capacity;
 
-  NodeView(uint8_t* page, uint32_t page_size) : p(page) {
-    storage::SlottedPage view(page, page_size);
+  BasicNodeView(Byte* page, uint32_t page_size) : p(page) {
+    storage::ConstSlottedPage view(page, page_size);
     capacity = (view.delta_off() - kEntriesBase) / kEntrySize;
   }
 
@@ -86,13 +90,15 @@ struct NodeView {
   }
 };
 
+using NodeReader = BasicNodeView<const uint8_t>;
+using NodeView = BasicNodeView<uint8_t>;
+
 }  // namespace
 
 Result<PageId> Btree::NewNode(bool leaf) {
   IPA_ASSIGN_OR_RETURN(PageId id, db_->AllocateIndexPage(table_));
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(id));
-  db_->buffer_pool().WillModify(frame);
-  NodeView node(frame->cur.data(), db_->config().page_size);
+  NodeView node(db_->buffer_pool().WillModify(frame), db_->config().page_size);
   node.set_leaf(leaf);
   node.set_count(0);
   node.set_link(PageId().raw);
@@ -112,13 +118,13 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
                         uint64_t pages_above, SplitResult* out) {
   out->split = false;
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(node_id));
-  NodeView node(frame->cur.data(), db_->config().page_size);
+  NodeReader reader(frame->data(), db_->config().page_size);
   // A node splits when one more entry fills it.
-  uint64_t pages_if_split = node.count() + 1u >= node.capacity ? 1 + pages_above : 0;
+  uint64_t pages_if_split = reader.count() + 1u >= reader.capacity ? 1 + pages_above : 0;
 
-  if (!node.is_leaf()) {
+  if (!reader.is_leaf()) {
     PageId child;
-    child.raw = node.ChildFor(key);
+    child.raw = reader.ChildFor(key);
     db_->buffer_pool().Unfix(frame, false);
 
     SplitResult child_split;
@@ -127,8 +133,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
 
     // Re-fix: insert the new separator.
     IPA_ASSIGN_OR_RETURN(frame, db_->buffer_pool().Fix(node_id));
-    db_->buffer_pool().WillModify(frame);
-    NodeView parent(frame->cur.data(), db_->config().page_size);
+    NodeView parent(db_->buffer_pool().WillModify(frame), db_->config().page_size);
     uint16_t pos = parent.LowerBound(child_split.sep_key);
     parent.InsertAt(pos, child_split.sep_key, child_split.right.raw);
 
@@ -150,8 +155,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
       db_->buffer_pool().Unfix(frame, true);
       return rf.status();
     }
-    db_->buffer_pool().WillModify(rf.value());
-    NodeView right(rf.value()->cur.data(), db_->config().page_size);
+    NodeView right(db_->buffer_pool().WillModify(rf.value()), db_->config().page_size);
     uint16_t total = parent.count();
     uint16_t mid = total / 2;
     uint64_t up_key = parent.key(mid);
@@ -171,14 +175,14 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
   }
 
   // Leaf.
-  uint16_t pos = node.LowerBound(key);
-  bool overwrite = pos < node.count() && node.key(pos) == key;
+  uint16_t pos = reader.LowerBound(key);
+  bool overwrite = pos < reader.count() && reader.key(pos) == key;
   if (!overwrite && pages_if_split > db_->pages_left(table_)) {
     db_->buffer_pool().Unfix(frame, false);
     return Status::OutOfSpace("index '" + db_->table_name(table_) +
                               "': no pages left for the split");
   }
-  db_->buffer_pool().WillModify(frame);
+  NodeView node(db_->buffer_pool().WillModify(frame), db_->config().page_size);
   if (overwrite) {
     node.set(pos, key, value);
     db_->buffer_pool().Unfix(frame, true);
@@ -202,8 +206,7 @@ Status Btree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
     db_->buffer_pool().Unfix(frame, true);
     return rf.status();
   }
-  db_->buffer_pool().WillModify(rf.value());
-  NodeView right(rf.value()->cur.data(), db_->config().page_size);
+  NodeView right(db_->buffer_pool().WillModify(rf.value()), db_->config().page_size);
   uint16_t total = node.count();
   uint16_t mid = total / 2;
   uint16_t moved = 0;
@@ -230,8 +233,7 @@ Status Btree::Insert(uint64_t key, uint64_t value) {
   IPA_ASSIGN_OR_RETURN(PageId new_root, NewNode(/*leaf=*/false));
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame,
                        db_->buffer_pool().Fix(new_root));
-  db_->buffer_pool().WillModify(frame);
-  NodeView root(frame->cur.data(), db_->config().page_size);
+  NodeView root(db_->buffer_pool().WillModify(frame), db_->config().page_size);
   root.set_link(root_.raw);
   root.InsertAt(0, split.sep_key, split.right.raw);
   db_->buffer_pool().Unfix(frame, true);
@@ -244,7 +246,7 @@ Result<uint64_t> Btree::Lookup(uint64_t key) {
   PageId cur = root_;
   for (;;) {
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(cur));
-    NodeView node(frame->cur.data(), db_->config().page_size);
+    NodeReader node(frame->data(), db_->config().page_size);
     if (!node.is_leaf()) {
       cur.raw = node.ChildFor(key);
       db_->buffer_pool().Unfix(frame, false);
@@ -263,7 +265,7 @@ Status Btree::Remove(uint64_t key) {
   PageId cur = root_;
   for (;;) {
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(cur));
-    NodeView node(frame->cur.data(), db_->config().page_size);
+    NodeReader node(frame->data(), db_->config().page_size);
     if (!node.is_leaf()) {
       cur.raw = node.ChildFor(key);
       db_->buffer_pool().Unfix(frame, false);
@@ -274,8 +276,7 @@ Status Btree::Remove(uint64_t key) {
       db_->buffer_pool().Unfix(frame, false);
       return Status::NotFound("key not in index");
     }
-    db_->buffer_pool().WillModify(frame);
-    node.RemoveAt(pos);
+    NodeView(db_->buffer_pool().WillModify(frame), db_->config().page_size).RemoveAt(pos);
     db_->buffer_pool().Unfix(frame, true);
     return Status::OK();
   }
@@ -287,7 +288,7 @@ Status Btree::Scan(uint64_t lo, uint64_t hi,
   PageId cur = root_;
   for (;;) {
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(cur));
-    NodeView node(frame->cur.data(), db_->config().page_size);
+    NodeReader node(frame->data(), db_->config().page_size);
     if (!node.is_leaf()) {
       cur.raw = node.ChildFor(lo);
       db_->buffer_pool().Unfix(frame, false);
@@ -299,7 +300,7 @@ Status Btree::Scan(uint64_t lo, uint64_t hi,
   // Walk the leaf chain.
   while (cur.valid()) {
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, db_->buffer_pool().Fix(cur));
-    NodeView node(frame->cur.data(), db_->config().page_size);
+    NodeReader node(frame->data(), db_->config().page_size);
     for (uint16_t i = node.LowerBound(lo); i < node.count(); i++) {
       if (node.key(i) > hi) {
         db_->buffer_pool().Unfix(frame, false);

@@ -14,12 +14,11 @@ BufferPool::BufferPool(BufferConfig config,
                        std::function<void(Lsn)> ensure_log_durable)
     : config_(config),
       device_of_(std::move(device_of)),
-      ensure_log_durable_(std::move(ensure_log_durable)) {
+      ensure_log_durable_(std::move(ensure_log_durable)),
+      images_(config_.page_size),
+      zero_(images_.Take()) {
+  std::memset(zero_.mutable_data(), 0, config_.page_size);
   frames_.resize(config_.frames);
-  for (auto& f : frames_) {
-    f.cur.resize(config_.page_size);
-    f.base.resize(config_.page_size);
-  }
   table_.reserve(config_.frames * 2);
 }
 
@@ -48,14 +47,20 @@ Result<BufferPool::Frame*> BufferPool::Fix(PageId id, bool for_format) {
   IPA_RETURN_NOT_OK(LoadFrame(victim, id, for_format));
   victim->pins = 1;
   victim->ref = true;
-  table_[id] = static_cast<uint32_t>(victim - frames_.data());
+  uint32_t index = static_cast<uint32_t>(victim - frames_.data());
+  if (spare_entry_) {
+    spare_entry_.key() = id;
+    spare_entry_.mapped() = index;
+    table_.insert(std::move(spare_entry_));
+  } else {
+    table_.emplace(id, index);
+  }
   return victim;
 }
 
-void BufferPool::WillModify(Frame* frame) {
-  if (frame->base_valid) return;
-  std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
-  frame->base_valid = true;
+uint8_t* BufferPool::WillModify(Frame* frame) {
+  if (!frame->base_) frame->base_ = frame->cur_;
+  return frame->cur_.MakeWritable(images_);
 }
 
 void BufferPool::Unfix(Frame* frame, bool dirtied, Lsn rec_lsn) {
@@ -83,7 +88,7 @@ Result<BufferPool::Frame*> BufferPool::GetVictim() {
     if (f.dirty) {
       IPA_RETURN_NOT_OK(FlushFrame(&f, /*async=*/false));
     }
-    table_.erase(f.id);
+    spare_entry_ = table_.extract(f.id);
     f.valid = false;
     stats_.evictions++;
     return &f;
@@ -92,33 +97,42 @@ Result<BufferPool::Frame*> BufferPool::GetVictim() {
 }
 
 Status BufferPool::LoadFrame(Frame* frame, PageId id, bool for_format) {
-  frame->id = id;
-  frame->valid = true;
+  // The frame becomes valid only once loaded: a failed read leaves it
+  // invalid and holding no image, so no stale copy outlives the error.
   frame->dirty = false;
   frame->rec_lsn = kInvalidLsn;
+  frame->base_.reset();
   if (for_format) {
-    std::memset(frame->cur.data(), 0, config_.page_size);
-    std::memset(frame->base.data(), 0, config_.page_size);
-    frame->base_valid = true;
-    return Status::OK();
+    frame->cur_ = images_.Take();
+    std::memset(frame->cur_.mutable_data(), 0, config_.page_size);
+    frame->base_ = zero_;
+  } else {
+    ftl::PageDevice* dev = device_of_(id.tablespace());
+    Status s = dev->ReadImage(id.lba(), images_, &frame->cur_);
+    if (!s.ok()) {
+      frame->cur_.reset();
+      return s;
+    }
+    if (config_.io_trace) {
+      config_.io_trace->push_back(
+          {IoEvent::Type::kFetch, id.raw, config_.page_size});
+    }
+    // Re-create the up-to-date version: apply any delta-records found on the
+    // physical page (Section 6.2), to a private copy. WillModify() takes the
+    // base image from this post-apply state, so a later flush diffs only the
+    // changes made since.
+    if (storage::HasDeltaRecords(frame->cur_.data(), config_.page_size)) {
+      storage::ApplyDeltaRecords(frame->cur_.MakeWritable(images_), config_.page_size);
+    }
   }
-  frame->base_valid = false;
-  ftl::PageDevice* dev = device_of_(id.tablespace());
-  IPA_RETURN_NOT_OK(dev->ReadPage(id.lba(), frame->cur.data()));
-  if (config_.io_trace) {
-    config_.io_trace->push_back(
-        {IoEvent::Type::kFetch, id.raw, config_.page_size});
-  }
-  // Re-create the up-to-date version: apply any delta-records found on the
-  // physical page (Section 6.2). WillModify() takes the base image from this
-  // post-apply state, so a later flush diffs only the changes made since.
-  storage::ApplyDeltaRecords(frame->cur.data(), config_.page_size);
+  frame->id = id;
+  frame->valid = true;
   return Status::OK();
 }
 
 Status BufferPool::FlushFrame(Frame* frame, bool async) {
   if (!frame->dirty) return Status::OK();
-  if (!frame->base_valid) {
+  if (!frame->base_) {
     return Status::Internal("dirty frame was changed without WillModify");
   }
   stats_.flushes++;
@@ -128,8 +142,11 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
   bool flash_exists = dev->IsMapped(lba);
   bool dev_ok = flash_exists && dev->DeltaWritePossible(lba);
 
+  // WillModify() made the working image private; only a write that failed
+  // after the device took the image can have shared it again.
+  uint8_t* cur = frame->cur_.MakeWritable(images_);
   core::EvictionDecision d = core::PlanEviction(
-      frame->base.data(), frame->cur.data(), config_.page_size, flash_exists,
+      frame->base_.data(), cur, config_.page_size, flash_exists,
       dev_ok, config_.record_update_sizes, &diff_scratch_);
   if (config_.record_update_sizes && flash_exists) RecordTrace(*frame, d);
 
@@ -138,10 +155,11 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
       stats_.clean_diff_skips++;
       break;
     case core::WritePath::kInPlaceAppend: {
-      storage::SlottedPage view(frame->cur.data(), config_.page_size);
+      storage::SlottedPage view(cur, config_.page_size);
       ensure_log_durable_(view.page_lsn());
-      Status s = dev->WriteDelta(lba, d.plan.write_offset,
-                                 frame->cur.data() + d.plan.write_offset,
+      // The base stays until the append succeeds: a refused or failed
+      // append leaves the page dirty, and its retry must diff against it.
+      Status s = dev->WriteDelta(lba, d.plan.write_offset, cur + d.plan.write_offset,
                                  d.plan.write_len, !async);
       if (s.IsNotSupported()) {
         // Device-level rejection (program budget, ISPP...): fall back to a
@@ -150,8 +168,8 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
         view.ResetDeltaArea();
         // A page that accumulated small deltas and is now folded back: the
         // delta-writeback stream, regardless of object classification.
-        IPA_RETURN_NOT_OK(dev->WriteTagged(lba, frame->cur.data(), !async,
-                                           ftl::StreamTag::kDeltaWriteback));
+        IPA_RETURN_NOT_OK(WriteOutOfPlace(frame, dev, lba, !async,
+                                          ftl::StreamTag::kDeltaWriteback));
         stats_.oop_flushes++;
         if (config_.io_trace) {
           config_.io_trace->push_back(
@@ -159,6 +177,7 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
         }
       } else {
         IPA_RETURN_NOT_OK(s);
+        if (frame->pins > 0) frame->base_ = images_.Copy(cur);
         stats_.ipa_flushes++;
         stats_.delta_records_written += d.plan.records;
         if (config_.io_trace) {
@@ -169,13 +188,13 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
       break;
     }
     case core::WritePath::kOutOfPlace: {
-      storage::SlottedPage view(frame->cur.data(), config_.page_size);
+      storage::SlottedPage view(cur, config_.page_size);
       ensure_log_durable_(view.page_lsn());
       // Stream classification for stream-aware devices; kUntagged without a
       // classifier keeps the legacy WritePage behavior bit-identical.
       ftl::StreamTag tag =
           config_.stream_of ? config_.stream_of(frame->id) : ftl::StreamTag::kUntagged;
-      IPA_RETURN_NOT_OK(dev->WriteTagged(lba, frame->cur.data(), !async, tag));
+      IPA_RETURN_NOT_OK(WriteOutOfPlace(frame, dev, lba, !async, tag));
       stats_.oop_flushes++;
       if (config_.io_trace) {
         config_.io_trace->push_back(
@@ -186,22 +205,33 @@ Status BufferPool::FlushFrame(Frame* frame, bool async) {
   }
 
   // A fixed frame's holder may change it again without another
-  // WillModify(), so it keeps the image just written as its base; an unfixed
-  // frame copies it at its next WillModify().
-  if (frame->pins > 0) {
-    std::memcpy(frame->base.data(), frame->cur.data(), config_.page_size);
-  } else {
-    frame->base_valid = false;
-  }
+  // WillModify(), so it keeps the image just written as its base (set
+  // above); an unfixed frame takes its base from the working image at its
+  // next WillModify().
+  if (frame->pins == 0) frame->base_.reset();
   frame->dirty = false;
   frame->rec_lsn = kInvalidLsn;
   if (dirty_count_ > 0) dirty_count_--;
   return Status::OK();
 }
 
+Status BufferPool::WriteOutOfPlace(Frame* frame, ftl::PageDevice* dev, ftl::Lba lba,
+                                   bool sync, ftl::StreamTag tag) {
+  if (frame->pins == 0) {
+    // Nobody can write through the working image before the next
+    // WillModify(), which copies it: hand it over and keep sharing it.
+    return dev->WriteImage(lba, frame->cur_, sync, tag);
+  }
+  // A fixed frame's holder may keep writing through its pointer: write a
+  // copy, which becomes the frame's base.
+  flash::PageImage copy = images_.Copy(frame->cur_.data());
+  IPA_RETURN_NOT_OK(dev->WriteImage(lba, copy, sync, tag));
+  frame->base_ = std::move(copy);
+  return Status::OK();
+}
+
 void BufferPool::RecordTrace(const Frame& frame, const core::EvictionDecision& d) {
-  storage::SlottedPage view(const_cast<uint8_t*>(frame.cur.data()),
-                            config_.page_size);
+  storage::ConstSlottedPage view(frame.data(), config_.page_size);
   UpdateSizeTrace& t = traces_[view.table_id()];
   t.net.Add(d.body_bytes_changed);
   t.meta.Add(d.meta_bytes_changed);
@@ -245,6 +275,8 @@ void BufferPool::DropAllNoFlush() {
     f.dirty = false;
     f.pins = 0;
     f.rec_lsn = kInvalidLsn;
+    f.cur_.reset();
+    f.base_.reset();
   }
   dirty_count_ = 0;
   // The update-size traces feed the IPA advisor's N×M accounting. Frames
@@ -262,6 +294,8 @@ void BufferPool::DropPageNoFlush(PageId id) {
   f.dirty = false;
   f.pins = 0;
   f.rec_lsn = kInvalidLsn;
+  f.cur_.reset();
+  f.base_.reset();
   table_.erase(it);
 }
 

@@ -265,13 +265,25 @@ Status Database::Abort(TxnId txn) {
 }
 
 template <typename Fn>
-Status Database::WithPage(PageId id, bool for_write, Fn&& fn) {
+Status Database::WithPage(PageId id, Fn&& fn) {
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(id));
-  if (for_write) pool_->WillModify(frame);
-  storage::SlottedPage view(frame->cur.data(), config_.page_size);
-  Status s = fn(view);
-  pool_->Unfix(frame, for_write && s.ok(), view.page_lsn());
+  Status s = fn(storage::ConstSlottedPage(frame->data(), config_.page_size));
+  pool_->Unfix(frame, false);
   IPA_RETURN_NOT_OK(s);
+  return AfterPageAccess();
+}
+
+template <typename Fn>
+Status Database::ModifyPage(PageId id, Fn&& fn) {
+  IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(id));
+  storage::SlottedPage view(pool_->WillModify(frame), config_.page_size);
+  Status s = fn(view);
+  pool_->Unfix(frame, s.ok(), view.page_lsn());
+  IPA_RETURN_NOT_OK(s);
+  return AfterPageAccess();
+}
+
+Status Database::AfterPageAccess() {
   IPA_RETURN_NOT_OK(pool_->MaybeRunCleaner());
   return MaybeReclaimLog();
 }
@@ -295,7 +307,7 @@ Status Database::AllocatePage(TableId table, PageId* out) {
   wal_.FlushTo(lsn);
 
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(id, /*for_format=*/true));
-  storage::SlottedPage view(frame->cur.data(), config_.page_size);
+  storage::SlottedPage view(pool_->WillModify(frame), config_.page_size);
   view.Initialize(id.raw, table, ts.scheme);
   view.set_page_lsn(lsn);
   pool_->Unfix(frame, /*dirtied=*/true, lsn);
@@ -318,7 +330,7 @@ Result<Rid> Database::Insert(TxnId txn, TableId table,
     size_t idx = probe == 0 ? t.insert_hint : t.pages.size() - 1;
     if (idx >= t.pages.size()) continue;
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(t.pages[idx]));
-    storage::SlottedPage view(frame->cur.data(), config_.page_size);
+    storage::ConstSlottedPage view(frame->data(), config_.page_size);
     if (view.HasRoomFor(static_cast<uint32_t>(tuple.size()))) {
       target = t.pages[idx];
       found = true;
@@ -332,7 +344,7 @@ Result<Rid> Database::Insert(TxnId txn, TableId table,
 
   Rid rid;
   rid.page = target;
-  Status s = WithPage(target, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
+  Status s = ModifyPage(target, [&](storage::SlottedPage& view) -> Status {
     auto slot = view.Insert(tuple);
     if (!slot.ok()) return slot.status();
     rid.slot = slot.value();
@@ -355,7 +367,7 @@ Result<std::vector<uint8_t>> Database::Read(TxnId txn, Rid rid, bool for_update)
       txn, rid.Pack(), for_update ? LockMode::kExclusive : LockMode::kShared));
   std::vector<uint8_t> out;
   IPA_RETURN_NOT_OK(WithPage(
-      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
+      rid.page, [&](const storage::ConstSlottedPage& view) -> Status {
         auto tuple = view.Read(rid.slot);
         if (!tuple.ok()) return tuple.status();
         out.assign(tuple.value().begin(), tuple.value().end());
@@ -368,7 +380,7 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
                         std::span<const uint8_t> bytes) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(bytes.size()) + 8);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
+  return ModifyPage(rid.page, [&](storage::SlottedPage& view) -> Status {
     auto tuple = view.Read(rid.slot);
     if (!tuple.ok()) return tuple.status();
     if (offset + bytes.size() > tuple.value().size()) {
@@ -392,7 +404,7 @@ Status Database::Update(TxnId txn, Rid rid, uint32_t offset,
 Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, static_cast<uint32_t>(tuple.size()) + 8);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
+  return ModifyPage(rid.page, [&](storage::SlottedPage& view) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     std::vector<uint8_t> before(old.value().begin(), old.value().end());
@@ -411,7 +423,7 @@ Status Database::UpdateResize(TxnId txn, Rid rid, std::span<const uint8_t> tuple
 Status Database::Delete(TxnId txn, Rid rid) {
   IPA_RETURN_NOT_OK(AcquireLock(txn, rid.Pack(), LockMode::kExclusive));
   TraceUpdate(rid.page, 12);
-  return WithPage(rid.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
+  return ModifyPage(rid.page, [&](storage::SlottedPage& view) -> Status {
     auto old = view.Read(rid.slot);
     if (!old.ok()) return old.status();
     Lsn lsn = Log(LogRecord{.type = LogType::kDelete,
@@ -430,7 +442,7 @@ Result<Rid> Database::Move(TxnId txn, Rid rid, std::span<const uint8_t> tuple) {
   TableId table = 0;
   // Identify the table from the page header.
   IPA_RETURN_NOT_OK(WithPage(
-      rid.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
+      rid.page, [&](const storage::ConstSlottedPage& view) -> Status {
         table = view.table_id();
         return Status::OK();
       }));
@@ -461,7 +473,7 @@ Status Database::Scan(TableId table,
   if (table >= tables_.size()) return Status::InvalidArgument("no such table");
   for (PageId pid : tables_[table].pages) {
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(pid));
-    storage::SlottedPage view(frame->cur.data(), config_.page_size);
+    storage::ConstSlottedPage view(frame->data(), config_.page_size);
     bool stop = false;
     for (storage::SlotId s = 0; s < view.slot_count() && !stop; s++) {
       if (!view.IsLive(s)) continue;
@@ -514,7 +526,7 @@ Result<std::vector<uint8_t>> Database::ReadTuple(Rid rid) {
   // Deliberately avoids WithPage: no cleaner/reclaim piggy-backing, so a
   // commit hook can read tuples without re-entering maintenance.
   IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame, pool_->Fix(rid.page));
-  storage::SlottedPage view(frame->cur.data(), config_.page_size);
+  storage::ConstSlottedPage view(frame->data(), config_.page_size);
   auto tuple = view.Read(rid.slot);
   std::vector<uint8_t> out;
   if (tuple.ok()) out.assign(tuple.value().begin(), tuple.value().end());
@@ -537,7 +549,7 @@ Result<TableId> Database::TableOfPage(PageId id) const {
 // ---------------------------------------------------------------------------
 
 Status Database::ApplyToPage(const LogRecord& rec, Lsn lsn) {
-  return WithPage(rec.page, /*for_write=*/true, [&](storage::SlottedPage& view) -> Status {
+  return ModifyPage(rec.page, [&](storage::SlottedPage& view) -> Status {
     switch (rec.type) {
       case LogType::kUpdate:
         IPA_RETURN_NOT_OK(view.UpdateInPlace(rec.slot, rec.offset, rec.after));
@@ -624,7 +636,7 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
       // Page reached flash; redo only if its LSN predates the format.
       bool need = false;
       IPA_RETURN_NOT_OK(WithPage(
-          rec.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
+          rec.page, [&](const storage::ConstSlottedPage& view) -> Status {
             need = view.page_lsn() < lsn;
             return Status::OK();
           }));
@@ -632,7 +644,7 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
     }
     IPA_ASSIGN_OR_RETURN(BufferPool::Frame * frame,
                          pool_->Fix(rec.page, /*for_format=*/true));
-    storage::SlottedPage view(frame->cur.data(), config_.page_size);
+    storage::SlottedPage view(pool_->WillModify(frame), config_.page_size);
     view.Initialize(rec.page.raw, table, scheme);
     view.set_page_lsn(lsn);
     pool_->Unfix(frame, true, lsn);
@@ -641,7 +653,7 @@ Status Database::RedoRecord(const LogRecord& rec, Lsn lsn) {
   // Ordinary page record: redo iff the page version predates it.
   bool need = false;
   IPA_RETURN_NOT_OK(WithPage(
-      rec.page, /*for_write=*/false, [&](storage::SlottedPage& view) -> Status {
+      rec.page, [&](const storage::ConstSlottedPage& view) -> Status {
         need = view.page_lsn() < lsn;
         return Status::OK();
       }));

@@ -287,13 +287,18 @@ class Database {
   void ForceLogTo(Lsn lsn);
   void TraceUpdate(PageId page, uint32_t log_bytes);
   Status AllocatePage(TableId table, PageId* out);
-  /// Fix page `id`, run `fn(view)` (a Status(storage::SlottedPage&)) on it,
-  /// unfix it, then run the cleaner and log reclamation. `for_write`
-  /// declares that `fn` may change the page (BufferPool::WillModify); an OK
-  /// return then leaves the frame dirty, with the PageLSN `fn` set as its
-  /// recLSN.
+  /// Fix page `id`, run `fn(view)` (a Status(const
+  /// storage::ConstSlottedPage&)) on it, unfix it, then run the cleaner and
+  /// log reclamation.
   template <typename Fn>
-  Status WithPage(PageId id, bool for_write, Fn&& fn);
+  Status WithPage(PageId id, Fn&& fn);
+  /// WithPage for a `fn` (a Status(storage::SlottedPage&)) that may change
+  /// the page through BufferPool::WillModify's pointer. An OK return leaves
+  /// the frame dirty, with the PageLSN `fn` set as its recLSN.
+  template <typename Fn>
+  Status ModifyPage(PageId id, Fn&& fn);
+  /// The cleaner and log reclamation that follow every page access.
+  Status AfterPageAccess();
   Status MaybeReclaimLog();
   /// Log the CLR that compensates `rec` and apply it with ApplyToPage.
   Status UndoRecord(TxnId txn, const LogRecord& rec);

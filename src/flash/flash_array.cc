@@ -13,7 +13,10 @@ FlashArray::FlashArray(const Geometry& geometry, const TimingModel& timing,
     : geo_(geometry),
       timing_(timing),
       errors_(errors),
-      rng_(errors.seed) {
+      rng_(errors.seed),
+      images_(geometry.page_size),
+      erased_(images_.Take()) {
+  std::memset(erased_.mutable_data(), 0xFF, geo_.page_size);
   if (clock) {
     clock_ = clock;
   } else {
@@ -151,6 +154,16 @@ const PageState& FlashArray::page_state(Ppn ppn) const {
   const BlockState& b = blocks_[BlockOf(geo_, ppn)];
   if (b.pages.empty()) return kErased;
   return b.pages[ppn % geo_.pages_per_block];
+}
+
+Status FlashArray::CorruptBits(Ppn ppn, uint32_t offset, uint8_t mask) {
+  IPA_RETURN_NOT_OK(CheckPpn(ppn));
+  PageState& page = PageRef(ppn);
+  if (page.data.empty() || offset >= geo_.page_size) {
+    return Status::InvalidArgument("no stored byte to corrupt");
+  }
+  Writable(page)[offset] ^= mask;
+  return Status::OK();
 }
 
 uint32_t FlashArray::EraseCount(Pbn pbn) const { return blocks_[pbn].erase_count; }
@@ -294,7 +307,7 @@ void FlashArray::MaybeInjectRetention(PageState& page) {
   size_t byte = rng_.Uniform(page.data.size());
   unsigned bit = static_cast<unsigned>(rng_.Uniform(8));
   if ((page.data[byte] & (1u << bit)) == 0) {
-    page.data[byte] |= static_cast<uint8_t>(1u << bit);
+    Writable(page)[byte] |= static_cast<uint8_t>(1u << bit);
     stats_.retention_flips++;
   }
 }
@@ -324,7 +337,7 @@ void FlashArray::MaybeInjectInterference(Ppn lsb_ppn) {
       size_t byte = rng_.Uniform(neighbor.data.size());
       unsigned bit = static_cast<unsigned>(rng_.Uniform(8));
       if (neighbor.data[byte] & (1u << bit)) {
-        neighbor.data[byte] &= static_cast<uint8_t>(~(1u << bit));
+        Writable(neighbor)[byte] &= static_cast<uint8_t>(~(1u << bit));
         stats_.interference_flips++;
         break;
       }
@@ -333,15 +346,18 @@ void FlashArray::MaybeInjectInterference(Ppn lsb_ppn) {
 }
 
 Status FlashArray::ReadPage(Ppn ppn, uint8_t* out, IoTiming* t, bool sync) {
+  PageImage image;
+  IPA_RETURN_NOT_OK(ReadImage(ppn, &image, t, sync));
+  std::memcpy(out, image.data(), geo_.page_size);
+  return Status::OK();
+}
+
+Status FlashArray::ReadImage(Ppn ppn, PageImage* out, IoTiming* t, bool sync) {
   if (!powered_on_) return Status::Unavailable("flash device is powered off");
   IPA_RETURN_NOT_OK(CheckPpn(ppn));
   PageState& page = PageRef(ppn);
   MaybeInjectRetention(page);
-  if (page.data.empty()) {
-    std::memset(out, 0xFF, geo_.page_size);
-  } else {
-    std::memcpy(out, page.data.data(), geo_.page_size);
-  }
+  *out = page.data.empty() ? erased_ : page.data;
   PageAddress a = FromPpn(geo_, ppn);
   uint32_t chip = a.chip;
   Occupy(chip, 0, timing_.read_us, geo_.page_size, sync, t);
@@ -353,6 +369,18 @@ Status FlashArray::ReadPage(Ppn ppn, uint8_t* out, IoTiming* t, bool sync) {
 
 Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
                                uint32_t oob_len, IoTiming* t, bool sync) {
+  return Program(ppn, data, nullptr, oob, oob_len, t, sync);
+}
+
+Status FlashArray::ProgramImage(Ppn ppn, PageImage image, const uint8_t* oob,
+                                uint32_t oob_len, IoTiming* t, bool sync) {
+  const uint8_t* data = image.data();
+  return Program(ppn, data, &image, oob, oob_len, t, sync);
+}
+
+Status FlashArray::Program(Ppn ppn, const uint8_t* data, PageImage* image,
+                           const uint8_t* oob, uint32_t oob_len, IoTiming* t,
+                           bool sync) {
   if (!powered_on_) return Status::Unavailable("flash device is powered off");
   bool lose_power = DrawPowerLoss();
   IPA_RETURN_NOT_OK(CheckPpn(ppn));
@@ -375,8 +403,9 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     }
   } else {
     // ISPP re-program: every bit may only go 1 -> 0.
+    const uint8_t* stored = page.data.data();
     for (uint32_t i = 0; i < geo_.page_size; i++) {
-      if ((data[i] & page.data[i]) != data[i]) {
+      if ((data[i] & stored[i]) != data[i]) {
         StatsFor(a.chip).ispp_rejections++;
         return Status::NotSupported("re-program requires 0->1 transition (ISPP)");
       }
@@ -402,8 +431,11 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
     // whatever already ran is on media.
     bool oob_first = merged_oob > 0 && power_rng_.Chance(0.5);
     if (oob_first) MergeOob(page, oob, merged_oob);
-    if (initial) page.data.assign(geo_.page_size, 0xFF);
-    ApplyTornProgram(page.data.data(), data, geo_.page_size);
+    if (initial) {
+      page.data = images_.Take();
+      std::memset(page.data.mutable_data(), 0xFF, geo_.page_size);
+    }
+    ApplyTornProgram(Writable(page), data, geo_.page_size);
     page.program_count++;
     powered_on_ = false;
     stats_.power_loss_injections++;
@@ -413,7 +445,7 @@ Status FlashArray::ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob,
 
   // An erased page ANDed with `data` is `data`, and a re-program passed the
   // ISPP check, so the page stores exactly `data`.
-  page.data.assign(data, data + geo_.page_size);
+  page.data = image ? std::move(*image) : images_.Copy(data);
   page.program_count++;
   MergeOob(page, oob, merged_oob);
 
@@ -448,21 +480,22 @@ Status FlashArray::ProgramDelta(Ppn ppn, uint32_t offset, const uint8_t* delta,
   if (page.program_count >= geo_.max_programs_per_page) {
     return Status::NotSupported("page program budget exhausted (NOP limit)");
   }
+  const uint8_t* stored = page.data.data();
   for (uint32_t i = 0; i < len; i++) {
-    if ((delta[i] & page.data[offset + i]) != delta[i]) {
+    if ((delta[i] & stored[offset + i]) != delta[i]) {
       StatsFor(a.chip).ispp_rejections++;
       return Status::NotSupported("delta requires 0->1 transition (ISPP)");
     }
   }
   if (lose_power) {
-    ApplyTornProgram(page.data.data() + offset, delta, len);
+    ApplyTornProgram(Writable(page) + offset, delta, len);
     page.program_count++;
     powered_on_ = false;
     stats_.power_loss_injections++;
     stats_.torn_delta_programs++;
     return Status::Unavailable("power loss during delta program");
   }
-  std::memcpy(page.data.data() + offset, delta, len);
+  std::memcpy(Writable(page) + offset, delta, len);
   page.program_count++;
 
   MaybeInjectInterference(ppn);
@@ -514,13 +547,14 @@ Status FlashArray::RefreshPage(Ppn ppn, const uint8_t* data, IoTiming* t,
   if (page.IsErased()) {
     return Status::InvalidArgument("refresh of an erased page");
   }
+  const uint8_t* stored = page.data.data();
   for (uint32_t i = 0; i < geo_.page_size; i++) {
-    if ((data[i] & page.data[i]) != data[i]) {
+    if ((data[i] & stored[i]) != data[i]) {
       StatsFor(ChipOf(ppn)).ispp_rejections++;
       return Status::NotSupported("refresh requires 0->1 transition (ISPP)");
     }
   }
-  std::memcpy(page.data.data(), data, geo_.page_size);
+  std::memcpy(Writable(page), data, geo_.page_size);
   PageAddress a = FromPpn(geo_, ppn);
   bool lsb = IsLsbPage(geo_, a.page);
   Occupy(a.chip, geo_.page_size,
@@ -578,7 +612,12 @@ Status FlashArray::EraseBlock(Pbn pbn, IoTiming* t, bool sync) {
     // kept — the block was NOT erased and refuses initial programs until a
     // successful re-erase.
     for (auto& page : blk.pages) {
-      for (auto& b : page.data) b |= static_cast<uint8_t>(power_rng_.Next());
+      if (!page.data.empty()) {
+        uint8_t* data = Writable(page);
+        for (uint32_t i = 0; i < geo_.page_size; i++) {
+          data[i] |= static_cast<uint8_t>(power_rng_.Next());
+        }
+      }
       for (auto& b : page.oob) b |= static_cast<uint8_t>(power_rng_.Next());
     }
     blk.erase_count++;
@@ -587,10 +626,10 @@ Status FlashArray::EraseBlock(Pbn pbn, IoTiming* t, bool sync) {
     stats_.torn_erases++;
     return Status::Unavailable("power loss during block erase");
   }
-  // Erased pages keep their buffers' capacity, so reprogramming them
-  // allocates nothing.
+  // The last handle of a dropped image returns it to its pool, so
+  // reprogramming allocates nothing once the pools are warm.
   for (PageState& page : blk.pages) {
-    page.data.clear();
+    page.data.reset();
     page.oob.clear();
     page.program_count = 0;
   }

@@ -18,6 +18,13 @@
 //
 // FlashArray knows nothing about databases: it stores bytes and enforces
 // flash physics. The NoFTL layer (src/ftl) builds mapping/GC on top.
+//
+// Each programmed page holds a shared, immutable PageImage (page_image.h):
+// ReadImage hands it out and ProgramImage stores the caller's image, both
+// without copying. Every command that changes stored bytes in place (a
+// delta or ISPP re-program, a refresh, a torn program or erase, a
+// retention or interference flip) copies a shared image first, so an image
+// once handed out never changes.
 
 #pragma once
 
@@ -31,6 +38,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "flash/geometry.h"
+#include "flash/page_image.h"
 #include "flash/timing.h"
 
 namespace ipa::flash {
@@ -98,11 +106,10 @@ struct IoTiming {
 };
 
 /// State of one physical flash page (exposed for tests / introspection).
-/// An erase empties `data` and `oob` but keeps their capacity, so the next
-/// program of the page allocates nothing.
+/// An erase drops `data` and empties `oob`, keeping the OOB's capacity.
 struct PageState {
-  std::vector<uint8_t> data;  ///< Empty vector == erased (reads as 0xFF).
-  std::vector<uint8_t> oob;   ///< Empty == erased OOB.
+  PageImage data;            ///< Null == erased (reads as 0xFF).
+  std::vector<uint8_t> oob;  ///< Empty == erased OOB.
   uint8_t program_count = 0;  ///< Program operations since the last erase.
 
   bool IsErased() const { return program_count == 0; }
@@ -185,11 +192,19 @@ class FlashArray {
   /// Read a full page into `out` (geometry().page_size bytes).
   Status ReadPage(Ppn ppn, uint8_t* out, IoTiming* t = nullptr, bool sync = true);
 
+  /// ReadPage without the copy: `out` shares the stored image (an erased
+  /// page gives an all-0xFF image). Timing and counters are ReadPage's.
+  Status ReadImage(Ppn ppn, PageImage* out, IoTiming* t = nullptr, bool sync = true);
+
   /// Initial (or ISPP-compatible re-)program of a full page, optionally with
   /// OOB content. The page's program budget (max_programs_per_page) is
   /// consumed. MLC blocks require initial programs in increasing page order.
   Status ProgramPage(Ppn ppn, const uint8_t* data, const uint8_t* oob = nullptr,
                      uint32_t oob_len = 0, IoTiming* t = nullptr, bool sync = true);
+
+  /// ProgramPage that stores `image` itself instead of a copy of its bytes.
+  Status ProgramImage(Ppn ppn, PageImage image, const uint8_t* oob = nullptr,
+                      uint32_t oob_len = 0, IoTiming* t = nullptr, bool sync = true);
 
   /// write_delta (Section 7): append `len` bytes at `offset` of an already
   /// programmed page using ISPP. Rejected on MLC MSB pages, on exhausted
@@ -243,6 +258,11 @@ class FlashArray {
   Status AuditState() const;
 
   const PageState& page_state(Ppn ppn) const;
+  /// XOR `mask` into stored byte `offset` of a programmed page, as a bit
+  /// error would (tests). Images read before keep their bytes.
+  Status CorruptBits(Ppn ppn, uint32_t offset, uint8_t mask);
+  /// Home of the images the array makes; FTLs take private copies from it.
+  PageImagePool& image_pool() { return images_; }
   uint32_t EraseCount(Pbn pbn) const;
   uint64_t TotalEraseOps() const { return stats_.block_erases; }
   /// Highest erase count across all blocks (wear skew indicator).
@@ -265,6 +285,11 @@ class FlashArray {
   BlockState& BlockRef(Pbn pbn);
   const BlockState& BlockRef(Pbn pbn) const;
   PageState& PageRef(Ppn ppn);
+  /// The page's stored bytes for an in-place change, unshared first.
+  uint8_t* Writable(PageState& page) { return page.data.MakeWritable(images_); }
+  /// ProgramPage / ProgramImage; `image` is null for the copying call.
+  Status Program(Ppn ppn, const uint8_t* data, PageImage* image, const uint8_t* oob,
+                 uint32_t oob_len, IoTiming* t, bool sync);
 
   /// Lane the chip is bound to, or null for the shared (legacy) path.
   FlashLane* LaneOf(uint32_t chip);
@@ -302,6 +327,8 @@ class FlashArray {
   SimClock* clock_;
   Rng rng_;
   DeviceStats stats_;
+  PageImagePool images_;
+  PageImage erased_;  ///< All 0xFF: what an erased page reads as.
   std::vector<BlockState> blocks_;       // flat, chip-major
   std::vector<ChipState> chips_;
   std::vector<SimTime> channel_busy_;    // per channel

@@ -275,16 +275,16 @@ Status BlockManager::Collect() {
   // Migrate valid pages (device-internal I/O: no host transfer, async).
   // Per stream, survivors go to the GC-relocation frontier: data that
   // survived one collection is cold and never re-mixes with host writes.
-  std::vector<uint8_t> page(g.page_size);
   std::vector<uint8_t> oob(g.oob_size);
+  flash::PageImage page;
   for (uint32_t i = 0; i < usable_; i++) {
     Lba lba = LbaAt(victim, i);
     if (lba == kInvalidLba) continue;
     flash::Ppn from = PageOf(victim, i);
-    IPA_RETURN_NOT_OK(device_->ReadPage(from, page.data(), nullptr, false));
+    IPA_RETURN_NOT_OK(device_->ReadImage(from, &page, nullptr, false));
     flash::Ppn to = flash::kInvalidPpn;
     IPA_RETURN_NOT_OK(Allocate(gc_stream_, /*for_gc=*/true, &to));
-    IPA_RETURN_NOT_OK(hooks_.copy(lba, from, to, page.data(), oob.data()));
+    IPA_RETURN_NOT_OK(hooks_.copy(lba, from, to, page, oob.data()));
     Relocate(lba, to);
   }
   IPA_RETURN_NOT_OK(EraseAndFree(victim));

@@ -94,9 +94,10 @@ class BlockManager {
   /// The owner's side of garbage collection.
   struct Hooks {
     /// Program the GC copy of `lba` at `to` and count the migration. `page`
-    /// holds the body read from `from`; `oob` is oob_size bytes of scratch.
+    /// is the image read from `from`, moved by handle; `oob` is oob_size
+    /// bytes of scratch.
     std::function<Status(Lba lba, flash::Ppn from, flash::Ppn to,
-                         const uint8_t* page, uint8_t* oob)>
+                         const flash::PageImage& page, uint8_t* oob)>
         copy;
     /// Count one erase: of a GC victim, or a lazy post-mount erase.
     std::function<void()> erased;

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "flash/page_image.h"
 
 namespace ipa::ftl {
 
@@ -68,6 +69,22 @@ class PageDevice {
                              StreamTag tag) {
     (void)tag;
     return WritePage(lba, data, sync);
+  }
+
+  /// ReadPage into a shared image. A device that stores page images hands
+  /// out the stored one without copying; this default reads into an image
+  /// taken from `pool`. Either way the caller must not change a shared
+  /// image's bytes (flash::PageImage::MakeWritable copies first).
+  virtual Status ReadImage(Lba lba, flash::PageImagePool& pool, flash::PageImage* out) {
+    *out = pool.Take();
+    return ReadPage(lba, out->mutable_data());
+  }
+
+  /// WriteTagged that hands `image` over: a device that stores page images
+  /// keeps it without copying; this default writes its bytes through
+  /// WriteTagged.
+  virtual Status WriteImage(Lba lba, flash::PageImage image, bool sync, StreamTag tag) {
+    return WriteTagged(lba, image.data(), sync, tag);
   }
 
   /// write_delta(LBA, offset, delta_length, delta_bytes[]). NotSupported

@@ -98,7 +98,8 @@ BlockManager::Hooks PageFtl::GcHooks() {
   // Per stream, survivors go to the GC-relocation frontier. Migrated copies
   // get fresh sequence numbers, so a mount that sees both the old and the
   // new physical page resolves to the migrated one.
-  h.copy = [this](Lba lba, flash::Ppn, flash::Ppn to, const uint8_t* page, uint8_t*) {
+  h.copy = [this](Lba lba, flash::Ppn, flash::Ppn to, const flash::PageImage& page,
+                  uint8_t*) {
     StreamTag stream = per_stream() ? StreamTag::kGcRelocation : StreamTag::kUntagged;
     IPA_RETURN_NOT_OK(ProgramMapped(to, lba, stream, page, nullptr, false));
     stats_.gc_page_migrations++;
@@ -130,7 +131,7 @@ bool PageFtl::DecodeOobEntry(const uint8_t* entry, Lba* lba, uint64_t* seq,
 }
 
 Status PageFtl::ProgramMapped(flash::Ppn ppn, Lba lba, StreamTag stream,
-                              const uint8_t* data, flash::IoTiming* t, bool sync) {
+                              flash::PageImage image, flash::IoTiming* t, bool sync) {
   const auto& g = device_->geometry();
   uint8_t entry[kOobEntryBytes];
   EncodeU16(entry, kOobMagic);
@@ -138,28 +139,47 @@ Status PageFtl::ProgramMapped(flash::Ppn ppn, Lba lba, StreamTag stream,
   // The sequence number is consumed even when the program tears: a retry
   // after recovery must outrank whatever the torn attempt left on media.
   EncodeU64(entry + 10, write_seq_++);
-  EncodeU32(entry + 18, Crc32c(data, g.page_size));
+  EncodeU32(entry + 18, Crc32c(image.data(), g.page_size));
   entry[kStreamOffset] = static_cast<uint8_t>(stream);
   EncodeU32(entry + kEntryCrcOffset, Crc32c(entry, kEntryCrcOffset));
-  return device_->ProgramPage(ppn, data, entry, kOobEntryBytes, t, sync);
+  return device_->ProgramImage(ppn, std::move(image), entry, kOobEntryBytes, t, sync);
 }
 
 // ---------------------------------------------------------------------------
 // Host commands
 // ---------------------------------------------------------------------------
 
-Status PageFtl::ReadPage(Lba lba, uint8_t* out) {
-  const auto& g = device_->geometry();
+Status PageFtl::ReadStored(Lba lba, flash::PageImage* out) {
   if (lba >= config_.logical_pages) return Status::InvalidArgument("lba out of range");
   stats_.host_reads++;
   flash::Ppn ppn = blocks_.PhysicalOf(lba);
   if (ppn == flash::kInvalidPpn) {
-    std::memset(out, 0xFF, g.page_size);
+    out->reset();
     return Status::OK();
   }
   flash::IoTiming t;
-  IPA_RETURN_NOT_OK(device_->ReadPage(ppn, out, &t, true));
+  IPA_RETURN_NOT_OK(device_->ReadImage(ppn, out, &t, true));
   stats_.read_latency.Add(t.LatencyUs());
+  return Status::OK();
+}
+
+Status PageFtl::ReadPage(Lba lba, uint8_t* out) {
+  flash::PageImage image;
+  IPA_RETURN_NOT_OK(ReadStored(lba, &image));
+  if (image) {
+    std::memcpy(out, image.data(), page_size());
+  } else {
+    std::memset(out, 0xFF, page_size());
+  }
+  return Status::OK();
+}
+
+Status PageFtl::ReadImage(Lba lba, flash::PageImagePool& pool, flash::PageImage* out) {
+  IPA_RETURN_NOT_OK(ReadStored(lba, out));
+  if (!*out) {
+    *out = pool.Take();
+    std::memset(out->mutable_data(), 0xFF, page_size());
+  }
   return Status::OK();
 }
 
@@ -169,6 +189,10 @@ Status PageFtl::WritePage(Lba lba, const uint8_t* data, bool sync) {
 
 Status PageFtl::WriteTagged(Lba lba, const uint8_t* data, bool sync,
                             StreamTag tag) {
+  return WriteImage(lba, device_->image_pool().Copy(data), sync, tag);
+}
+
+Status PageFtl::WriteImage(Lba lba, flash::PageImage image, bool sync, StreamTag tag) {
   if (lba >= config_.logical_pages) return Status::InvalidArgument("lba out of range");
   if (static_cast<uint8_t>(tag) >= kNumStreams) {
     return Status::InvalidArgument("unknown stream tag");
@@ -179,7 +203,7 @@ Status PageFtl::WriteTagged(Lba lba, const uint8_t* data, bool sync,
   flash::Ppn ppn = flash::kInvalidPpn;
   IPA_RETURN_NOT_OK(blocks_.Allocate(tag, /*for_gc=*/false, &ppn));
   flash::IoTiming t;
-  IPA_RETURN_NOT_OK(ProgramMapped(ppn, lba, tag, data, &t, sync));
+  IPA_RETURN_NOT_OK(ProgramMapped(ppn, lba, tag, std::move(image), &t, sync));
   blocks_.Map(lba, ppn);
 
   stats_.host_page_writes++;
@@ -233,7 +257,7 @@ Status PageFtl::Mount(MountScanReport* report) {
   std::vector<uint64_t> win_seq(config_.logical_pages, 0);
   uint64_t max_seq = 0;
   std::vector<uint8_t> oob(g.oob_size);
-  std::vector<uint8_t> buf(g.page_size);
+  flash::PageImage page_image;
 
   for (uint32_t b = 0; b < blocks_.blocks().size(); b++) {
     bool has_content = false;
@@ -260,8 +284,8 @@ Status PageFtl::Mount(MountScanReport* report) {
         // A torn program can commit the OOB entry before the data: the body
         // CRC is the arbiter. A mismatching page is stale garbage that GC
         // reclaims with its block; the mapping entry is simply not believed.
-        IPA_RETURN_NOT_OK(device_->ReadPage(ppn, buf.data(), nullptr, false));
-        if (Crc32c(buf.data(), g.page_size) != data_crc) {
+        IPA_RETURN_NOT_OK(device_->ReadImage(ppn, &page_image, nullptr, false));
+        if (Crc32c(page_image.data(), g.page_size) != data_crc) {
           rep.torn_pages_quarantined++;
           stats_.torn_pages_quarantined++;
           continue;
@@ -277,8 +301,9 @@ Status PageFtl::Mount(MountScanReport* report) {
         if (std::any_of(oob.begin(), oob.begin() + kOobEntryBytes, programmed)) {
           has_content = true;
         } else {
-          IPA_RETURN_NOT_OK(device_->ReadPage(ppn, buf.data(), nullptr, false));
-          if (std::any_of(buf.begin(), buf.end(), programmed)) has_content = true;
+          IPA_RETURN_NOT_OK(device_->ReadImage(ppn, &page_image, nullptr, false));
+          const uint8_t* body = page_image.data();
+          if (std::any_of(body, body + g.page_size, programmed)) has_content = true;
         }
       }
     }

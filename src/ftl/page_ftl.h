@@ -117,6 +117,10 @@ class PageFtl : public FtlBackend {
   Status WritePage(Lba lba, const uint8_t* data, bool sync) override;
   Status WriteTagged(Lba lba, const uint8_t* data, bool sync,
                      StreamTag tag) override;
+  /// Hands out the stored image without copying.
+  Status ReadImage(Lba lba, flash::PageImagePool& pool, flash::PageImage* out) override;
+  /// Programs `image` itself, without copying.
+  Status WriteImage(Lba lba, flash::PageImage image, bool sync, StreamTag tag) override;
   Status WriteDelta(Lba lba, uint32_t offset, const uint8_t* bytes,
                     uint32_t len, bool sync) override;
   bool DeltaWritePossible(Lba lba) const override;
@@ -173,9 +177,12 @@ class PageFtl : public FtlBackend {
   /// Add stats_ to the registry under backend_name() (docs/METRICS.md).
   void PublishStats() const;
 
-  /// Program `data` to `ppn` with a fresh reverse-map OOB entry for `lba`.
+  /// Program `image` to `ppn` with a fresh reverse-map OOB entry for `lba`.
   Status ProgramMapped(flash::Ppn ppn, Lba lba, StreamTag stream,
-                       const uint8_t* data, flash::IoTiming* t, bool sync);
+                       flash::PageImage image, flash::IoTiming* t, bool sync);
+  /// Count a host read of `lba` and share its stored image into `out`; an
+  /// unmapped page leaves `out` null.
+  Status ReadStored(Lba lba, flash::PageImage* out);
   /// Decode + verify the entry CRC and stream byte; false for
   /// erased/torn/foreign OOB.
   bool DecodeOobEntry(const uint8_t* entry, Lba* lba, uint64_t* seq,

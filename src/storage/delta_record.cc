@@ -47,7 +47,7 @@ struct AreaView {
 };
 
 AreaView ViewOf(const uint8_t* page, uint32_t page_size) {
-  SlottedPage view(const_cast<uint8_t*>(page), page_size);
+  ConstSlottedPage view(page, page_size);
   AreaView v;
   v.delta_off = view.delta_off();
   v.scheme = view.scheme();
@@ -273,7 +273,7 @@ DiffKernel ChooseDiffKernel() {
 
 void DiffWith(DiffKernel kernel, const uint8_t* base, const uint8_t* cur,
               uint32_t page_size, uint32_t body_cap, uint32_t meta_cap, PageDiff* out) {
-  SlottedPage view(const_cast<uint8_t*>(cur), page_size);
+  ConstSlottedPage view(cur, page_size);
   out->body.clear();
   out->meta.clear();
   out->overflow = false;
@@ -365,6 +365,11 @@ uint32_t CountDeltaRecords(const uint8_t* page, uint32_t page_size) {
     count++;
   }
   return count;
+}
+
+bool HasDeltaRecords(const uint8_t* page, uint32_t page_size) {
+  AreaView v = ViewOf(page, page_size);
+  return v.scheme.enabled() && v.delta_off < page_size && page[v.delta_off] != 0xFF;
 }
 
 uint32_t ApplyDeltaRecords(uint8_t* page, uint32_t page_size) {

@@ -94,6 +94,11 @@ Status AuditDeltaArea(const uint8_t* page, uint32_t page_size);
 /// page's codec byte.
 uint32_t CountDeltaRecords(const uint8_t* page, uint32_t page_size);
 
+/// True when the first control byte of the page's delta area is programmed:
+/// ApplyDeltaRecords then has a record to look at. When false it applies
+/// nothing and counts no torn record.
+bool HasDeltaRecords(const uint8_t* page, uint32_t page_size);
+
 /// Apply all present delta-records to the page in forward order. Returns the
 /// number of records applied. Idempotent (byte-codec payloads carry absolute
 /// values, not XOR diffs, for exactly this reason).

@@ -11,32 +11,32 @@ void SlottedPage::Initialize(uint64_t page_id, uint32_t table_id,
                              const Scheme& scheme) {
   uint32_t delta = scheme.enabled() ? scheme.AreaBytes() : 0;
   uint32_t delta_off = page_size_ - delta;
-  std::memset(data_, 0, delta_off);
-  std::memset(data_ + delta_off, 0xFF, delta);
-  EncodeU64(data_ + kOffPageLsn, 0);
-  EncodeU64(data_ + kOffPageId, page_id);
-  EncodeU16(data_ + kOffSlotCount, 0);
-  EncodeU16(data_ + kOffFreeBegin, static_cast<uint16_t>(kPageHeaderSize));
-  EncodeU16(data_ + kOffFreeEnd, static_cast<uint16_t>(delta_off));
-  EncodeU16(data_ + kOffDeltaOff, static_cast<uint16_t>(delta_off));
-  data_[kOffN] = scheme.n;
-  data_[kOffM] = scheme.m;
-  data_[kOffV] = scheme.v;
-  data_[kOffFlags] = 0;
-  EncodeU32(data_ + kOffTableId, table_id);
-  data_[kOffCodec] = scheme.codec;
+  std::memset(mut_, 0, delta_off);
+  std::memset(mut_ + delta_off, 0xFF, delta);
+  EncodeU64(mut_ + kOffPageLsn, 0);
+  EncodeU64(mut_ + kOffPageId, page_id);
+  EncodeU16(mut_ + kOffSlotCount, 0);
+  EncodeU16(mut_ + kOffFreeBegin, static_cast<uint16_t>(kPageHeaderSize));
+  EncodeU16(mut_ + kOffFreeEnd, static_cast<uint16_t>(delta_off));
+  EncodeU16(mut_ + kOffDeltaOff, static_cast<uint16_t>(delta_off));
+  mut_[kOffN] = scheme.n;
+  mut_[kOffM] = scheme.m;
+  mut_[kOffV] = scheme.v;
+  mut_[kOffFlags] = 0;
+  EncodeU32(mut_ + kOffTableId, table_id);
+  mut_[kOffCodec] = scheme.codec;
 }
 
-uint64_t SlottedPage::page_lsn() const { return DecodeU64(data_ + kOffPageLsn); }
-void SlottedPage::set_page_lsn(uint64_t lsn) { EncodeU64(data_ + kOffPageLsn, lsn); }
-uint64_t SlottedPage::page_id() const { return DecodeU64(data_ + kOffPageId); }
-uint32_t SlottedPage::table_id() const { return DecodeU32(data_ + kOffTableId); }
-uint16_t SlottedPage::slot_count() const { return DecodeU16(data_ + kOffSlotCount); }
-uint16_t SlottedPage::free_begin() const { return DecodeU16(data_ + kOffFreeBegin); }
-uint16_t SlottedPage::free_end() const { return DecodeU16(data_ + kOffFreeEnd); }
-uint16_t SlottedPage::delta_off() const { return DecodeU16(data_ + kOffDeltaOff); }
+uint64_t ConstSlottedPage::page_lsn() const { return DecodeU64(data_ + kOffPageLsn); }
+void SlottedPage::set_page_lsn(uint64_t lsn) { EncodeU64(mut_ + kOffPageLsn, lsn); }
+uint64_t ConstSlottedPage::page_id() const { return DecodeU64(data_ + kOffPageId); }
+uint32_t ConstSlottedPage::table_id() const { return DecodeU32(data_ + kOffTableId); }
+uint16_t ConstSlottedPage::slot_count() const { return DecodeU16(data_ + kOffSlotCount); }
+uint16_t ConstSlottedPage::free_begin() const { return DecodeU16(data_ + kOffFreeBegin); }
+uint16_t ConstSlottedPage::free_end() const { return DecodeU16(data_ + kOffFreeEnd); }
+uint16_t ConstSlottedPage::delta_off() const { return DecodeU16(data_ + kOffDeltaOff); }
 
-Scheme SlottedPage::scheme() const {
+Scheme ConstSlottedPage::scheme() const {
   Scheme s;
   s.n = data_[kOffN];
   s.m = data_[kOffM];
@@ -48,31 +48,31 @@ Scheme SlottedPage::scheme() const {
   return s;
 }
 
-uint32_t SlottedPage::FreeSpace() const {
+uint32_t ConstSlottedPage::FreeSpace() const {
   uint16_t begin = free_begin();
   uint16_t end = free_end();
   return end > begin ? end - begin : 0;
 }
 
-bool SlottedPage::HasRoomFor(uint32_t tuple_len) const {
+bool ConstSlottedPage::HasRoomFor(uint32_t tuple_len) const {
   return FreeSpace() >= tuple_len + kSlotEntrySize;
 }
 
-uint32_t SlottedPage::SlotEntryPos(SlotId slot) const {
+uint32_t ConstSlottedPage::SlotEntryPos(SlotId slot) const {
   return delta_off() - kSlotEntrySize * (static_cast<uint32_t>(slot) + 1);
 }
 
-uint16_t SlottedPage::SlotOffset(SlotId slot) const {
+uint16_t ConstSlottedPage::SlotOffset(SlotId slot) const {
   return DecodeU16(data_ + SlotEntryPos(slot));
 }
 
-uint16_t SlottedPage::SlotLen(SlotId slot) const {
+uint16_t ConstSlottedPage::SlotLen(SlotId slot) const {
   return DecodeU16(data_ + SlotEntryPos(slot) + 2);
 }
 
 void SlottedPage::SetSlot(SlotId slot, uint16_t offset, uint16_t len) {
-  EncodeU16(data_ + SlotEntryPos(slot), offset);
-  EncodeU16(data_ + SlotEntryPos(slot) + 2, len);
+  EncodeU16(mut_ + SlotEntryPos(slot), offset);
+  EncodeU16(mut_ + SlotEntryPos(slot) + 2, len);
 }
 
 Result<SlotId> SlottedPage::Insert(std::span<const uint8_t> tuple) {
@@ -84,15 +84,15 @@ Result<SlotId> SlottedPage::Insert(std::span<const uint8_t> tuple) {
   }
   uint16_t begin = free_begin();
   SlotId slot = slot_count();
-  std::memcpy(data_ + begin, tuple.data(), tuple.size());
-  EncodeU16(data_ + kOffSlotCount, static_cast<uint16_t>(slot + 1));
-  EncodeU16(data_ + kOffFreeEnd, static_cast<uint16_t>(free_end() - kSlotEntrySize));
+  std::memcpy(mut_ + begin, tuple.data(), tuple.size());
+  EncodeU16(mut_ + kOffSlotCount, static_cast<uint16_t>(slot + 1));
+  EncodeU16(mut_ + kOffFreeEnd, static_cast<uint16_t>(free_end() - kSlotEntrySize));
   SetSlot(slot, begin, static_cast<uint16_t>(tuple.size()));
-  EncodeU16(data_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
+  EncodeU16(mut_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
   return slot;
 }
 
-Result<std::span<const uint8_t>> SlottedPage::Read(SlotId slot) const {
+Result<std::span<const uint8_t>> ConstSlottedPage::Read(SlotId slot) const {
   if (slot >= slot_count()) return Status::NotFound("no such slot");
   uint16_t len = SlotLen(slot);
   if (len == kDeadSlotLen) return Status::NotFound("tuple deleted");
@@ -107,7 +107,7 @@ Status SlottedPage::UpdateInPlace(SlotId slot, uint32_t offset,
   if (offset + bytes.size() > len) {
     return Status::InvalidArgument("update exceeds tuple bounds");
   }
-  std::memcpy(data_ + SlotOffset(slot) + offset, bytes.data(), bytes.size());
+  std::memcpy(mut_ + SlotOffset(slot) + offset, bytes.data(), bytes.size());
   return Status::OK();
 }
 
@@ -116,20 +116,20 @@ Status SlottedPage::UpdateResize(SlotId slot, std::span<const uint8_t> tuple) {
   uint16_t old_len = SlotLen(slot);
   if (old_len == kDeadSlotLen) return Status::NotFound("tuple deleted");
   if (tuple.size() == old_len) {
-    std::memcpy(data_ + SlotOffset(slot), tuple.data(), tuple.size());
+    std::memcpy(mut_ + SlotOffset(slot), tuple.data(), tuple.size());
     return Status::OK();
   }
   if (tuple.size() < old_len) {
     // Shrink in place: rewrite prefix, adjust slot length (old tail dead).
-    std::memcpy(data_ + SlotOffset(slot), tuple.data(), tuple.size());
+    std::memcpy(mut_ + SlotOffset(slot), tuple.data(), tuple.size());
     SetSlot(slot, SlotOffset(slot), static_cast<uint16_t>(tuple.size()));
     return Status::OK();
   }
   if (FreeSpace() < tuple.size()) {
     // Reclaim dead space — including this tuple's own old bytes — before
     // giving up.
-    std::vector<uint8_t> old(data_ + SlotOffset(slot),
-                             data_ + SlotOffset(slot) + old_len);
+    std::vector<uint8_t> old(mut_ + SlotOffset(slot),
+                             mut_ + SlotOffset(slot) + old_len);
     SetSlot(slot, SlotOffset(slot), kDeadSlotLen);
     Compact();
     if (FreeSpace() < tuple.size()) {
@@ -143,9 +143,9 @@ Status SlottedPage::UpdateResize(SlotId slot, std::span<const uint8_t> tuple) {
     return Revive(slot, tuple);
   }
   uint16_t begin = free_begin();
-  std::memcpy(data_ + begin, tuple.data(), tuple.size());
+  std::memcpy(mut_ + begin, tuple.data(), tuple.size());
   SetSlot(slot, begin, static_cast<uint16_t>(tuple.size()));
-  EncodeU16(data_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
+  EncodeU16(mut_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
   return Status::OK();
 }
 
@@ -168,13 +168,13 @@ Status SlottedPage::Revive(SlotId slot, std::span<const uint8_t> tuple) {
     }
   }
   uint16_t begin = free_begin();
-  std::memcpy(data_ + begin, tuple.data(), tuple.size());
+  std::memcpy(mut_ + begin, tuple.data(), tuple.size());
   SetSlot(slot, begin, static_cast<uint16_t>(tuple.size()));
-  EncodeU16(data_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
+  EncodeU16(mut_ + kOffFreeBegin, static_cast<uint16_t>(begin + tuple.size()));
   return Status::OK();
 }
 
-bool SlottedPage::IsLive(SlotId slot) const {
+bool ConstSlottedPage::IsLive(SlotId slot) const {
   return slot < slot_count() && SlotLen(slot) != kDeadSlotLen;
 }
 
@@ -184,24 +184,24 @@ void SlottedPage::Compact() {
   live.reserve(n);
   for (SlotId s = 0; s < n; s++) {
     if (!IsLive(s)) continue;
-    const uint8_t* p = data_ + SlotOffset(s);
+    const uint8_t* p = mut_ + SlotOffset(s);
     live.emplace_back(s, std::vector<uint8_t>(p, p + SlotLen(s)));
   }
   uint16_t cursor = kPageHeaderSize;
   for (auto& [slot, bytes] : live) {
-    std::memcpy(data_ + cursor, bytes.data(), bytes.size());
+    std::memcpy(mut_ + cursor, bytes.data(), bytes.size());
     SetSlot(slot, cursor, static_cast<uint16_t>(bytes.size()));
     cursor = static_cast<uint16_t>(cursor + bytes.size());
   }
-  EncodeU16(data_ + kOffFreeBegin, cursor);
+  EncodeU16(mut_ + kOffFreeBegin, cursor);
 }
 
 void SlottedPage::ResetDeltaArea() {
   uint16_t off = delta_off();
-  std::memset(data_ + off, 0xFF, page_size_ - off);
+  std::memset(mut_ + off, 0xFF, page_size_ - off);
 }
 
-bool SlottedPage::IsMetadataOffset(uint32_t offset) const {
+bool ConstSlottedPage::IsMetadataOffset(uint32_t offset) const {
   if (offset < kPageHeaderSize) return true;
   return offset >= free_end() && offset < delta_off();
 }

@@ -49,7 +49,7 @@ struct PoolFixture {
   /// Create + flush a formatted page with one 64B tuple.
   void Seed(PageId id) {
     auto f = pool->Fix(id, /*for_format=*/true).value();
-    storage::SlottedPage view(f->cur.data(), kPageSize);
+    storage::SlottedPage view(pool->WillModify(f), kPageSize);
     view.Initialize(id.raw, 1, scheme);
     std::vector<uint8_t> tuple(64, 0x11);
     (void)view.Insert(tuple);
@@ -80,7 +80,7 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   for (uint64_t i = 0; i < 8; i++) {
     PageId p(0, i);
     auto f = fx.pool->Fix(p, /*for_format=*/true).value();
-    storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+    storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
     view.Initialize(p.raw, 1, fx.scheme);
     fx.pool->Unfix(f, true);
   }
@@ -89,7 +89,7 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   for (uint64_t i = 0; i < 8; i++) {
     auto f = fx.pool->Fix(PageId(0, i));
     ASSERT_TRUE(f.ok());
-    storage::SlottedPage view(f.value()->cur.data(), PoolFixture::kPageSize);
+    storage::ConstSlottedPage view(f.value()->data(), PoolFixture::kPageSize);
     EXPECT_EQ(view.page_id(), PageId(0, i).raw);
     fx.pool->Unfix(f.value(), false);
   }
@@ -118,8 +118,7 @@ TEST(BufferPoolTest, BaseImageDiffDrivesIpaPath) {
 
   // Fetch, small in-place change, flush -> must be an IPA append.
   auto f = fx.pool->Fix(p).value();
-  fx.pool->WillModify(f);
-  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
   uint8_t v = 0x99;
   ASSERT_TRUE(view.UpdateInPlace(0, 5, {&v, 1}).ok());
   fx.pool->Unfix(f, true);
@@ -130,7 +129,7 @@ TEST(BufferPoolTest, BaseImageDiffDrivesIpaPath) {
   // Refetch from flash: the delta must replay.
   fx.pool->DropAllNoFlush();
   auto f2 = fx.pool->Fix(p).value();
-  storage::SlottedPage view2(f2->cur.data(), PoolFixture::kPageSize);
+  storage::ConstSlottedPage view2(f2->data(), PoolFixture::kPageSize);
   auto tuple = view2.Read(0);
   ASSERT_TRUE(tuple.ok());
   EXPECT_EQ(tuple.value()[5], 0x99);
@@ -154,17 +153,17 @@ TEST(BufferPoolTest, DirtyFlagWithNoDiffSkipsWrite) {
   EXPECT_EQ(Published("bufferpool.clean_diff_skips") - published, 1u);
 }
 
+// Only WillModify() hands out a writable pointer, so a frame dirtied without
+// it changed nothing; its flush still fails closed rather than diffing
+// against a base it never took.
 TEST(BufferPoolTest, ChangeWithoutWillModifyFailsFlushAndWritesNothing) {
   PoolFixture fx(8);
   PageId p(0, 5);
-  fx.Seed(p);  // flushed while unfixed: the frame's base is stale
+  fx.Seed(p);  // flushed while unfixed: the frame has no base
   for (bool refetch : {false, true}) {
     SCOPED_TRACE(refetch ? "after a fetch" : "after an unfixed flush");
     if (refetch) fx.pool->DropAllNoFlush();
     auto f = fx.pool->Fix(p).value();
-    storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
-    uint8_t v = 0x77;
-    ASSERT_TRUE(view.UpdateInPlace(0, 0, {&v, 1}).ok());
     fx.pool->Unfix(f, true);
     uint64_t writes_before = fx.stack->backend_stats().HostWrites();
     uint64_t flushes_before = fx.pool->stats().flushes;
@@ -184,8 +183,7 @@ TEST(BufferPoolTest, FlushOfFixedFrameKeepsItsBase) {
   // Two fixes: the frame stays fixed across the first flush.
   auto f = fx.pool->Fix(p).value();
   ASSERT_EQ(fx.pool->Fix(p).value(), f);
-  fx.pool->WillModify(f);
-  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
   uint8_t v = 0x31;
   ASSERT_TRUE(view.UpdateInPlace(0, 0, {&v, 1}).ok());
   fx.pool->Unfix(f, true);
@@ -202,7 +200,7 @@ TEST(BufferPoolTest, FlushOfFixedFrameKeepsItsBase) {
 
   fx.pool->DropAllNoFlush();
   auto f2 = fx.pool->Fix(p).value();
-  auto tuple = storage::SlottedPage(f2->cur.data(), PoolFixture::kPageSize).Read(0);
+  auto tuple = storage::ConstSlottedPage(f2->data(), PoolFixture::kPageSize).Read(0);
   ASSERT_TRUE(tuple.ok());
   EXPECT_EQ(tuple.value()[0], 0x31);
   EXPECT_EQ(tuple.value()[1], 0x32);
@@ -214,7 +212,7 @@ TEST(BufferPoolTest, FormatFixOfResidentFrameLeavesBaseValid) {
   PageId p(0, 7);
   fx.Seed(p);  // resident, flushed while unfixed: base stale
   auto f = fx.pool->Fix(p, /*for_format=*/true).value();
-  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
   view.Initialize(p.raw, 2, fx.scheme);
   fx.pool->Unfix(f, true);
   ASSERT_TRUE(fx.pool->FlushAll().ok());
@@ -222,7 +220,7 @@ TEST(BufferPoolTest, FormatFixOfResidentFrameLeavesBaseValid) {
 
   fx.pool->DropAllNoFlush();
   auto f2 = fx.pool->Fix(p).value();
-  storage::SlottedPage view2(f2->cur.data(), PoolFixture::kPageSize);
+  storage::ConstSlottedPage view2(f2->data(), PoolFixture::kPageSize);
   EXPECT_EQ(view2.table_id(), 2u);
   EXPECT_EQ(view2.slot_count(), 0u);
   fx.pool->Unfix(f2, false);
@@ -233,7 +231,7 @@ TEST(BufferPoolTest, CleanerRespectsThreshold) {
   // 3 dirty out of 8 frames: below threshold -> no cleaning.
   for (uint64_t i = 0; i < 3; i++) {
     auto f = fx.pool->Fix(PageId(0, i), true).value();
-    storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+    storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
     view.Initialize(PageId(0, i).raw, 1, fx.scheme);
     fx.pool->Unfix(f, true);
   }
@@ -243,7 +241,7 @@ TEST(BufferPoolTest, CleanerRespectsThreshold) {
   // Push past the threshold.
   for (uint64_t i = 3; i < 5; i++) {
     auto f = fx.pool->Fix(PageId(0, i), true).value();
-    storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+    storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
     view.Initialize(PageId(0, i).raw, 1, fx.scheme);
     fx.pool->Unfix(f, true);
   }
@@ -256,7 +254,7 @@ TEST(BufferPoolTest, MinRecLsnTracksOldestDirty) {
   // Format page `lba` in `fx`'s pool and unfix it dirtied at `rec_lsn`.
   auto dirty = [](PoolFixture& fx, uint64_t lba, Lsn rec_lsn) {
     auto f = fx.pool->Fix(PageId(0, lba), true).value();
-    storage::SlottedPage(f->cur.data(), PoolFixture::kPageSize)
+    storage::SlottedPage(fx.pool->WillModify(f), PoolFixture::kPageSize)
         .Initialize(PageId(0, lba).raw, 1, fx.scheme);
     fx.pool->Unfix(f, true, rec_lsn);
   };
@@ -308,7 +306,7 @@ BufferStats FlushTwoSmallUpdates(const workload::StackSpec& spec, storage::Schem
 
   PageId p(0, 0);
   auto f = pool.Fix(p, true).value();
-  storage::SlottedPage view(f->cur.data(), 4096);
+  storage::SlottedPage view(pool.WillModify(f), 4096);
   view.Initialize(p.raw, 1, scheme);
   std::vector<uint8_t> tuple(64, 0x11);
   (void)view.Insert(tuple);
@@ -317,8 +315,7 @@ BufferStats FlushTwoSmallUpdates(const workload::StackSpec& spec, storage::Schem
 
   for (int round = 0; round < 2; round++) {
     auto f2 = pool.Fix(p).value();
-    pool.WillModify(f2);
-    storage::SlottedPage v2(f2->cur.data(), 4096);
+    storage::SlottedPage v2(pool.WillModify(f2), 4096);
     uint8_t val = static_cast<uint8_t>(0x20 + round);
     EXPECT_TRUE(v2.UpdateInPlace(0, static_cast<uint32_t>(round), {&val, 1}).ok());
     pool.Unfix(f2, true);
@@ -328,7 +325,7 @@ BufferStats FlushTwoSmallUpdates(const workload::StackSpec& spec, storage::Schem
   EXPECT_EQ(pool.stats().oop_flushes, 2u);  // initial + fallback
   pool.DropAllNoFlush();
   auto f3 = pool.Fix(p).value();
-  storage::SlottedPage v3(f3->cur.data(), 4096);
+  storage::ConstSlottedPage v3(f3->data(), 4096);
   auto t = v3.Read(0);
   EXPECT_TRUE(t.ok());
   if (t.ok()) {
@@ -362,6 +359,69 @@ TEST(BufferPoolTest, FallbackWhenDeviceRefusesAppend) {
   EXPECT_EQ(Published("bufferpool.writebacks.delta_fallbacks") - published, 1u);
 }
 
+/// Forwards to `inner`, failing only the first read of `lba`.
+class FailFirstRead : public ftl::PageDevice {
+ public:
+  FailFirstRead(ftl::PageDevice* inner, ftl::Lba lba) : inner_(inner), lba_(lba) {}
+  Status ReadPage(ftl::Lba lba, uint8_t* out) override {
+    if (lba == lba_ && !failed_) {
+      failed_ = true;
+      return Status::Corruption("injected read failure");
+    }
+    return inner_->ReadPage(lba, out);
+  }
+  Status WritePage(ftl::Lba lba, const uint8_t* data, bool sync) override {
+    return inner_->WritePage(lba, data, sync);
+  }
+  Status WriteDelta(ftl::Lba lba, uint32_t offset, const uint8_t* bytes, uint32_t len,
+                    bool sync) override {
+    return inner_->WriteDelta(lba, offset, bytes, len, sync);
+  }
+  bool DeltaWritePossible(ftl::Lba lba) const override {
+    return inner_->DeltaWritePossible(lba);
+  }
+  bool IsMapped(ftl::Lba lba) const override { return inner_->IsMapped(lba); }
+  uint32_t page_size() const override { return inner_->page_size(); }
+  uint64_t capacity_pages() const override { return inner_->capacity_pages(); }
+
+ private:
+  ftl::PageDevice* inner_;
+  ftl::Lba lba_;
+  bool failed_ = false;
+};
+
+// Regression: a failed load used to leave its frame valid under the page id
+// but outside the page table. Evicting it later dropped the table entry of
+// the frame that did hold the page, and the next fix loaded a second, stale
+// copy from flash.
+TEST(BufferPoolTest, FailedLoadLeavesNoStaleFrame) {
+  PoolFixture fx(8);
+  const PageId x(0, 1), y(0, 2), z(0, 3);
+  for (PageId p : {x, y, z}) fx.Seed(p);
+  FailFirstRead dev(fx.stack->backend, x.lba());
+  BufferConfig bc;
+  bc.page_size = PoolFixture::kPageSize;
+  bc.frames = 3;
+  BufferPool pool(bc, [&](TablespaceId) { return &dev; }, [](Lsn) {});
+
+  EXPECT_EQ(pool.Fix(x).status().code(), StatusCode::kCorruption);
+  BufferPool::Frame* f = pool.Fix(x).value();
+  storage::SlottedPage view(pool.WillModify(f), PoolFixture::kPageSize);
+  uint8_t v = 0x4B;
+  ASSERT_TRUE(view.UpdateInPlace(0, 0, {&v, 1}).ok());
+  // X stays fixed while two other pages pass through the pool.
+  for (PageId p : {y, z}) pool.Unfix(pool.Fix(p).value(), false);
+
+  auto again = pool.Fix(x);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), f);
+  auto tuple = storage::ConstSlottedPage(again.value()->data(), PoolFixture::kPageSize).Read(0);
+  ASSERT_TRUE(tuple.ok());
+  EXPECT_EQ(tuple.value()[0], 0x4B);
+  pool.Unfix(again.value(), false);
+  pool.Unfix(f, true);
+}
+
 // Regression: a simulated crash (DropAllNoFlush) must also reset the
 // update-size traces that feed the IPA advisor, or a restarted instance
 // would keep profiling on samples from pages whose updates never survived.
@@ -372,8 +432,7 @@ TEST(BufferPoolTest, DropAllNoFlushResetsAdvisorTraces) {
 
   // Dirty the already-mapped page and flush so a trace sample is recorded.
   auto f = fx.pool->Fix(p).value();
-  fx.pool->WillModify(f);
-  storage::SlottedPage view(f->cur.data(), PoolFixture::kPageSize);
+  storage::SlottedPage view(fx.pool->WillModify(f), PoolFixture::kPageSize);
   uint8_t val = 0x42;
   ASSERT_TRUE(view.UpdateInPlace(0, 0, {&val, 1}).ok());
   fx.pool->Unfix(f, true);

@@ -207,14 +207,17 @@ TEST(DatabaseTest, RedoOfRolledBackPageMatchesRollback) {
   auto frame = pool.Fix(page);
   ASSERT_TRUE(frame.ok());
   ASSERT_TRUE(frame.value()->dirty);  // the rollback never reached flash
-  std::vector<uint8_t> rolled_back = frame.value()->cur;
+  const uint32_t page_size = t.db->config().page_size;
+  std::vector<uint8_t> rolled_back(frame.value()->data(),
+                                   frame.value()->data() + page_size);
   pool.Unfix(frame.value(), false);
 
   t.db->SimulateCrash();
   ASSERT_TRUE(t.db->Recover().ok());
   frame = pool.Fix(page);
   ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame.value()->cur, rolled_back);
+  EXPECT_EQ(std::vector<uint8_t>(frame.value()->data(), frame.value()->data() + page_size),
+            rolled_back);
   pool.Unfix(frame.value(), false);
 }
 

@@ -1,8 +1,9 @@
 // Allocation counts on the engine's per-transaction paths: a counting global
 // operator new shows that a warm lock table, a WAL append into a log buffer
 // with capacity in place, NoFtl's managed-ECC reads, writes and delta
-// appends, and flush planning with a reused diff allocate nothing, and that
-// an update of a resident tuple allocates only its log record's images.
+// appends, a buffer pool's miss-modify-flush cycle over a PageFtl, and
+// flush planning with a reused diff allocate nothing, and that an update of
+// a resident tuple allocates only its log record's images.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/write_policy.h"
+#include "engine/buffer_pool.h"
 #include "engine/database.h"
 #include "engine/lock_manager.h"
 #include "engine/wal.h"
@@ -136,7 +138,8 @@ TEST(HotPathAllocTest, RepeatedUpdateAllocatesOnlyItsLogImages) {
 
 // TPC-B's managed-ECC region: 4 KiB pages, a [2x4] v=12 delta area (two
 // 49-byte records) and 128 OOB bytes. Warm: every flash page of the region
-// has been programmed and erased before, so the array reuses its buffers.
+// has been programmed and erased before, so the array's image pool has the
+// images those erases returned.
 // The measured write follows one that ran the garbage collector, whose
 // copy buffers are its own allocation.
 TEST(HotPathAllocTest, WarmManagedEccRegionAllocatesNothing) {
@@ -186,6 +189,61 @@ TEST(HotPathAllocTest, WarmManagedEccRegionAllocatesNothing) {
   EXPECT_EQ(ftl.region_stats(r).gc_erases, erases);  // the collector stayed idle
   EXPECT_EQ(std::memcmp(out.data(), page.data(), kDeltaOff), 0);
   EXPECT_EQ(std::memcmp(out.data() + kDeltaOff, record.data(), kRecord), 0);
+}
+
+// linkbench-streamftl's write path in miniature: a buffer pool over an
+// 8 KiB kStreamWarmCold PageFtl, where every fix misses, is modified and
+// later flushed out of place by the eviction it causes. Warm: the garbage
+// collector has returned the pool's page copies to it, and has just run, so
+// it stays idle through the measured cycle.
+TEST(HotPathAllocTest, WarmPageFtlCycleAllocatesNothing) {
+  constexpr uint32_t kPageSize = 8192;
+  constexpr uint64_t kPages = 64;
+  workload::StackSpec spec;
+  spec.geometry = {.channels = 1,
+                   .chips_per_channel = 2,
+                   .blocks_per_chip = 16,
+                   .pages_per_block = 16,
+                   .page_size = kPageSize,
+                   .oob_size = 64};
+  spec.regions.push_back({ftl::PageFtlConfig{.name = "stream",
+                                             .logical_pages = kPages,
+                                             .gc_policy = ftl::GcPolicy::kStreamWarmCold},
+                          "",
+                          {}});
+  auto stack = workload::Build(spec);
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  ftl::FtlBackend* dev = stack.value()->backend;
+  BufferConfig bc;
+  bc.page_size = kPageSize;
+  bc.frames = 8;
+  BufferPool pool(bc, [&](TablespaceId) { return dev; }, [](Lsn) {});
+  for (uint64_t lba = 0; lba < kPages; lba++) {
+    auto f = pool.Fix(PageId(0, lba), /*for_format=*/true);
+    ASSERT_TRUE(f.ok());
+    storage::SlottedPage(pool.WillModify(f.value()), kPageSize).Initialize(lba, 1, {});
+    pool.Unfix(f.value(), true);
+  }
+
+  uint64_t lba = 0;
+  auto cycle = [&] {
+    lba = (lba + 1) % kPages;
+    auto f = pool.Fix(PageId(0, lba));
+    ASSERT_TRUE(f.ok());
+    pool.WillModify(f.value())[storage::kPageHeaderSize] ^= 1;
+    pool.Unfix(f.value(), true);
+  };
+  while (dev->stats().gc_erases < 64) cycle();
+  for (uint64_t erases = dev->stats().gc_erases; dev->stats().gc_erases == erases;) cycle();
+
+  uint64_t erases = dev->stats().gc_erases;
+  uint64_t misses = pool.stats().misses, writes = dev->stats().host_page_writes;
+  size_t before = g_news;
+  cycle();
+  EXPECT_EQ(g_news - before, 0u);
+  EXPECT_EQ(dev->stats().gc_erases, erases);  // the collector stayed idle
+  EXPECT_EQ(pool.stats().misses, misses + 1);
+  EXPECT_EQ(dev->stats().host_page_writes, writes + 1);
 }
 
 // PlanEviction with a PageDiff kept across flushes, as the buffer pool

@@ -35,8 +35,7 @@ TEST(RefreshTest, DeviceRefreshRestoresLeakedCharge) {
   std::vector<uint8_t> data(g.page_size, 0x00);
   ASSERT_TRUE(dev.ProgramPage(0, data.data()).ok());
   // Simulate a retention flip directly (0 -> 1).
-  auto& ps = const_cast<flash::PageState&>(dev.page_state(0));
-  ps.data[100] |= 0x08;
+  ASSERT_TRUE(dev.CorruptBits(0, 100, 0x08).ok());
   // Refresh with the corrected image: legal (clears the leaked bit).
   ASSERT_TRUE(dev.RefreshPage(0, data.data()).ok());
   std::vector<uint8_t> buf(g.page_size);
@@ -78,8 +77,7 @@ TEST(ScrubTest, CorrectAndRefreshFixesStoredRetentionErrors) {
   // the single-error correction capability of each 256B ECC segment.
   for (Lba lba = 0; lba < 8; lba++) {
     flash::Ppn ppn = ftl.PhysicalOf(r.value(), lba);
-    auto& ps = const_cast<flash::PageState&>(dev.page_state(ppn));
-    ps.data[100 + lba] |= 0x02;
+    ASSERT_TRUE(dev.CorruptBits(ppn, 100 + static_cast<uint32_t>(lba), 0x02).ok());
   }
 
   // Scrub: corrected pages are re-programmed in place.
